@@ -1,10 +1,11 @@
 """Reverse-mode gradient tape over dense numpy arrays.
 
 Only the primitives the classifiers need are implemented: dense matmul,
-broadcast add/mul, pointwise activations, valid 1-D cross-correlation,
-max-over-time pooling, a fused LSTM cell, concatenation, elementwise
-averaging, reshape, and softmax cross-entropy. Everything is deterministic:
-identical inputs produce bit-identical outputs.
+broadcast add/mul, pointwise activations, valid 1-D cross-correlation
+(im2col + one GEMM), max-over-time pooling, a sequence-level LSTM (one tape
+node per layer and direction), concatenation, mean and index along an axis,
+reshape, and softmax cross-entropy. Everything is deterministic: identical
+inputs produce bit-identical outputs.
 
 Two precision modes are supported by construction: build parameters in
 float64 ("verify", required for finite-difference checks) or float32
@@ -187,13 +188,8 @@ def relu(x):
 
 
 def _sigmoid(z):
-    # piecewise form avoids exp overflow for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # the tanh form needs no masks and cannot overflow for any finite z
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def sigmoid(x):
@@ -247,24 +243,33 @@ def concat(tensors, axis=1):
     return Tensor(out_data, requires_grad=True, parents=tuple(tensors), backward=backward)
 
 
-def mean_tensors(tensors):
-    """Elementwise mean of same-shape tensors (time-average readout)."""
-    n = len(tensors)
-    if n == 0:
-        raise DimensionError("mean_tensors requires at least one tensor")
-    out_data = tensors[0].data.copy()
-    for t in tensors[1:]:
-        out_data += t.data
-    out_data /= n
-    if not _needs_grad(*tensors):
+def mean(x, axis):
+    """Mean over one axis (e.g. the time-average readout of a sequence)."""
+    n = x.data.shape[axis]
+    out_data = x.data.mean(axis=axis)
+    if not x.requires_grad:
         return Tensor(out_data)
 
     def backward(g):
-        share = g / n
-        for t in tensors:
-            _accum(t, share)
+        _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.data.shape))
 
-    return Tensor(out_data, requires_grad=True, parents=tuple(tensors), backward=backward)
+    return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
+
+
+def index(x, i, axis):
+    """The slice at position `i` along `axis` (e.g. the last time step)."""
+    out_data = np.take(x.data, i, axis=axis)
+    if not x.requires_grad:
+        return Tensor(out_data)
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        sel = [slice(None)] * x.data.ndim
+        sel[axis] = i
+        gx[tuple(sel)] = g
+        _accum(x, gx)
+
+    return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
 def conv1d_valid(x, w, b):
@@ -290,21 +295,28 @@ def conv1d_valid(x, w, b):
         raise DimensionError(
             f"conv1d_valid bias shape {b.data.shape} != ({c_out},)"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
-    out_data = np.einsum("bclk,ock->bol", windows, w.data) + b.data[None, :, None]
+    bsz = x.data.shape[0]
+    out_len = t_len - k + 1
+    # im2col: one row per (sample, output step), one column per (channel, tap)
+    cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
+    cols = cols.transpose(0, 2, 1, 3).reshape(bsz * out_len, c_in * k)
+    wmat = w.data.reshape(c_out, c_in * k)
+    out = (cols @ wmat.T + b.data).reshape(bsz, out_len, c_out)
+    out_data = out.transpose(0, 2, 1)
     if not _needs_grad(x, w, b):
         return Tensor(out_data)
 
-    out_len = t_len - k + 1
-
     def backward(g):
-        _accum(b, g.sum(axis=(0, 2)))
-        _accum(w, np.einsum("bol,bclk->ock", g, windows))
+        g2 = g.transpose(0, 2, 1).reshape(bsz * out_len, c_out)
+        _accum(b, g2.sum(axis=0))
+        _accum(w, (g2.T @ cols).reshape(c_out, c_in, k))
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
+            # col2im: scatter-add each tap's column gradient back onto its steps
+            dcols = (g2 @ wmat).reshape(bsz, out_len, c_in, k)
+            gx = np.zeros((bsz, t_len, c_in), dtype=dcols.dtype)
             for j in range(k):
-                gx[:, :, j:j + out_len] += np.einsum("bol,oc->bcl", g, w.data[:, :, j])
-            _accum(x, gx)
+                gx[:, j:j + out_len] += dcols[:, :, :, j]
+            _accum(x, gx.transpose(0, 2, 1))
 
     return Tensor(out_data, requires_grad=True, parents=(x, w, b), backward=backward)
 
@@ -330,64 +342,100 @@ def max_over_time(x):
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
-def lstm_cell(x, h, c, wx, wh, b):
-    """Fused LSTM cell step.
+def lstm_cell(xw, h, c, wh):
+    """One LSTM time step on plain arrays.
 
-    Gate layout in the 4H pre-activation is [input, forget, candidate,
-    output]; c' = f⊙c + i⊙g, h' = o⊙tanh(c'). Returns (h', c') as two tape
-    nodes sharing one forward cache; their backward contributions add.
+    `xw` is the step's input projection x·Wx + b, (B, 4H); `h` and `c` are
+    the previous state, (B, H). Gate layout in the 4H pre-activation is
+    [input, forget, candidate, output]; c' = f⊙c + i⊙g, h' = o⊙tanh(c').
+    Returns (h', c', gates) with `gates` the four activations, (B, 4H).
     """
-    bsz, d_in = x.data.shape
-    hid = h.data.shape[1]
-    if h.data.shape != (bsz, hid) or c.data.shape != (bsz, hid):
+    hid = h.shape[1]
+    gates = xw + h @ wh
+    gates[:, :2 * hid] = _sigmoid(gates[:, :2 * hid])
+    gates[:, 2 * hid:3 * hid] = np.tanh(gates[:, 2 * hid:3 * hid])
+    gates[:, 3 * hid:] = _sigmoid(gates[:, 3 * hid:])
+    c_new = gates[:, hid:2 * hid] * c + gates[:, :hid] * gates[:, 2 * hid:3 * hid]
+    h_new = gates[:, 3 * hid:] * np.tanh(c_new)
+    return h_new, c_new, gates
+
+
+def lstm_sequence(x, wx, wh, b, reverse=False):
+    """One LSTM direction over a whole sequence, as a single tape node.
+
+    x: (B, T, d), wx: (d, 4H), wh: (H, 4H), b: (4H,) -> (B, T, H), the
+    hidden state after every step in forward time order. The state starts
+    at zero; `reverse` runs the recurrence from the last step to the first.
+    Forward projects all T inputs in one GEMM and then runs `lstm_cell`
+    once per step. Backward is BPTT with one `dpre·Whᵀ` GEMM per step; the
+    gradients of x, Wx, Wh and b are then one GEMM (or sum) each over the
+    stacked steps.
+    """
+    if x.data.ndim != 3 or x.data.shape[1] < 1:
         raise DimensionError(
-            f"lstm_cell state shapes {h.data.shape}/{c.data.shape} inconsistent"
+            f"lstm_sequence expects a (B, T>=1, d) input, got {x.data.shape}"
         )
+    bsz, t_len, d_in = x.data.shape
+    hid = wh.data.shape[0]
     if wx.data.shape != (d_in, 4 * hid) or wh.data.shape != (hid, 4 * hid) \
             or b.data.shape != (4 * hid,):
         raise DimensionError(
-            "lstm_cell weight shapes inconsistent: "
+            "lstm_sequence weight shapes inconsistent: "
             f"wx={wx.data.shape}, wh={wh.data.shape}, b={b.data.shape} "
             f"for d_in={d_in}, hidden={hid}"
         )
 
-    pre = x.data @ wx.data + h.data @ wh.data + b.data
-    gi = _sigmoid(pre[:, :hid])
-    gf = _sigmoid(pre[:, hid:2 * hid])
-    gg = np.tanh(pre[:, 2 * hid:3 * hid])
-    go = _sigmoid(pre[:, 3 * hid:])
-    c_new = gf * c.data + gi * gg
-    tc = np.tanh(c_new)
-    h_new = go * tc
+    # time-major, in the order the recurrence visits the steps
+    xs = x.data.transpose(1, 0, 2)
+    if reverse:
+        xs = xs[::-1]
+    xs = np.ascontiguousarray(xs).reshape(t_len * bsz, d_in)
+    xw = (xs @ wx.data + b.data).reshape(t_len, bsz, 4 * hid)
+    hs = np.zeros((t_len + 1, bsz, hid), dtype=xw.dtype)   # hs[0]: initial state
+    cs = np.zeros_like(hs)
+    gates = np.empty_like(xw)
+    for s in range(t_len):
+        hs[s + 1], cs[s + 1], gates[s] = lstm_cell(xw[s], hs[s], cs[s], wh.data)
+    out = hs[:0:-1] if reverse else hs[1:]
+    out_data = out.transpose(1, 0, 2)
+    if not _needs_grad(x, wx, wh, b):
+        return Tensor(out_data)
 
-    parents = (x, h, c, wx, wh, b)
-    if not _needs_grad(*parents):
-        return Tensor(h_new), Tensor(c_new)
+    def backward(g):
+        gs = g.transpose(1, 0, 2)
+        if reverse:
+            gs = gs[::-1]
+        i, f, gg, o = (gates[..., k * hid:(k + 1) * hid] for k in range(4))
+        tc = np.tanh(cs[1:])
+        # dpre = coef ⊙ [dc, dc, dc, dh] block by block, dc = dh·dc_dh + carry
+        coef = np.empty_like(gates).reshape(t_len, bsz, 4, hid)
+        coef[:, :, 0] = gg * i * (1.0 - i)
+        coef[:, :, 1] = cs[:-1] * f * (1.0 - f)
+        coef[:, :, 2] = i * (1.0 - gg * gg)
+        coef[:, :, 3] = tc * o * (1.0 - o)
+        dc_dh = o * (1.0 - tc * tc)
+        dpre = np.empty_like(coef)
+        dh = np.zeros((bsz, hid), dtype=gates.dtype)
+        dc = np.zeros_like(dh)
+        for s in range(t_len - 1, -1, -1):
+            dh = gs[s] + dh
+            dc = dh * dc_dh[s] + dc
+            dpre[s, :, :3] = dc[:, None, :] * coef[s, :, :3]
+            dpre[s, :, 3] = dh * coef[s, :, 3]
+            if s:
+                dh = dpre[s].reshape(bsz, 4 * hid) @ wh.data.T
+                dc = dc * f[s]
+        flat = dpre.reshape(t_len * bsz, 4 * hid)
+        if x.requires_grad:
+            dxs = (flat @ wx.data.T).reshape(t_len, bsz, d_in)
+            if reverse:
+                dxs = dxs[::-1]
+            _accum(x, dxs.transpose(1, 0, 2))
+        _accum(wx, xs.T @ flat)
+        _accum(wh, hs[:-1].reshape(t_len * bsz, hid).T @ flat)
+        _accum(b, flat.sum(axis=0))
 
-    def _common(gc, dpo):
-        # gc: gradient w.r.t. c'; dpo: gradient w.r.t. output-gate pre-act
-        dpi = (gc * gg) * gi * (1.0 - gi)
-        dpf = (gc * c.data) * gf * (1.0 - gf)
-        dpg = (gc * gi) * (1.0 - gg * gg)
-        dpre = np.concatenate([dpi, dpf, dpg, dpo], axis=1)
-        _accum(x, dpre @ wx.data.T)
-        _accum(h, dpre @ wh.data.T)
-        _accum(c, gc * gf)
-        _accum(wx, x.data.T @ dpre)
-        _accum(wh, h.data.T @ dpre)
-        _accum(b, dpre.sum(axis=0))
-
-    def backward_h(g):
-        gc = g * go * (1.0 - tc * tc)
-        dpo = (g * tc) * go * (1.0 - go)
-        _common(gc, dpo)
-
-    def backward_c(g):
-        _common(g, np.zeros_like(go))
-
-    h_out = Tensor(h_new, requires_grad=True, parents=parents, backward=backward_h)
-    c_out = Tensor(c_new, requires_grad=True, parents=parents, backward=backward_c)
-    return h_out, c_out
+    return Tensor(out_data, requires_grad=True, parents=(x, wx, wh, b), backward=backward)
 
 
 def softmax(logits):

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, write_container
+from .autodiff import DTYPES
+from .container import read_container, require_keys, write_container
 from .errors import CheckpointError
 from .hmm import GaussianHMM, HMMClassifier
-from .models import config_from_dict, config_to_dict, model_from_config
+from .models import MODEL_KINDS, config_from_dict, config_to_dict, model_from_config
 
 
 @dataclass
@@ -59,7 +60,10 @@ def load_checkpoint(path):
     kind, meta, arrays = read_container(path)
     if kind != "model":
         raise CheckpointError(f"{path}: expected a model checkpoint, found {kind!r}")
+    require_keys(path, meta, ("model_kind", "class_names"), "checkpoint metadata")
     model_kind = meta["model_kind"]
+    if model_kind not in MODEL_KINDS:
+        raise CheckpointError(f"{path}: unknown model kind {model_kind!r}")
     class_names = list(meta["class_names"])
 
     if model_kind == "hmm":
@@ -84,6 +88,9 @@ def load_checkpoint(path):
             normalization=meta.get("normalization"),
         )
 
+    require_keys(path, meta, ("config", "precision"), "checkpoint metadata")
+    if meta["precision"] not in DTYPES:
+        raise CheckpointError(f"{path}: unknown precision {meta['precision']!r}")
     config = config_from_dict(model_kind, meta["config"])
     model = model_from_config(model_kind, config, seed=0, precision=meta["precision"])
     expected = set(model.parameters)

@@ -252,8 +252,9 @@ def cmd_prep(args, argv):
     stages = [("trajectories_loaded", str(len(trajectories)))]
     kept = dmod.filter_short(trajectories, min_len=args.min_len)
     stages.append(("after_min_length_filter", str(len(kept))))
-    samples = dmod.window_all(kept, size=args.window_size)
+    samples, skipped = dmod.window_all(kept, size=args.window_size, return_skipped=True)
     stages.append(("window_samples", str(len(samples))))
+    stages.append(("windows_skipped_at_frame_gaps", str(skipped)))
     samples, kept_names, _ = dmod.filter_rare_classes(
         samples, class_names, min_count=args.min_class_count
     )

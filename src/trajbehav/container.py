@@ -33,6 +33,15 @@ def _canonical_dtype(arr):
     return s
 
 
+def require_keys(path, mapping, keys, what):
+    """Raise CheckpointError naming every one of `keys` absent from `mapping`."""
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise CheckpointError(
+            f"{path}: {what} lacks {', '.join(repr(k) for k in missing)}"
+        )
+
+
 def write_container(path, kind, meta, arrays):
     """Write `arrays` (ordered name -> ndarray) plus a JSON-able `meta`."""
     entries = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import read_container, require_keys, write_container
 from .errors import ConfigError, DataError, IngestError
 from .rng import ROS, RUS, SPLIT, seeded_rng
 
@@ -232,16 +232,27 @@ def filter_short(trajectories, min_len=MIN_TRAJECTORY_LEN):
     return [t for t in trajectories if len(t.points) >= min_len]
 
 
-def window(trajectory, size=WINDOW_SIZE, stride=1):
-    """Slide a fixed window; each sample is labeled by its last point."""
+def window(trajectory, size=WINDOW_SIZE, stride=1, return_skipped=False):
+    """Slide a fixed window; each sample is labeled by its last point.
+
+    A window must cover `size` consecutive frames: windows that span a
+    tracking gap (a jump of more than one frame) are skipped. Points are
+    taken to be in frame order without repeats, as `load_trajectories`
+    returns them. With `return_skipped`, returns (samples, number skipped).
+    """
     n = len(trajectory.points)
     if n < size:
         raise ConfigError(
             f"trajectory {trajectory.agent_id!r} has {n} points, "
             f"shorter than window size {size}; filter first"
         )
+    frames = [p.frame for p in trajectory.points]
     samples = []
+    skipped = 0
     for start in range(0, n - size + 1, stride):
+        if frames[start + size - 1] - frames[start] != size - 1:
+            skipped += 1
+            continue
         pts = trajectory.points[start:start + size]
         states = np.array([[p.x, p.y, p.z, p.d] for p in pts], dtype=np.float64)
         last = pts[-1]
@@ -249,14 +260,17 @@ def window(trajectory, size=WINDOW_SIZE, stride=1):
             WindowSample(states=states, label=last.label,
                          source=(trajectory.agent_id, last.frame))
         )
-    return samples
+    return (samples, skipped) if return_skipped else samples
 
 
-def window_all(trajectories, size=WINDOW_SIZE, stride=1):
+def window_all(trajectories, size=WINDOW_SIZE, stride=1, return_skipped=False):
     samples = []
+    skipped = 0
     for traj in trajectories:
-        samples.extend(window(traj, size=size, stride=stride))
-    return samples
+        s, k = window(traj, size=size, stride=stride, return_skipped=True)
+        samples.extend(s)
+        skipped += k
+    return (samples, skipped) if return_skipped else samples
 
 
 def class_histogram(samples, num_classes):
@@ -409,6 +423,12 @@ def _pack_sources(samples, agent_table):
     return agent_idx, frames
 
 
+_SPLIT_ARRAYS = (
+    "train_states", "train_labels", "train_agents", "train_frames",
+    "test_states", "test_labels", "test_agents", "test_frames",
+)
+
+
 def save_prepared(dataset, path):
     split_ = dataset.split
     train_states, train_labels = samples_to_arrays(split_.train)
@@ -455,6 +475,10 @@ def load_prepared(path):
     kind, meta, arrays = read_container(path)
     if kind != "dataset":
         raise DataError(f"{path}: expected a prepared dataset, found {kind!r}")
+    require_keys(path, meta, ("agents", "class_names", "seed"), "dataset metadata")
+    require_keys(path, arrays, _SPLIT_ARRAYS, "dataset")
+    if meta.get("has_loss_weights"):
+        require_keys(path, arrays, ("loss_weights",), "dataset")
     agents = meta["agents"]
     split_ = DatasetSplit(
         train=_unpack_samples(
@@ -468,7 +492,7 @@ def load_prepared(path):
         class_names=list(meta["class_names"]),
         seed=int(meta["seed"]),
     )
-    weights = arrays.get("loss_weights") if meta.get("has_loss_weights") else None
+    weights = arrays["loss_weights"] if meta.get("has_loss_weights") else None
     return PreparedDataset(
         split=split_,
         config=dict(meta.get("config", {})),

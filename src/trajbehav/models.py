@@ -2,6 +2,8 @@
 
 All three models share the gradient-tape primitives, expose an ordered
 `parameters` dict, and accept input batches shaped (B, seq_len, channels).
+Recurrent layers work on whole (B, T, H) sequences: each layer direction
+is one `lstm_sequence` tape node, not one node per time step.
 
 Architecture notes (choices the reference description leaves open):
   * The fully connected bottleneck after the multi-scale conv banks outputs
@@ -101,6 +103,9 @@ class _ModelBase:
         self.parameters[name] = p
         return p
 
+    def _lstm_weights(self, prefix):
+        return tuple(self.parameters[f"{prefix}.{n}"] for n in ("wx", "wh", "b"))
+
     def param_list(self):
         return list(self.parameters.values())
 
@@ -126,24 +131,6 @@ def _init_lstm_direction(model, prefix, d_in, hidden, rng):
     model._add_param(f"{prefix}.wx", wx)
     model._add_param(f"{prefix}.wh", wh)
     model._add_param(f"{prefix}.b", b)
-
-
-def _run_lstm_direction(steps, wx, wh, b, hidden, reverse=False):
-    """Run one LSTM direction over a list of (B, d_in) step tensors.
-
-    Returns the hidden state at every step, indexed in forward time order.
-    """
-    n = len(steps)
-    bsz = steps[0].data.shape[0]
-    dt = wx.data.dtype
-    h = Tensor(np.zeros((bsz, hidden), dtype=dt))
-    c = Tensor(np.zeros((bsz, hidden), dtype=dt))
-    out = [None] * n
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        h, c = ad.lstm_cell(steps[t], h, c, wx, wh, b)
-        out[t] = h
-    return out
 
 
 class FusionModel(_ModelBase):
@@ -190,26 +177,14 @@ class FusionModel(_ModelBase):
     def bilstm_features(self, batch):
         """(B, 5, 4) -> (B, 128): time-averaged bidirectional hidden states."""
         cfg = self.config
-        batch = self._check_batch(batch, cfg.seq_len, cfg.input_channels)
-        steps = [Tensor(np.ascontiguousarray(batch[:, t, :])) for t in range(cfg.seq_len)]
+        x = Tensor(self._check_batch(batch, cfg.seq_len, cfg.input_channels))
         for layer in range(cfg.lstm_layers):
-            fw = _run_lstm_direction(
-                steps,
-                self.parameters[f"bilstm.l{layer}.fw.wx"],
-                self.parameters[f"bilstm.l{layer}.fw.wh"],
-                self.parameters[f"bilstm.l{layer}.fw.b"],
-                cfg.lstm_hidden,
+            fw = ad.lstm_sequence(x, *self._lstm_weights(f"bilstm.l{layer}.fw"))
+            bw = ad.lstm_sequence(
+                x, *self._lstm_weights(f"bilstm.l{layer}.bw"), reverse=True
             )
-            bw = _run_lstm_direction(
-                steps,
-                self.parameters[f"bilstm.l{layer}.bw.wx"],
-                self.parameters[f"bilstm.l{layer}.bw.wh"],
-                self.parameters[f"bilstm.l{layer}.bw.b"],
-                cfg.lstm_hidden,
-                reverse=True,
-            )
-            steps = [ad.concat([f, b], axis=1) for f, b in zip(fw, bw)]
-        return ad.mean_tensors(steps)
+            x = ad.concat([fw, bw], axis=2)
+        return ad.mean(x, axis=1)
 
     def mscnn_features(self, batch):
         """(B, 5, 4) -> (B, 32): multi-scale conv banks, pooled and bottlenecked."""
@@ -266,17 +241,11 @@ class LSTMBaseline(_ModelBase):
 
     def forward(self, batch):
         cfg = self.config
-        batch = self._check_batch(batch, cfg.seq_len, cfg.input_channels)
-        steps = [Tensor(np.ascontiguousarray(batch[:, t, :])) for t in range(cfg.seq_len)]
+        x = Tensor(self._check_batch(batch, cfg.seq_len, cfg.input_channels))
         for layer in range(cfg.layers):
-            steps = _run_lstm_direction(
-                steps,
-                self.parameters[f"lstm.l{layer}.wx"],
-                self.parameters[f"lstm.l{layer}.wh"],
-                self.parameters[f"lstm.l{layer}.b"],
-                cfg.hidden,
-            )
-        return ad.dense(steps[-1], self.parameters["head.w"], self.parameters["head.b"])
+            x = ad.lstm_sequence(x, *self._lstm_weights(f"lstm.l{layer}"))
+        last = ad.index(x, -1, axis=1)
+        return ad.dense(last, self.parameters["head.w"], self.parameters["head.b"])
 
 
 class Conv1DBaseline(_ModelBase):

@@ -2,78 +2,38 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moment estimates and step counter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    lr: float = 0.005
-
-
-def init_adam(params, lr=0.005, beta1=0.9, beta2=0.999, epsilon=1e-8):
-    return [
-        AdamState(
-            m=np.zeros_like(p.data),
-            v=np.zeros_like(p.data),
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-            lr=lr,
-        )
-        for p in params
-    ]
-
-
-def adam_step(params, states):
-    """One Adam update for every parameter from its populated gradient.
+class Adam:
+    """Adam over a fixed list of parameters, one moment pair per parameter.
 
     Zero gradients leave parameters exactly unchanged (the update term is
     identically zero, not merely small).
     """
-    for p, s in zip(params, states):
-        s.step += 1
-        g = p.grad
-        s.m = s.beta1 * s.m + (1.0 - s.beta1) * g
-        s.v = s.beta2 * s.v + (1.0 - s.beta2) * (g * g)
-        m_hat = s.m / (1.0 - s.beta1 ** s.step)
-        v_hat = s.v / (1.0 - s.beta2 ** s.step)
-        p.data -= (s.lr * m_hat / (np.sqrt(v_hat) + s.epsilon)).astype(p.data.dtype)
 
-
-@dataclass
-class Adam:
-    """Convenience wrapper binding parameters to their Adam states."""
-
-    params: list
-    lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    states: list = field(init=False)
-
-    def __post_init__(self):
-        self.states = init_adam(
-            self.params, self.lr, self.beta1, self.beta2, self.epsilon
-        )
-
-    def set_lr(self, lr):
+    def __init__(self, params, lr=0.005, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.params = list(params)
         self.lr = lr
-        for s in self.states:
-            s.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
 
     def step(self):
-        adam_step(self.params, self.states)
+        """One update of every parameter from its populated gradient."""
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for k, p in enumerate(self.params):
+            g = p.grad
+            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
+            m_hat = self.m[k] / (1.0 - b1 ** self.t)
+            v_hat = self.v[k] / (1.0 - b2 ** self.t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)).astype(p.data.dtype)

@@ -130,7 +130,7 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
     n = states.shape[0]
     log = TrainLog()
     for epoch in range(1, config.epochs + 1):
-        opt.set_lr(lr_at(config, epoch))
+        opt.lr = lr_at(config, epoch)
         order = seeded_rng(config.seed, SHUFFLE, epoch).permutation(n)
         t0 = time.perf_counter()
         total = 0.0

@@ -132,6 +132,29 @@ class TestConv1d:
                 Tensor(np.zeros(1)),
             )
 
+    def test_matches_einsum_oracle_for_every_width(self, rng):
+        t_len = 7
+        x = rng.normal(size=(3, 4, t_len))
+        for k in range(1, t_len + 1):
+            out_len = t_len - k + 1
+            w = rng.normal(size=(5, 4, k))
+            b = rng.normal(size=5)
+            mix = rng.normal(size=(3, 5, out_len))
+            xp, wp, bp = Parameter(x.copy(), "x"), Parameter(w, "w"), Parameter(b, "b")
+            out = ad.conv1d_valid(xp, wp, bp)
+            _sum_all(ad.mul(out, Tensor(mix))).backward()
+
+            windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
+            expect = np.einsum("bclk,ock->bol", windows, w) + b[None, :, None]
+            gx = np.zeros_like(x)
+            for j in range(k):
+                gx[:, :, j:j + out_len] += np.einsum("bol,oc->bcl", mix, w[:, :, j])
+            assert out.data.shape == (3, 5, out_len)
+            assert np.abs(out.data - expect).max() < 1e-12
+            assert np.abs(wp.grad - np.einsum("bol,bclk->ock", mix, windows)).max() < 1e-12
+            assert np.abs(bp.grad - mix.sum(axis=(0, 2))).max() < 1e-12
+            assert np.abs(xp.grad - gx).max() < 1e-12
+
     def test_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
@@ -179,63 +202,150 @@ class TestMaxOverTime:
             )
 
 
+def _oracle_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _oracle_lstm_cell(x, h, c, wx, wh, b):
+    """The per-cell tape LSTM step that `lstm_sequence` replaced.
+
+    Returns (h', c') as two tape nodes sharing one forward cache; their
+    backward contributions add. Float64 reference only.
+    """
+    hid = h.data.shape[1]
+    pre = x.data @ wx.data + h.data @ wh.data + b.data
+    gi = _oracle_sigmoid(pre[:, :hid])
+    gf = _oracle_sigmoid(pre[:, hid:2 * hid])
+    gg = np.tanh(pre[:, 2 * hid:3 * hid])
+    go = _oracle_sigmoid(pre[:, 3 * hid:])
+    c_new = gf * c.data + gi * gg
+    tc = np.tanh(c_new)
+    h_new = go * tc
+
+    def _common(gc, dpo):
+        dpi = (gc * gg) * gi * (1.0 - gi)
+        dpf = (gc * c.data) * gf * (1.0 - gf)
+        dpg = (gc * gi) * (1.0 - gg * gg)
+        dpre = np.concatenate([dpi, dpf, dpg, dpo], axis=1)
+        ad._accum(x, dpre @ wx.data.T)
+        ad._accum(h, dpre @ wh.data.T)
+        ad._accum(c, gc * gf)
+        ad._accum(wx, x.data.T @ dpre)
+        ad._accum(wh, h.data.T @ dpre)
+        ad._accum(b, dpre.sum(axis=0))
+
+    def backward_h(g):
+        _common(g * go * (1.0 - tc * tc), (g * tc) * go * (1.0 - go))
+
+    def backward_c(g):
+        _common(g, np.zeros_like(go))
+
+    parents = (x, h, c, wx, wh, b)
+    return (Tensor(h_new, requires_grad=True, parents=parents, backward=backward_h),
+            Tensor(c_new, requires_grad=True, parents=parents, backward=backward_c))
+
+
+def _oracle_lstm_direction(steps, wx, wh, b, reverse=False):
+    """Hidden state after every step, in forward time order, one cell at a time."""
+    hid = wh.data.shape[0]
+    h = Tensor(np.zeros((steps[0].data.shape[0], hid)))
+    c = Tensor(np.zeros_like(h.data))
+    out = [None] * len(steps)
+    order = range(len(steps) - 1, -1, -1) if reverse else range(len(steps))
+    for t in order:
+        h, c = _oracle_lstm_cell(steps[t], h, c, wx, wh, b)
+        out[t] = h
+    return out
+
+
+def _lstm_weights(d_in, hidden, rng=None, zero=False):
+    if zero:
+        wx = np.zeros((d_in, 4 * hidden))
+        wh = np.zeros((hidden, 4 * hidden))
+        b = np.zeros(4 * hidden)
+    else:
+        wx = rng.normal(size=(d_in, 4 * hidden)) * 0.5
+        wh = rng.normal(size=(hidden, 4 * hidden)) * 0.5
+        b = rng.normal(size=4 * hidden) * 0.5
+    return Parameter(wx, "wx"), Parameter(wh, "wh"), Parameter(b, "b")
+
+
 class TestLSTMCell:
-    def _weights(self, d_in, hidden, rng=None, zero=False):
-        if zero:
-            wx = np.zeros((d_in, 4 * hidden))
-            wh = np.zeros((hidden, 4 * hidden))
-            b = np.zeros(4 * hidden)
-        else:
-            wx = rng.normal(size=(d_in, 4 * hidden)) * 0.5
-            wh = rng.normal(size=(hidden, 4 * hidden)) * 0.5
-            b = rng.normal(size=4 * hidden) * 0.5
-        return Parameter(wx, "wx"), Parameter(wh, "wh"), Parameter(b, "b")
+    """`lstm_cell` steps, run as one `lstm_sequence` tape node per direction."""
 
     def test_zero_weights_zero_output(self, rng):
-        wx, wh, b = self._weights(4, 3, zero=True)
-        x = Tensor(rng.normal(size=(2, 4)))
-        h = Tensor(np.zeros((2, 3)))
-        c = Tensor(np.zeros((2, 3)))
-        h2, c2 = ad.lstm_cell(x, h, c, wx, wh, b)
-        assert np.allclose(h2.data, 0.0)
+        wx, wh, b = _lstm_weights(4, 3, zero=True)
+        out = ad.lstm_sequence(Tensor(rng.normal(size=(2, 5, 4))), wx, wh, b)
+        assert out.data.shape == (2, 5, 3)
+        assert np.allclose(out.data, 0.0)
 
     def test_forget_gate_saturation_preserves_cell(self, rng):
         hidden = 3
-        wx, wh, b = self._weights(4, hidden, zero=True)
+        wx, wh, b = _lstm_weights(4, hidden, zero=True)
         b.data[hidden:2 * hidden] = 100.0   # forget gate ~ 1
         b.data[:hidden] = -100.0            # input gate ~ 0
-        x = Tensor(rng.normal(size=(2, 4)))
-        h = Tensor(np.zeros((2, hidden)))
-        c = Tensor(rng.normal(size=(2, hidden)))
-        _, c2 = ad.lstm_cell(x, h, c, wx, wh, b)
-        assert np.abs(c2.data - c.data).max() < 1e-6
+        x = rng.normal(size=(2, 4))
+        c = rng.normal(size=(2, hidden))
+        _, c2, _ = ad.lstm_cell(x @ wx.data + b.data, np.zeros((2, hidden)), c, wh.data)
+        assert np.abs(c2 - c).max() < 1e-6
 
     def test_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
-            wx, wh, b = self._weights(3, 2, rng=r)
-            x = Tensor(r.normal(size=(2, 3)))
-            h0 = Tensor(r.normal(size=(2, 2)))
-            c0 = Tensor(r.normal(size=(2, 2)))
-            mix_h = r.normal(size=(2, 2))
-            mix_c = r.normal(size=(2, 2))
-
-            def loss():
-                h1, c1 = ad.lstm_cell(x, h0, c0, wx, wh, b)
-                h2, c2 = ad.lstm_cell(x, h1, c1, wx, wh, b)
-                return _sum_all(
-                    ad.add(ad.mul(h2, Tensor(mix_h)), ad.mul(c2, Tensor(mix_c)))
-                )
-
-            fd_check_primitive(loss, [wx, wh, b])
+            wx, wh, b = _lstm_weights(3, 2, rng=r)
+            x = Parameter(r.normal(size=(2, 3, 3)), "x")
+            mix = r.normal(size=(2, 3, 2))
+            reverse = bool(trial % 2)
+            fd_check_primitive(
+                lambda: _sum_all(
+                    ad.mul(ad.lstm_sequence(x, wx, wh, b, reverse=reverse), Tensor(mix))
+                ),
+                [x, wx, wh, b],
+            )
 
     def test_shape_mismatch(self):
-        wx, wh, b = self._weights(4, 3, zero=True)
+        wx, wh, b = _lstm_weights(4, 3, zero=True)
         with pytest.raises(DimensionError):
-            ad.lstm_cell(
-                Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 3))),
-                Tensor(np.zeros((2, 3))), wx, wh, b,
-            )
+            ad.lstm_sequence(Tensor(np.zeros((2, 5, 5))), wx, wh, b)
+        with pytest.raises(DimensionError):
+            ad.lstm_sequence(Tensor(np.zeros((2, 4))), wx, wh, b)
+        with pytest.raises(DimensionError):
+            ad.lstm_sequence(Tensor(np.zeros((2, 5, 4))), wx, wh, Parameter(np.zeros(4), "b"))
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_cell_oracle(self, layers, reverse):
+        r = np.random.default_rng(10 * layers + reverse)
+        bsz, t_len, d_in, hidden = 3, 5, 4, 3
+        x = r.normal(size=(bsz, t_len, d_in))
+        mix = r.normal(size=(bsz, t_len, hidden))
+        weights = [
+            [w.data for w in _lstm_weights(d_in if l == 0 else hidden, hidden, rng=r)]
+            for l in range(layers)
+        ]
+
+        xp = Parameter(x.copy(), "x")
+        params = [[Parameter(w.copy(), "w") for w in ws] for ws in weights]
+        y = xp
+        for wx, wh, b in params:
+            y = ad.lstm_sequence(y, wx, wh, b, reverse=reverse)
+        _sum_all(ad.mul(y, Tensor(mix))).backward()
+
+        steps = [Parameter(x[:, t].copy(), f"x{t}") for t in range(t_len)]
+        oparams = [[Parameter(w.copy(), "w") for w in ws] for ws in weights]
+        hs = steps
+        for wx, wh, b in oparams:
+            hs = _oracle_lstm_direction(hs, wx, wh, b, reverse=reverse)
+        loss = _sum_all(ad.mul(hs[0], Tensor(mix[:, 0])))
+        for t in range(1, t_len):
+            loss = ad.add(loss, _sum_all(ad.mul(hs[t], Tensor(mix[:, t]))))
+        loss.backward()
+
+        assert np.abs(y.data - np.stack([h.data for h in hs], axis=1)).max() < 1e-10
+        assert np.abs(xp.grad - np.stack([s.grad for s in steps], axis=1)).max() < 1e-10
+        for mine, theirs in zip(params, oparams):
+            for p, q in zip(mine, theirs):
+                assert np.abs(p.grad - q.grad).max() < 1e-10
 
 
 class TestSoftmaxCrossEntropy:
@@ -304,18 +414,42 @@ class TestOtherPrimitives:
     def test_concat_and_mean_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
-            a = Parameter(r.normal(size=(2, 3)), "a")
-            b = Parameter(r.normal(size=(2, 2)), "b")
-            c = Parameter(r.normal(size=(2, 3)), "c")
-            mix = r.normal(size=(2, 5))
+            a = Parameter(r.normal(size=(2, 3, 3)), "a")
+            b = Parameter(r.normal(size=(2, 3, 2)), "b")
+            mix = r.normal(size=(2, 3, 5))
             mix2 = r.normal(size=(2, 3))
 
             def loss():
-                cat = ad.mul(ad.concat([a, b], axis=1), Tensor(mix))
-                avg = ad.mul(ad.mean_tensors([a, c]), Tensor(mix2))
+                cat = ad.mul(ad.concat([a, b], axis=2), Tensor(mix))
+                avg = ad.mul(ad.mean(a, axis=1), Tensor(mix2))
                 return ad.add(_sum_all(cat), _sum_all(avg))
 
-            fd_check_primitive(loss, [a, b, c])
+            fd_check_primitive(loss, [a, b])
+
+    def test_mean_and_index_match_numpy(self, rng):
+        x = rng.normal(size=(2, 5, 3))
+        assert np.array_equal(ad.index(Tensor(x), -1, axis=1).data, x[:, -1])
+        assert np.abs(ad.mean(Tensor(x), axis=1).data - x.sum(axis=1) / 5).max() < 1e-12
+
+    def test_index_gradients(self):
+        for trial in range(50):
+            r = np.random.default_rng(trial)
+            x = Parameter(r.normal(size=(2, 4, 3)), "x")
+            mix = r.normal(size=(2, 3))
+            i = int(r.integers(-4, 4))
+            fd_check_primitive(
+                lambda: _sum_all(ad.mul(ad.index(x, i, axis=1), Tensor(mix))), [x]
+            )
+
+    def test_sigmoid_saturates_without_overflow(self):
+        for dt in (np.float32, np.float64):
+            x = Parameter(np.array([-1e4, 0.0, 1e4], dtype=dt), "x")
+            with np.errstate(all="raise"):
+                y = ad.sigmoid(x)
+                _sum_all(ad.reshape(y, (1, 3))).backward()
+            assert y.data.dtype == dt
+            assert np.array_equal(y.data, [0.0, 0.5, 1.0])
+            assert np.array_equal(x.grad, [0.0, 0.25, 0.0])
 
     def test_activations_gradients(self):
         for trial in range(100):

@@ -6,8 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from trajbehav.checkpoint import save_checkpoint
 from trajbehav.cli import main
+from trajbehav.container import read_container, write_container
 from trajbehav.data import load_prepared
+from trajbehav.models import build_model
 
 
 GEN_SPEC = """
@@ -99,6 +102,7 @@ class TestPrep:
         assert lines["trajectories_loaded"] == "32"
         assert lines["after_min_length_filter"] == "32"
         assert lines["window_samples"] == "256"
+        assert lines["windows_skipped_at_frame_gaps"] == "0"
         assert "train_samples" in lines and "test_samples" in lines
 
     def test_seven_point_trajectory_three_windows(self, tmp_path):
@@ -117,6 +121,24 @@ class TestPrep:
             for line in (tmp_path / "p" / "counts.txt").read_text().splitlines()
         )
         assert lines["window_samples"] == "3"
+
+    def test_frame_gap_windows_skipped_and_counted(self, tmp_path):
+        csv = tmp_path / "t.csv"
+        rows = ["agent_id,kind,frame,x,y,z,d,label"]
+        for i in [f for f in range(13) if f != 6]:
+            rows.append(f"a,vehicle,{i},{float(i)},0.0,0.0,0.0,X")
+        csv.write_text("\n".join(rows) + "\n")
+        code = run([
+            "prep", "--data", csv, "--out", tmp_path / "p",
+            "--min-class-count", 1, "--ratio", "0.5",
+        ])
+        assert code == 0
+        lines = dict(
+            line.split("\t", 1)
+            for line in (tmp_path / "p" / "counts.txt").read_text().splitlines()
+        )
+        assert lines["window_samples"] == "4"
+        assert lines["windows_skipped_at_frame_gaps"] == "4"
 
     def test_ros_flat_histogram_reported(self, workspace):
         prep = gen_and_prep(workspace, resample="ros", prep_name="prep_ros")
@@ -264,6 +286,74 @@ class TestTrainEvalCommands:
         t1 = json.loads((workspace / "r1" / "manifest.json").read_text())
         t2 = json.loads((workspace / "r2" / "manifest.json").read_text())
         assert t1["outputs"] == t2["outputs"]
+
+
+def _drop_and_rewrite(src, dst, meta_key=None, array_key=None):
+    kind, meta, arrays = read_container(src)
+    meta.pop(meta_key, None)
+    arrays.pop(array_key, None)
+    write_container(dst, kind, meta, arrays)
+
+
+class TestMalformedContainers:
+    """Checksummed containers that lack a field exit 3, never a traceback."""
+
+    @pytest.mark.parametrize("key", ["model_kind", "class_names", "config", "precision"])
+    def test_checkpoint_missing_meta_key_exit_3(self, workspace, capsys, key):
+        prep = gen_and_prep(workspace)
+        good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
+        save_checkpoint(build_model("fusion", 3, seed=0), ["SA", "USD", "S"], good)
+        _drop_and_rewrite(good, bad, meta_key=key)
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
+        assert not (workspace / "ev").exists()
+
+    @pytest.mark.parametrize("meta_key, array_key", [
+        ("agents", None), ("class_names", None), ("seed", None),
+        (None, "train_states"), (None, "test_labels"),
+    ])
+    def test_dataset_missing_key_exit_3(self, workspace, capsys, meta_key, array_key):
+        prep = gen_and_prep(workspace)
+        bad = workspace / "bad.tbh"
+        _drop_and_rewrite(prep / "prepared.tbh", bad, meta_key, array_key)
+        code = run(["train", "--data", bad, "--model", "lstm", "--out", workspace / "t",
+                    "--config", workspace / "tiny.cfg"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert repr(meta_key or array_key) in err and "Traceback" not in err
+        assert not (workspace / "t").exists()
+
+    def test_weighted_dataset_without_weights_exit_3(self, workspace, capsys):
+        prep = gen_and_prep(workspace, resample="wl", prep_name="prep_wl")
+        bad = workspace / "bad.tbh"
+        _drop_and_rewrite(prep / "prepared.tbh", bad, array_key="loss_weights")
+        code = run(["train", "--data", bad, "--model", "lstm", "--out", workspace / "t",
+                    "--config", workspace / "tiny.cfg"])
+        assert code == 3
+        assert "'loss_weights'" in capsys.readouterr().err
+
+    def test_checkpoint_unknown_model_kind_exit_3(self, workspace, capsys):
+        prep = gen_and_prep(workspace)
+        good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
+        save_checkpoint(build_model("lstm", 3, seed=0), ["SA", "USD", "S"], good)
+        kind, meta, arrays = read_container(good)
+        write_container(bad, kind, {**meta, "model_kind": "transformer"}, arrays)
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        assert "'transformer'" in capsys.readouterr().err
+
+    def test_checkpoint_unknown_precision_exit_3(self, workspace, capsys):
+        prep = gen_and_prep(workspace)
+        good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
+        save_checkpoint(build_model("lstm", 3, seed=0), ["SA", "USD", "S"], good)
+        kind, meta, arrays = read_container(good)
+        write_container(bad, kind, {**meta, "precision": "half"}, arrays)
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'half'" in err and "Traceback" not in err
 
 
 class TestAblate:

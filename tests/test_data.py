@@ -179,6 +179,20 @@ class TestFilterWindow:
             n = int(r.integers(5, 60))
             assert len(window(make_traj("a", n))) == n - 4
 
+    def test_one_frame_gap_skips_spanning_windows(self):
+        # frames 0..5 and 7..12: frame 6 was dropped by the tracker
+        points = [
+            TrajectoryPoint(x=float(f), y=0, z=0, d=0, label=0, frame=f)
+            for f in range(13) if f != 6
+        ]
+        samples = window(Trajectory("a", "vehicle", points))
+        assert [s.source[1] for s in samples] == [4, 5, 11, 12]
+        for s in samples:
+            end = s.source[1]
+            assert list(s.states[:, 0]) == [float(f) for f in range(end - 4, end + 1)]
+        again, skipped = window_all([Trajectory("a", "vehicle", points)], return_skipped=True)
+        assert len(again) == 4 and skipped == 4
+
     def test_purity_inputs_unchanged(self):
         traj = make_traj("a", 8)
         before = list(traj.points)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from trajbehav.autodiff import Parameter
-from trajbehav.optim import Adam, adam_step, init_adam
+from trajbehav.optim import Adam
 
 
 def reference_adam_trace(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -23,19 +23,19 @@ def reference_adam_trace(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 def test_zero_gradient_is_exact_fixed_point(rng):
     values = rng.normal(size=(4, 3))
     p = Parameter(values.copy(), "p")
-    states = init_adam([p], lr=0.005)
+    opt = Adam([p], lr=0.005)
     for _ in range(5):
-        p.zero_grad()
-        adam_step([p], states)
+        opt.zero_grad()
+        opt.step()
     assert np.array_equal(p.data, values)
-    assert states[0].step == 5
+    assert opt.t == 5
 
 
 def test_first_step_is_minus_lr_for_unit_gradient():
     p = Parameter(np.array([1.0]), "p")
-    states = init_adam([p], lr=0.005)
+    opt = Adam([p], lr=0.005)
     p.grad[...] = 1.0
-    adam_step([p], states)
+    opt.step()
     # bias-corrected first step is -lr * g/|g| up to the epsilon scale
     assert abs((p.data[0] - 1.0) + 0.005) < 1e-9
 
@@ -63,14 +63,14 @@ def test_second_moment_nonnegative_and_step_counts(rng):
         opt.zero_grad()
         p.grad[...] = rng.normal(size=7)
         opt.step()
-        assert (opt.states[0].v >= 0).all()
-        assert opt.states[0].step == k + 1
+        assert (opt.v[0] >= 0).all()
+        assert opt.t == k + 1
 
 
 def test_set_lr_controls_update_scale():
     p = Parameter(np.array([0.0]), "p")
     opt = Adam([p], lr=0.005)
-    opt.set_lr(0.001)
+    opt.lr = 0.001
     p.grad[...] = 1.0
     opt.step()
     assert abs(p.data[0] + 0.001) < 1e-9
