@@ -19,6 +19,8 @@ from .errors import CheckpointError
 from .hmm import GaussianHMM, HMMClassifier
 from .models import MODEL_KINDS, config_from_dict, config_to_dict, model_from_config
 
+STATE_FEATURES = 4               # x, y, z, d at every window step
+
 
 @dataclass
 class Checkpoint:
@@ -67,21 +69,24 @@ def load_checkpoint(path):
     class_names = list(meta["class_names"])
 
     if model_kind == "hmm":
+        require_keys(path, meta, ("n_states",), "checkpoint metadata")
+        k = meta["n_states"]
+        shapes = {"initial": (k,), "transitions": (k, k),
+                  "means": (k, STATE_FEATURES), "variances": (k, STATE_FEATURES)}
         models = []
         for i in range(len(class_names)):
-            try:
-                models.append(
-                    GaussianHMM(
-                        initial=arrays[f"class{i}.initial"],
-                        transitions=arrays[f"class{i}.transitions"],
-                        means=arrays[f"class{i}.means"],
-                        variances=arrays[f"class{i}.variances"],
+            tensors = {}
+            for name, shape in shapes.items():
+                key = f"class{i}.{name}"
+                if key not in arrays:
+                    raise CheckpointError(f"{path}: missing tensor {key}")
+                if arrays[key].shape != shape:
+                    raise CheckpointError(
+                        f"{path}: tensor {key} has shape {arrays[key].shape}, "
+                        f"n_states {k!r} implies {shape}"
                     )
-                )
-            except KeyError as exc:
-                raise CheckpointError(
-                    f"{path}: missing tensors for class index {i}"
-                ) from exc
+                tensors[name] = arrays[key]
+            models.append(GaussianHMM(**tensors))
         clf = HMMClassifier(models=models, class_names=class_names)
         return Checkpoint(
             model=clf, kind="hmm", class_names=class_names,

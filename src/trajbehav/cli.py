@@ -31,6 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSplit, PreparedDataset
 from .errors import ConfigError, DataError, NumericalError, TrajbehavError
 from .gradcheck import grad_check
+from .hmm import HMMClassifier
 from .metrics import format_report, recall_per_class
 from .models import MODEL_KINDS, build_model
 from .svgfig import confusion_heatmap_svg, per_class_bar_svg
@@ -323,6 +324,16 @@ def cmd_prep(args, argv):
     return 0
 
 
+def _write_em_log(path, clf):
+    """One JSON line per class: its EM iteration count, whether the
+    tolerance (not `hmm_max_iters`) stopped it, and the log-likelihood trace."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, m in zip(clf.class_names, clf.models):
+            record = {"class": name, "iterations": len(m.fit_loglik),
+                      "converged": m.fit_converged, "fit_loglik": m.fit_loglik}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 def cmd_train(args, argv):
     prepared_path = _resolve_prepared(args.data)
     dataset = dmod.load_prepared(prepared_path)
@@ -341,11 +352,15 @@ def cmd_train(args, argv):
             fh.write(log.format())
         with open(tmp / "config.txt", "w", encoding="utf-8") as fh:
             fh.write(format_train_config(config))
+        unhashed = ("train_log.txt",)
+        if isinstance(model, HMMClassifier):
+            _write_em_log(tmp / "hmm_em.jsonl", model)
+            unhashed += ("hmm_em.jsonl",)
         inputs = [prepared_path] + ([args.config] if args.config else [])
         write_manifest(
             tmp, "train", argv,
             params={"model": args.model, **dataclasses.asdict(config)},
-            inputs=inputs, unhashed=("train_log.txt",),
+            inputs=inputs, unhashed=unhashed,
         )
     return 0
 

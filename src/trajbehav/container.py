@@ -42,6 +42,30 @@ def require_keys(path, mapping, keys, what):
         )
 
 
+def _check_header(path, header):
+    """Raise CheckpointError unless `header` has the layout write_container emits."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: container header is not a JSON object")
+    require_keys(path, header, ("kind", "meta", "arrays"), "container header")
+    if not isinstance(header["meta"], dict) or not isinstance(header["arrays"], list):
+        raise CheckpointError(f"{path}: container header 'meta' or 'arrays' is malformed")
+    for i, entry in enumerate(header["arrays"]):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: array entry {i} is not a JSON object")
+        require_keys(path, entry, ("name", "dtype", "shape"), f"array entry {i}")
+        dtype, shape = entry["dtype"], entry["shape"]
+        if not (
+            isinstance(entry["name"], str)
+            and isinstance(dtype, str) and dtype in _DTYPES
+            and isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise CheckpointError(
+                f"{path}: array entry {i} has name {entry['name']!r}, "
+                f"dtype {dtype!r}, shape {shape!r}"
+            )
+
+
 def write_container(path, kind, meta, arrays):
     """Write `arrays` (ordered name -> ndarray) plus a JSON-able `meta`."""
     entries = []
@@ -100,6 +124,7 @@ def read_container(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     off += hlen
+    _check_header(path, header)
     arrays = {}
     for entry in header["arrays"]:
         dt = np.dtype(entry["dtype"])

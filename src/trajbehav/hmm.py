@@ -2,9 +2,12 @@
 
 Classification picks the class whose model assigns the window the highest
 forward log-likelihood. Emissions use diagonal covariance: 5-step sequences
-cannot support a full 4x4 covariance per state. All computations run in
-log space; a per-step scaled variant of the forward pass exists purely as a
-cross-check.
+cannot support a full 4x4 covariance per state. Fitting and prediction
+share one batched forward-backward with per-step scaling (Rabiner 1989,
+Proc. IEEE, section V.A): emissions are shifted by their per-step maximum
+before exponentiation, alpha is renormalised at every step, and the
+log-likelihood is the sum of the log scales plus the shifts, so a far
+outlier cannot underflow to log 0.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, StateError
+from .errors import ConfigError, DataError, NumericalError, StateError
 from .rng import HMM_INIT, seeded_rng
 
 VARIANCE_FLOOR = 1e-6
@@ -27,6 +30,7 @@ class GaussianHMM:
     means: np.ndarray            # (K, D)
     variances: np.ndarray        # (K, D), >= VARIANCE_FLOOR
     fit_loglik: list = field(default_factory=list, compare=False)
+    fit_converged: bool = field(default=False, compare=False)
 
     @property
     def n_states(self):
@@ -41,52 +45,60 @@ class HMMClassifier:
     kind = "hmm"
 
 
-def _logsumexp(a, axis):
-    m = np.max(a, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - safe).sum(axis=axis)) + np.squeeze(safe, axis=axis)
-    return out
-
-
 def _log_emissions(model, obs):
-    """log N(obs | state) for every state; obs (..., D) -> (..., K)."""
-    diff = obs[..., None, :] - model.means          # (..., K, D)
-    quad = (diff * diff / model.variances).sum(axis=-1)
+    """log N(obs | state) for every state; obs (..., D) -> (..., K).
+
+    The quadratic term is accumulated one dimension at a time, in the order
+    a sum over D would add, without an (..., K, D) temporary.
+    """
+    quad = 0.0
+    for d in range(model.means.shape[1]):
+        diff = obs[..., d, None] - model.means[:, d]
+        quad = quad + diff * diff / model.variances[:, d]
     norm = (LOG_2PI + np.log(model.variances)).sum(axis=-1)
     return -0.5 * (norm + quad)
 
 
 def _forward_batch(model, seqs):
-    """Log-space forward pass over a batch of equal-length sequences.
+    """Scaled forward pass over a batch of equal-length sequences.
 
-    seqs: (N, T, D). Returns (log_alpha (N, T, K), loglik (N,)).
+    seqs: (N, T, D). Returns (b, alpha, scale, loglik): the emissions
+    b (N, T, K), shifted per (n, t) so that the likeliest state reads 1;
+    alpha (N, T, K), normalised to sum 1 at every step; the scales
+    c (N, T); and the log-likelihoods (N,), the sum of log c plus the
+    shifts. A sequence the model cannot emit at double precision gets a
+    zero scale from that step on, alpha 0 and log-likelihood -inf.
     """
     logb = _log_emissions(model, seqs)
+    shift = logb.max(axis=2, keepdims=True)
+    b = np.exp(logb - shift)
+    n, t_len, k = b.shape
+    alpha = np.empty((n, t_len, k))
+    scale = np.empty((n, t_len))
+    a = model.initial * b[:, 0]
+    for t in range(t_len):
+        if t:
+            a = (alpha[:, t - 1] @ model.transitions) * b[:, t]
+        c = a.sum(axis=1)
+        alpha[:, t] = a / np.where(c > 0, c, 1.0)[:, None]
+        scale[:, t] = c
     with np.errstate(divide="ignore"):
-        log_pi = np.log(model.initial)
-        log_a = np.log(model.transitions)
-    n, t_len, k = logb.shape
-    log_alpha = np.empty((n, t_len, k))
-    log_alpha[:, 0] = log_pi + logb[:, 0]
-    for t in range(1, t_len):
-        log_alpha[:, t] = (
-            _logsumexp(log_alpha[:, t - 1][:, :, None] + log_a[None], axis=1)
-            + logb[:, t]
-        )
-    return log_alpha, _logsumexp(log_alpha[:, -1], axis=1)
+        loglik = np.log(scale).sum(axis=1) + shift.sum(axis=(1, 2))
+    return b, alpha, scale, loglik
 
 
-def _backward_batch(model, logb):
-    with np.errstate(divide="ignore"):
-        log_a = np.log(model.transitions)
-    n, t_len, k = logb.shape
-    log_beta = np.zeros((n, t_len, k))
-    for t in range(t_len - 2, -1, -1):
-        log_beta[:, t] = _logsumexp(
-            log_a[None] + (logb[:, t + 1] + log_beta[:, t + 1])[:, None, :], axis=2
-        )
-    return log_beta
+def _backward_batch(model, b, scale):
+    """Scaled backward pass: beta_t = ((b_{t+1} * beta_{t+1}) @ A^T) / c_{t+1}.
+
+    Takes the emissions and scales of `_forward_batch`, whose alpha times
+    this beta is the state posterior gamma. Returns beta (N, T, K).
+    """
+    beta = np.empty_like(b)
+    beta[:, -1] = 1.0
+    for t in range(b.shape[1] - 2, -1, -1):
+        beta[:, t] = (b[:, t + 1] * beta[:, t + 1]) @ model.transitions.T
+        beta[:, t] /= scale[:, t + 1, None]
+    return beta
 
 
 def _check_sequences(seqs):
@@ -100,34 +112,9 @@ def _check_sequences(seqs):
     return seqs
 
 
-def forward_loglik(model, seq):
-    """Exact log-likelihood of one observation sequence (T, D)."""
-    seqs = _check_sequences(seq)
-    _, ll = _forward_batch(model, seqs)
-    return float(ll[0])
-
-
 def forward_loglik_batch(model, seqs):
-    seqs = _check_sequences(seqs)
-    _, ll = _forward_batch(model, seqs)
-    return ll
-
-
-def forward_loglik_scaled(model, seq):
-    """Per-step-scaled forward pass; cross-check for the log-space variant."""
-    seqs = _check_sequences(seq)
-    b = np.exp(_log_emissions(model, seqs[0]))      # (T, K)
-    alpha = model.initial * b[0]
-    ll = 0.0
-    scale = alpha.sum()
-    alpha = alpha / scale
-    ll += np.log(scale)
-    for t in range(1, b.shape[0]):
-        alpha = (alpha @ model.transitions) * b[t]
-        scale = alpha.sum()
-        alpha = alpha / scale
-        ll += np.log(scale)
-    return float(ll)
+    """Log-likelihood of each observation sequence; seqs (N, T, D) or (T, D)."""
+    return _forward_batch(model, _check_sequences(seqs))[3]
 
 
 def _init_model(seqs, n_states, seed):
@@ -160,38 +147,38 @@ def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
     The training log-likelihood trace (one entry per iteration, evaluated
     before that iteration's M-step) is stored on the returned model as
     `fit_loglik`; EM guarantees it is non-decreasing up to the variance
-    floor.
+    floor. `fit_converged` is True when the tolerance stopped EM and False
+    when `max_iters` did.
     """
     seqs = _check_sequences(sequences)
     if seqs.shape[0] < 1:
         raise ConfigError("baum_welch_fit requires at least one sequence")
     model = _init_model(seqs, n_states, seed)
     trace = []
+    converged = False
     prev_ll = -np.inf
     for _ in range(max_iters):
-        logb = _log_emissions(model, seqs)
-        log_alpha, ll = _forward_batch(model, seqs)
-        log_beta = _backward_batch(model, logb)
+        b, alpha, scale, ll = _forward_batch(model, seqs)
         total_ll = float(ll.sum())
+        if not np.isfinite(total_ll):
+            raise NumericalError(
+                f"EM iteration {len(trace) + 1}: {int((~np.isfinite(ll)).sum())} "
+                "sequences have zero likelihood at double precision"
+            )
         trace.append(total_ll)
         if total_ll - prev_ll < tol:
+            converged = True
             break
         prev_ll = total_ll
 
-        log_gamma = log_alpha + log_beta - ll[:, None, None]
-        gamma = np.exp(log_gamma)                    # (N, T, K)
-        with np.errstate(divide="ignore"):
-            log_a = np.log(model.transitions)
-        t_len = seqs.shape[1]
-        xi_sum = np.zeros((n_states, n_states))
-        for t in range(t_len - 1):
-            log_xi = (
-                log_alpha[:, t][:, :, None]
-                + log_a[None]
-                + (logb[:, t + 1] + log_beta[:, t + 1])[:, None, :]
-                - ll[:, None, None]
-            )
-            xi_sum += np.exp(log_xi).sum(axis=0)
+        beta = _backward_batch(model, b, scale)
+        gamma = alpha * beta                         # (N, T, K)
+        # xi summed over sequences and steps: alpha_t(i) A(i, j)
+        # b_{t+1}(j) beta_{t+1}(j) / c_{t+1}, one GEMM over the N(T-1) steps.
+        nxt = b[:, 1:] * beta[:, 1:] / scale[:, 1:, None]
+        xi_sum = model.transitions * (
+            alpha[:, :-1].reshape(-1, n_states).T @ nxt.reshape(-1, n_states)
+        )
 
         initial = gamma[:, 0].sum(axis=0)
         initial /= initial.sum()
@@ -216,6 +203,7 @@ def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
         model = GaussianHMM(initial, transitions, means, variances)
 
     model.fit_loglik = trace
+    model.fit_converged = converged
     return model
 
 
@@ -237,16 +225,12 @@ def fit_classifier(states, labels, class_names, n_states=7, max_iters=100,
     return HMMClassifier(models=models, class_names=list(class_names))
 
 
-def hmm_classify(classifier, seq):
-    """Class with the highest sequence log-likelihood; ties to lowest index."""
-    return int(hmm_predict_batch(classifier, np.asarray(seq)[None])[0])
-
-
 def hmm_predict_batch(classifier, seqs):
+    """Class with the highest sequence log-likelihood; ties to lowest index."""
     if any(m is None for m in classifier.models):
         raise StateError("classifier has untrained class models")
     seqs = _check_sequences(seqs)
     scores = np.stack(
-        [forward_loglik_batch(m, seqs) for m in classifier.models], axis=1
+        [_forward_batch(m, seqs)[3] for m in classifier.models], axis=1
     )
     return np.argmax(scores, axis=1)

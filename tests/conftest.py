@@ -1,6 +1,11 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from trajbehav.container import MAGIC, VERSION
 from trajbehav.data import WindowSample
 
 
@@ -31,6 +36,13 @@ def blob_samples(rng, counts, centers, sigma=0.3):
             )
             idx += 1
     return samples
+
+
+def checksummed(header, data=b""):
+    """Container bytes with a valid checksum around an arbitrary JSON header."""
+    raw = json.dumps(header).encode("utf-8")
+    body = MAGIC + struct.pack("<H", VERSION) + struct.pack("<I", len(raw)) + raw + data
+    return body + hashlib.sha256(body).digest()
 
 
 @pytest.fixture

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import checksummed
 
 from trajbehav.checkpoint import load_checkpoint, save_checkpoint
 from trajbehav.container import read_container, write_container
 from trajbehav.errors import CheckpointError
-from trajbehav.hmm import GaussianHMM, HMMClassifier, forward_loglik
+from trajbehav.hmm import GaussianHMM, HMMClassifier, forward_loglik_batch
 from trajbehav.models import FusionConfig, FusionModel, build_model, predict
 
 
@@ -48,6 +49,28 @@ class TestContainer:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"definitely not a container file, far too short?" * 3)
         with pytest.raises(CheckpointError):
+            read_container(path)
+
+    @pytest.mark.parametrize("header, match", [
+        ({"kind": "model", "meta": {}}, "'arrays'"),
+        ({"meta": {}, "arrays": []}, "'kind'"),
+        ({"kind": "model", "arrays": []}, "'meta'"),
+        ([], "not a JSON object"),
+        ({"kind": "model", "meta": [], "arrays": []}, "malformed"),
+        ({"kind": "model", "meta": {}, "arrays": [{"name": "w", "dtype": "<f8"}]},
+         "'shape'"),
+        ({"kind": "model", "meta": {}, "arrays": [["w", "<f8", [1]]]}, "entry 0"),
+        ({"kind": "model", "meta": {}, "arrays": [
+            {"name": "w", "dtype": "<c16", "shape": [1]}]}, "'<c16'"),
+        ({"kind": "model", "meta": {}, "arrays": [
+            {"name": "w", "dtype": "<f8", "shape": [-1]}]}, r"\[-1\]"),
+        ({"kind": "model", "meta": {}, "arrays": [
+            {"name": "w", "dtype": ["<f8"], "shape": [1]}]}, "dtype"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, match):
+        path = tmp_path / "x.tbh"
+        path.write_bytes(checksummed(header))
+        with pytest.raises(CheckpointError, match=match):
             read_container(path)
 
 
@@ -131,4 +154,4 @@ class TestHMMCheckpoint:
         assert ck.kind == "hmm"
         seq = rng.normal(size=(5, 4))
         for orig, loaded in zip(clf.models, ck.model.models):
-            assert forward_loglik(orig, seq) == forward_loglik(loaded, seq)
+            assert forward_loglik_batch(orig, seq) == forward_loglik_batch(loaded, seq)

@@ -5,11 +5,13 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from conftest import checksummed
 
 from trajbehav.checkpoint import save_checkpoint
 from trajbehav.cli import main
 from trajbehav.container import read_container, write_container
 from trajbehav.data import load_prepared
+from trajbehav.hmm import GaussianHMM, HMMClassifier
 from trajbehav.models import build_model
 
 
@@ -213,6 +215,23 @@ class TestTrainEvalCommands:
         assert ck.kind == "hmm"
         assert len(ck.model.models) == 3
 
+    def test_hmm_em_log_per_class(self, workspace):
+        prep = gen_and_prep(workspace)
+        out = workspace / "t_hmm"
+        assert run(["train", "--data", prep, "--model", "hmm", "--out", out,
+                    "--config", workspace / "tiny.cfg"]) == 0
+        lines = (out / "hmm_em.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["class"] for r in records] == load_prepared(prep / "prepared.tbh").split.class_names
+        for r in records:
+            assert set(r) == {"class", "iterations", "converged", "fit_loglik"}
+            assert r["iterations"] == len(r["fit_loglik"]) >= 1
+            assert r["converged"] or r["iterations"] == 10
+            assert (np.diff(r["fit_loglik"]) >= -1e-8).all()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs_unhashed"] == ["hmm_em.jsonl", "train_log.txt"]
+        assert "hmm_em.jsonl" not in manifest["outputs"]
+
     def test_train_determinism_bit_identical_checkpoints(self, workspace):
         prep = gen_and_prep(workspace)
         o1, o2 = workspace / "d1", workspace / "d2"
@@ -354,6 +373,35 @@ class TestMalformedContainers:
         assert code == 3
         err = capsys.readouterr().err
         assert "'half'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tensor, shape", [
+        ("means", (3, 2)), ("variances", (3, 5)), ("transitions", (3, 2)),
+        ("initial", (4,)),
+    ])
+    def test_hmm_checkpoint_bad_tensor_shape_exit_3(self, workspace, capsys, tensor, shape):
+        prep = gen_and_prep(workspace)
+        good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
+        k = 3
+        model = GaussianHMM(np.full(k, 1 / k), np.full((k, k), 1 / k),
+                            np.zeros((k, 4)), np.ones((k, 4)))
+        save_checkpoint(HMMClassifier([model] * 3, ["SA", "USD", "S"]), ["SA", "USD", "S"], good)
+        kind, meta, arrays = read_container(good)
+        arrays[f"class1.{tensor}"] = np.zeros(shape)
+        write_container(bad, kind, meta, arrays)
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"class1.{tensor}" in err and "Traceback" not in err
+        assert not (workspace / "ev").exists()
+
+    def test_container_header_without_arrays_exit_3(self, workspace, capsys):
+        prep = gen_and_prep(workspace)
+        bad = workspace / "bad.ckpt"
+        bad.write_bytes(checksummed({"kind": "model", "meta": {}}))
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'arrays'" in err and "Traceback" not in err
 
 
 class TestAblate:

@@ -1,23 +1,110 @@
-"""HMM forward/Baum-Welch against enumeration and generator-recovery oracles."""
+"""HMM forward/Baum-Welch against enumeration, log-space and generator-recovery oracles."""
 
 from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trajbehav.errors import ConfigError, DataError, StateError
+from trajbehav import hmm
+from trajbehav.errors import ConfigError, DataError, NumericalError, StateError
 from trajbehav.hmm import (
+    VARIANCE_FLOOR,
     GaussianHMM,
     HMMClassifier,
+    _init_model,
     _log_emissions,
     baum_welch_fit,
     fit_classifier,
-    forward_loglik,
     forward_loglik_batch,
-    forward_loglik_scaled,
-    hmm_classify,
     hmm_predict_batch,
 )
+
+
+def _logsumexp(a, axis):
+    m = np.max(a, axis=axis, keepdims=True)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - safe).sum(axis=axis)) + np.squeeze(safe, axis=axis)
+    return out
+
+
+def log_forward(model, seqs):
+    """Log-space forward pass: (log_alpha (N, T, K), loglik (N,))."""
+    logb = _log_emissions(model, seqs)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(model.initial)
+        log_a = np.log(model.transitions)
+    n, t_len, k = logb.shape
+    log_alpha = np.empty((n, t_len, k))
+    log_alpha[:, 0] = log_pi + logb[:, 0]
+    for t in range(1, t_len):
+        log_alpha[:, t] = (
+            _logsumexp(log_alpha[:, t - 1][:, :, None] + log_a[None], axis=1)
+            + logb[:, t]
+        )
+    return log_alpha, _logsumexp(log_alpha[:, -1], axis=1)
+
+
+def log_backward(model, logb):
+    with np.errstate(divide="ignore"):
+        log_a = np.log(model.transitions)
+    n, t_len, k = logb.shape
+    log_beta = np.zeros((n, t_len, k))
+    for t in range(t_len - 2, -1, -1):
+        log_beta[:, t] = _logsumexp(
+            log_a[None] + (logb[:, t + 1] + log_beta[:, t + 1])[:, None, :], axis=2
+        )
+    return log_beta
+
+
+def log_space_em(seqs, n_states, max_iters, tol=1e-4, seed=0):
+    """Baum-Welch with a log-space E-step and a per-step xi loop; returns the trace."""
+    model = _init_model(seqs, n_states, seed)
+    trace = []
+    prev_ll = -np.inf
+    for _ in range(max_iters):
+        logb = _log_emissions(model, seqs)
+        log_alpha, ll = log_forward(model, seqs)
+        log_beta = log_backward(model, logb)
+        trace.append(float(ll.sum()))
+        if trace[-1] - prev_ll < tol:
+            break
+        prev_ll = trace[-1]
+        gamma = np.exp(log_alpha + log_beta - ll[:, None, None])
+        with np.errstate(divide="ignore"):
+            log_a = np.log(model.transitions)
+        xi_sum = np.zeros((n_states, n_states))
+        for t in range(seqs.shape[1] - 1):
+            xi_sum += np.exp(
+                log_alpha[:, t][:, :, None] + log_a[None]
+                + (logb[:, t + 1] + log_beta[:, t + 1])[:, None, :]
+                - ll[:, None, None]
+            ).sum(axis=0)
+        initial = gamma[:, 0].sum(axis=0)
+        initial /= initial.sum()
+        # States with no posterior mass keep their parameters.
+        transitions = model.transitions.copy()
+        trans_den = gamma[:, :-1].sum(axis=(0, 1))
+        active = trans_den > 0
+        transitions[active] = xi_sum[active] / trans_den[active, None]
+        transitions /= transitions.sum(axis=1, keepdims=True)
+        gsum = gamma.sum(axis=(0, 1))
+        occupied = gsum > 0
+        means, variances = model.means.copy(), model.variances.copy()
+        means[occupied] = (np.einsum("ntk,ntd->kd", gamma, seqs)[occupied]
+                           / gsum[occupied, None])
+        diff = seqs[:, :, None, :] - means[None, None]
+        variances[occupied] = (np.einsum("ntk,ntkd->kd", gamma, diff * diff)[occupied]
+                               / gsum[occupied, None])
+        model = GaussianHMM(initial, transitions, means,
+                            np.maximum(variances, VARIANCE_FLOOR))
+    return trace
+
+
+def loglik(model, seq):
+    return float(forward_loglik_batch(model, seq)[0])
 
 
 def random_model(rng, k, d=4):
@@ -66,12 +153,12 @@ class TestForward:
                 -0.5 * (np.log(2 * np.pi * m.variances[0])
                         + (seq[t] - m.means[0]) ** 2 / m.variances[0])
             ).sum()
-        assert abs(forward_loglik(m, seq) - expect) < 1e-10
+        assert abs(loglik(m, seq) - expect) < 1e-10
 
     def test_two_state_two_step_enumeration(self, rng):
         m = random_model(rng, 2)
         seq = rng.normal(size=(2, 4))
-        assert abs(forward_loglik(m, seq) - enumerate_loglik(m, seq)) < 1e-10
+        assert abs(loglik(m, seq) - enumerate_loglik(m, seq)) < 1e-10
 
     def test_enumeration_up_to_four_states(self):
         for k in (2, 3, 4):
@@ -79,40 +166,87 @@ class TestForward:
                 r = np.random.default_rng(100 * k + trial)
                 m = random_model(r, k)
                 seq = r.normal(size=(5, 4))
-                assert abs(forward_loglik(m, seq) - enumerate_loglik(m, seq)) < 1e-8
+                assert abs(loglik(m, seq) - enumerate_loglik(m, seq)) < 1e-8
 
     def test_scaled_equals_log_space(self):
         for trial in range(50):
             r = np.random.default_rng(trial)
             m = random_model(r, int(r.integers(1, 6)))
             seq = r.normal(size=(5, 4))
-            assert abs(forward_loglik(m, seq) - forward_loglik_scaled(m, seq)) < 1e-9
+            assert abs(loglik(m, seq) - log_forward(m, seq[None])[1][0]) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 7), t_len=st.integers(1, 6), n=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_log_space_oracle(self, k, t_len, n, seed):
+        r = np.random.default_rng(seed)
+        m = random_model(r, k)
+        seqs = r.normal(scale=2.0, size=(n, t_len, 4))
+        expect = log_forward(m, seqs)[1]
+        got = forward_loglik_batch(m, seqs)
+        assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
+
+    def test_far_outlier_under_floor_variances(self):
+        # Three states within 1 sigma of each other at the variance floor; one
+        # observation 50 sigma from all of them. Unshifted emissions would
+        # underflow to 0 (log-likelihood -inf) and raise here.
+        sigma = np.sqrt(VARIANCE_FLOOR)
+        m = GaussianHMM(
+            np.array([0.5, 0.3, 0.2]),
+            np.array([[0.8, 0.1, 0.1], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]),
+            np.array([[0.0] * 4, [sigma] * 4, [-sigma] * 4]),
+            np.full((3, 4), VARIANCE_FLOOR),
+        )
+        seq = np.zeros((5, 4))
+        seq[2] = 50 * sigma
+        with np.errstate(all="raise"):
+            got = loglik(m, seq)
+        expect = log_forward(m, seq[None])[1][0]
+        assert np.isfinite(got) and expect < -1000
+        assert abs(got - expect) <= 1e-9 * abs(expect)
+
+    def test_impossible_sequence_scores_minus_inf(self):
+        # State 1 is unreachable and state 0's emission underflows next to
+        # it: the scaled pass gives -inf, never nan, and loses the argmax.
+        sigma = np.sqrt(VARIANCE_FLOOR)
+        stuck = GaussianHMM(np.array([1.0, 0.0]), np.eye(2),
+                            np.array([[0.0] * 4, [100 * sigma] * 4]),
+                            np.full((2, 4), VARIANCE_FLOOR))
+        other = GaussianHMM(np.array([1.0]), np.array([[1.0]]),
+                            np.full((1, 4), 5.0), np.ones((1, 4)))
+        seqs = np.zeros((2, 3, 4))
+        seqs[1, 1] = 100 * sigma
+        with np.errstate(all="raise", under="ignore"):
+            ll = forward_loglik_batch(stuck, seqs)
+        assert np.isfinite(ll[0]) and ll[1] == -np.inf
+        clf = HMMClassifier(models=[stuck, other], class_names=["A", "B"])
+        assert list(hmm_predict_batch(clf, seqs)) == [0, 1]
 
     def test_state_relabeling_invariance(self, rng):
         m = random_model(rng, 4)
         seq = rng.normal(size=(5, 4))
-        base = forward_loglik(m, seq)
+        base = loglik(m, seq)
         for perm in permutations(range(4)):
             p = list(perm)
             permuted = GaussianHMM(
                 m.initial[p], m.transitions[np.ix_(p, p)], m.means[p],
                 m.variances[p],
             )
-            assert abs(forward_loglik(permuted, seq) - base) < 1e-10
+            assert abs(loglik(permuted, seq) - base) < 1e-10
 
     def test_non_finite_observations_rejected(self, rng):
         m = random_model(rng, 2)
         seq = rng.normal(size=(5, 4))
         seq[2, 1] = np.nan
         with pytest.raises(DataError):
-            forward_loglik(m, seq)
+            loglik(m, seq)
 
     def test_batch_matches_single(self, rng):
         m = random_model(rng, 3)
         seqs = rng.normal(size=(6, 5, 4))
         batch = forward_loglik_batch(m, seqs)
         for i in range(6):
-            assert abs(batch[i] - forward_loglik(m, seqs[i])) < 1e-12
+            assert abs(batch[i] - loglik(m, seqs[i])) < 1e-12
 
 
 class TestBaumWelch:
@@ -164,6 +298,33 @@ class TestBaumWelch:
         with pytest.raises(ConfigError):
             baum_welch_fit(np.zeros((0, 5, 4)), n_states=2)
 
+    @pytest.mark.parametrize("n, seed", [(921, 1), (40, 2), (3, 3)])
+    def test_trace_matches_log_space_em(self, n, seed):
+        r = np.random.default_rng(seed)
+        seqs = r.normal(size=(n, 5, 4)) + 2.0 * r.normal(size=(n, 1, 4))
+        fit = baum_welch_fit(seqs, n_states=7, max_iters=40, seed=seed)
+        expect = log_space_em(seqs, 7, 40, seed=seed)
+        assert len(fit.fit_loglik) == len(expect)
+        assert np.allclose(fit.fit_loglik, expect, rtol=1e-9, atol=0.0)
+
+    def test_converged_flag(self, rng):
+        seqs = rng.normal(size=(40, 5, 4))
+        capped = baum_welch_fit(seqs, n_states=3, max_iters=2, seed=0)
+        assert len(capped.fit_loglik) == 2 and not capped.fit_converged
+        done = baum_welch_fit(seqs, n_states=3, max_iters=500, seed=0)
+        assert len(done.fit_loglik) < 500 and done.fit_converged
+        assert done.fit_loglik[-1] - done.fit_loglik[-2] < 1e-4
+
+    def test_zero_likelihood_sequence_raises(self, rng, monkeypatch):
+        stuck = GaussianHMM(np.array([1.0, 0.0]), np.eye(2),
+                            np.array([[0.0] * 4, [0.1] * 4]),
+                            np.full((2, 4), VARIANCE_FLOOR))
+        monkeypatch.setattr(hmm, "_init_model", lambda seqs, k, seed: stuck)
+        seqs = np.zeros((3, 5, 4))
+        seqs[2, 3] = 0.1
+        with pytest.raises(NumericalError, match="1 sequences"):
+            baum_welch_fit(seqs, n_states=2)
+
 
 class TestClassifier:
     def test_well_separated_single_state_models(self, rng):
@@ -173,18 +334,17 @@ class TestClassifier:
                           np.full((1, 4), 5.0), np.full((1, 4), 0.2))
         clf = HMMClassifier(models=[m_a, m_b], class_names=["A", "B"])
         seq = rng.normal(size=(5, 4)) * 0.3
-        assert hmm_classify(clf, seq) == 0
-        assert hmm_classify(clf, seq + 5.0) == 1
+        assert list(hmm_predict_batch(clf, np.stack([seq, seq + 5.0]))) == [0, 1]
 
     def test_equal_models_tie_to_class_zero(self, rng):
         m = random_model(rng, 2)
         clf = HMMClassifier(models=[m, m, m], class_names=["A", "B", "C"])
-        assert hmm_classify(clf, rng.normal(size=(5, 4))) == 0
+        assert list(hmm_predict_batch(clf, rng.normal(size=(4, 5, 4)))) == [0] * 4
 
     def test_untrained_model_raises(self, rng):
         clf = HMMClassifier(models=[None, None], class_names=["A", "B"])
         with pytest.raises(StateError):
-            hmm_classify(clf, rng.normal(size=(5, 4)))
+            hmm_predict_batch(clf, rng.normal(size=(5, 4)))
 
     def test_synthetic_three_class_accuracy(self):
         rng = np.random.default_rng(21)
