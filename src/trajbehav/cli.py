@@ -28,7 +28,7 @@ from . import __version__
 from . import autodiff as ad
 from . import data as dmod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import DatasetSplit, PreparedDataset
+from .data import PreparedDataset
 from .errors import ConfigError, DataError, NumericalError, TrajbehavError
 from .gradcheck import grad_check
 from .hmm import HMMClassifier
@@ -229,6 +229,11 @@ def cmd_gen(args, argv):
     return 0
 
 
+def _histogram_text(windows, class_names):
+    hist = dmod.class_histogram(windows, len(class_names))
+    return " ".join(f"{n}={int(c)}" for n, c in zip(class_names, hist))
+
+
 def _write_counts_table(path, stages):
     with open(path, "w", encoding="utf-8") as fh:
         for stage, detail in stages:
@@ -253,58 +258,43 @@ def cmd_prep(args, argv):
     stages = [("trajectories_loaded", str(len(trajectories)))]
     kept = dmod.filter_short(trajectories, min_len=args.min_len)
     stages.append(("after_min_length_filter", str(len(kept))))
-    samples, skipped = dmod.window_all(kept, size=args.window_size, return_skipped=True)
-    stages.append(("window_samples", str(len(samples))))
+    windows, skipped = dmod.window_all(kept, return_skipped=True)
+    stages.append(("window_samples", str(len(windows))))
     stages.append(("windows_skipped_at_frame_gaps", str(skipped)))
-    samples, kept_names, _ = dmod.filter_rare_classes(
-        samples, class_names, min_count=args.min_class_count
+    windows, kept_names, _ = dmod.filter_rare_classes(
+        windows, class_names, min_count=args.min_class_count
     )
-    hist = dmod.class_histogram(samples, len(kept_names))
-    stages.append(("after_rare_class_filter", str(len(samples))))
-    stages.append(
-        ("class_histogram",
-         " ".join(f"{n}={int(c)}" for n, c in zip(kept_names, hist)))
-    )
+    stages.append(("after_rare_class_filter", str(len(windows))))
+    stages.append(("class_histogram", _histogram_text(windows, kept_names)))
 
-    split = dmod.split(samples, kept_names, ratio=args.ratio, seed=args.seed)
+    split = dmod.split(windows, kept_names, ratio=args.ratio, seed=args.seed)
     stages.append(("train_samples", str(len(split.train))))
     stages.append(("test_samples", str(len(split.test))))
 
     loss_weights = None
-    if args.resample == "ros":
-        split = DatasetSplit(
-            train=dmod.ros(split.train, len(kept_names), seed=args.seed),
-            test=split.test, class_names=split.class_names, seed=split.seed,
-        )
-    elif args.resample == "rus":
-        split = DatasetSplit(
-            train=dmod.rus(split.train, len(kept_names), seed=args.seed),
-            test=split.test, class_names=split.class_names, seed=split.seed,
-        )
-    elif args.resample == "wl":
+    if args.resample == "wl":
         loss_weights = dmod.class_weights(split.train, len(kept_names))
-    if args.resample in ("ros", "rus"):
-        hist = dmod.class_histogram(split.train, len(kept_names))
-        stages.append(("post_resample_train_samples", str(len(split.train))))
-        stages.append(
-            ("post_resample_histogram",
-             " ".join(f"{n}={int(c)}" for n, c in zip(kept_names, hist)))
+    elif args.resample != "none":
+        resample = dmod.ros if args.resample == "ros" else dmod.rus
+        split = dataclasses.replace(
+            split, train=resample(split.train, len(kept_names), seed=args.seed)
         )
+        stages.append(("post_resample_train_samples", str(len(split.train))))
+        stages.append(("post_resample_histogram", _histogram_text(split.train, kept_names)))
 
     normalization = None
     if args.normalize:
         normalization = dmod.standardize_stats(split.train)
-        split = DatasetSplit(
+        split = dataclasses.replace(
+            split,
             train=dmod.apply_standardization(split.train, normalization),
             test=dmod.apply_standardization(split.test, normalization),
-            class_names=split.class_names,
-            seed=split.seed,
         )
 
     config = {
         "kind": args.kind or (kinds[0] if kinds else None),
         "min_len": args.min_len,
-        "window_size": args.window_size,
+        "window_size": dmod.WINDOW_SIZE,
         "min_class_count": args.min_class_count,
         "ratio": args.ratio,
         "seed": args.seed,
@@ -442,14 +432,9 @@ def run_ablation(dataset, seeds, base_config=None):
             cfg_kwargs = dataclasses.asdict(base_config) if base_config else {}
             cfg_kwargs["seed"] = seed
             config = TrainConfig(**cfg_kwargs)
-            train_samples = (
-                dmod.ros(split.train, num_classes, seed=seed) if ros_on
-                else split.train
-            )
-            cell_split = DatasetSplit(
-                train=train_samples, test=split.test,
-                class_names=split.class_names, seed=seed,
-            )
+            train_windows = (dmod.ros(split.train, num_classes, seed=seed) if ros_on
+                             else split.train)
+            cell_split = dataclasses.replace(split, train=train_windows, seed=seed)
             model, _ = train("fusion", config, cell_split, use_mscnn=mscnn_on)
             results[name][seed] = evaluate(model, split.test, split.class_names)
     return results
@@ -471,7 +456,7 @@ def _format_ablation_table(rows):
 def cmd_ablate(args, argv):
     prepared_path = _resolve_prepared(args.data)
     dataset = dmod.load_prepared(prepared_path)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    seeds = [_coerce("seed", s, 0) for s in args.seeds.split(",") if s.strip() != ""]
     if not seeds:
         raise ConfigError("no seeds given")
     base = load_train_config(args.config) if args.config else TrainConfig()
@@ -575,7 +560,6 @@ def build_parser():
     p.add_argument("--resample", choices=RESAMPLE_MODES, default="none")
     p.add_argument("--ratio", type=float, default=dmod.SPLIT_RATIO)
     p.add_argument("--min-len", type=int, default=dmod.MIN_TRAJECTORY_LEN)
-    p.add_argument("--window-size", type=int, default=dmod.WINDOW_SIZE)
     p.add_argument("--min-class-count", type=int, default=dmod.MIN_CLASS_COUNT)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--degrees", action="store_true",

@@ -1,9 +1,13 @@
 """Trajectory ingestion, windowing, filtering, splitting, and resampling.
 
+A set of windows is one `Windows` of parallel arrays. Every step after
+`window_all` selects, reorders or rescales them with index arrays and
+masks, and the prepared-dataset dump stores them as they are.
+
 All operations are pure: inputs are never mutated, so every function can be
 called concurrently. The split is stratified per class (with heavy
 imbalance an unstratified 8:2 split can leave a test class empty). The
-split unit is the window sample, not the trajectory; overlapping windows
+split unit is the window, not the trajectory; overlapping windows
 from one trajectory may land in both splits, which is accepted and
 documented as a known leakage caveat of per-window evaluation.
 
@@ -18,12 +22,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .container import read_container, require_keys, write_container
-from .errors import ConfigError, DataError, IngestError
+from .errors import CheckpointError, ConfigError, DataError, IngestError
 from .rng import ROS, RUS, SPLIT, seeded_rng
 
 AGENT_KINDS = ("vehicle", "pedestrian", "rider")
@@ -57,15 +61,59 @@ class Trajectory:
 
 @dataclass
 class WindowSample:
-    states: np.ndarray           # (window, 4) rows t-4..t, columns x,y,z,d
+    """One row of a `Windows`."""
+
+    states: np.ndarray           # (WINDOW_SIZE, 4) rows t-4..t, columns x,y,z,d
     label: int
     source: tuple                # (agent_id, end frame)
 
 
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """N windows; row i is frames end_frame[i]-4..end_frame[i] of agent
+    agents[agent_idx[i]], labeled by its last point. An int index gives a
+    WindowSample; a slice, mask or index array gives those rows, in that
+    order, as a Windows sharing `agents`."""
+
+    states: np.ndarray           # (N, WINDOW_SIZE, 4) float64, columns x,y,z,d
+    labels: np.ndarray           # (N,) int64
+    agent_idx: np.ndarray        # (N,) int64 into agents
+    end_frame: np.ndarray        # (N,) int64
+    agents: list                 # agent ids
+
+    def __len__(self):
+        return self.labels.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return WindowSample(
+                states=self.states[i], label=int(self.labels[i]),
+                source=(self.agents[self.agent_idx[i]], int(self.end_frame[i])),
+            )
+        return Windows(self.states[key], self.labels[key], self.agent_idx[key],
+                       self.end_frame[key], self.agents)
+
+
+def as_windows(samples):
+    """`samples` as a Windows: a Windows as is, a sequence of WindowSample
+    rows stacked in order."""
+    if isinstance(samples, Windows):
+        return samples
+    rows = list(samples)
+    pos = {}
+    agent_idx = [pos.setdefault(s.source[0], len(pos)) for s in rows]
+    states = np.array([s.states for s in rows], dtype=np.float64)
+    return Windows(states if rows else np.zeros((0, WINDOW_SIZE, 4)),
+                   np.array([s.label for s in rows], dtype=np.int64),
+                   np.array(agent_idx, dtype=np.int64),
+                   np.array([s.source[1] for s in rows], dtype=np.int64), list(pos))
+
+
 @dataclass
 class DatasetSplit:
-    train: list
-    test: list
+    train: Windows               # or, for training and evaluation only,
+    test: Windows                # a sequence of WindowSample rows
     class_names: list
     seed: int
 
@@ -232,243 +280,201 @@ def filter_short(trajectories, min_len=MIN_TRAJECTORY_LEN):
     return [t for t in trajectories if len(t.points) >= min_len]
 
 
-def window(trajectory, size=WINDOW_SIZE, stride=1, return_skipped=False):
-    """Slide a fixed window; each sample is labeled by its last point.
+def window_all(trajectories, return_skipped=False):
+    """Every window of every trajectory, in trajectory then frame order.
 
-    A window must cover `size` consecutive frames: windows that span a
-    tracking gap (a jump of more than one frame) are skipped. Points are
-    taken to be in frame order without repeats, as `load_trajectories`
-    returns them. With `return_skipped`, returns (samples, number skipped).
+    A window covers WINDOW_SIZE consecutive frames of one trajectory and is
+    labeled by its last point; windows that span a tracking gap (a jump of
+    more than one frame) are skipped. Points are taken to be in frame order
+    without repeats, as `load_trajectories` returns them. With
+    `return_skipped`, returns (windows, number skipped).
     """
-    n = len(trajectory.points)
-    if n < size:
+    short = [t for t in trajectories if len(t.points) < WINDOW_SIZE]
+    if short:
         raise ConfigError(
-            f"trajectory {trajectory.agent_id!r} has {n} points, "
-            f"shorter than window size {size}; filter first"
+            f"trajectory {short[0].agent_id!r} has {len(short[0].points)} points, "
+            f"shorter than window size {WINDOW_SIZE}; filter first"
         )
-    frames = [p.frame for p in trajectory.points]
-    samples = []
-    skipped = 0
-    for start in range(0, n - size + 1, stride):
-        if frames[start + size - 1] - frames[start] != size - 1:
-            skipped += 1
-            continue
-        pts = trajectory.points[start:start + size]
-        states = np.array([[p.x, p.y, p.z, p.d] for p in pts], dtype=np.float64)
-        last = pts[-1]
-        samples.append(
-            WindowSample(states=states, label=last.label,
-                         source=(trajectory.agent_id, last.frame))
-        )
-    return (samples, skipped) if return_skipped else samples
+    points = [p for t in trajectories for p in t.points]
+    rows = np.array([(p.x, p.y, p.z, p.d) for p in points], dtype=np.float64).reshape(-1, 4)
+    frames = np.array([p.frame for p in points], dtype=np.int64)
+    owner = np.repeat(np.arange(len(trajectories)), [len(t.points) for t in trajectories])
+    starts = np.arange(len(points) - WINDOW_SIZE + 1)
+    ends = starts + WINDOW_SIZE - 1
+    inside = owner[starts] == owner[ends]
+    gap = frames[ends] - frames[starts] != WINDOW_SIZE - 1
+    starts, ends = starts[inside & ~gap], ends[inside & ~gap]
+    windows = Windows(
+        states=rows[starts[:, None] + np.arange(WINDOW_SIZE)],
+        labels=np.array([p.label for p in points], dtype=np.int64)[ends],
+        agent_idx=owner[ends],
+        end_frame=frames[ends],
+        agents=[t.agent_id for t in trajectories],
+    )
+    return (windows, int((inside & gap).sum())) if return_skipped else windows
 
 
-def window_all(trajectories, size=WINDOW_SIZE, stride=1, return_skipped=False):
-    samples = []
-    skipped = 0
-    for traj in trajectories:
-        s, k = window(traj, size=size, stride=stride, return_skipped=True)
-        samples.extend(s)
-        skipped += k
-    return (samples, skipped) if return_skipped else samples
+def class_histogram(windows, num_classes):
+    return np.bincount(windows.labels, minlength=num_classes)
 
 
-def class_histogram(samples, num_classes):
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for s in samples:
-        counts[s.label] += 1
+def _counts_of_every_class(windows, num_classes, action):
+    """Per-class counts; raises ConfigError if a class has no window."""
+    counts = class_histogram(windows, num_classes)
+    if (counts == 0).any():
+        empty = int(np.nonzero(counts == 0)[0][0])
+        raise ConfigError(f"cannot {action}: class index {empty} is empty")
     return counts
 
 
-def filter_rare_classes(samples, class_names, min_count=MIN_CLASS_COUNT):
-    """Drop classes with fewer than `min_count` samples and re-densify labels.
+def filter_rare_classes(windows, class_names, min_count=MIN_CLASS_COUNT):
+    """Drop classes with fewer than `min_count` windows and re-densify labels.
 
-    Returns (samples, kept class names, old->new index map).
+    Returns (windows, kept class names, old->new index map).
     """
-    counts = class_histogram(samples, len(class_names))
-    kept = [i for i in range(len(class_names)) if counts[i] >= min_count]
-    if not kept:
+    counts = class_histogram(windows, len(class_names))
+    kept = np.flatnonzero(counts >= min_count)
+    if not kept.size:
         raise ConfigError(
             f"no class reaches the minimum count {min_count}; "
             f"largest class has {int(counts.max()) if counts.size else 0} samples"
         )
-    old_to_new = {old: new for new, old in enumerate(kept)}
-    filtered = [
-        WindowSample(states=s.states, label=old_to_new[s.label], source=s.source)
-        for s in samples
-        if s.label in old_to_new
-    ]
-    return filtered, [class_names[i] for i in kept], old_to_new
+    new_label = np.full(len(class_names), -1, dtype=np.int64)
+    new_label[kept] = np.arange(kept.size)
+    keep = new_label[windows.labels] >= 0
+    filtered = replace(windows[keep], labels=new_label[windows.labels[keep]])
+    return filtered, [class_names[i] for i in kept], {int(o): n for n, o in enumerate(kept)}
 
 
-def split(samples, class_names, ratio=SPLIT_RATIO, seed=0):
+def split(windows, class_names, ratio=SPLIT_RATIO, seed=0):
     """Stratified shuffled split: per class, floor(ratio*n) to train with at
-    least one sample on each side."""
-    num_classes = len(class_names)
-    by_class = [[] for _ in range(num_classes)]
-    for i, s in enumerate(samples):
-        by_class[s.label].append(i)
+    least one window on each side."""
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"split ratio must lie strictly between 0 and 1, got {ratio}")
     rng = seeded_rng(seed, SPLIT)
-    train_idx, test_idx = [], []
-    for c in range(num_classes):
-        idxs = by_class[c]
-        n = len(idxs)
+    train_idx = [np.zeros(0, dtype=np.int64)]
+    test_idx = [np.zeros(0, dtype=np.int64)]
+    for c, name in enumerate(class_names):
+        idxs = np.flatnonzero(windows.labels == c)
+        n = idxs.size
         if n < 2:
             raise ConfigError(
-                f"class {class_names[c]!r} has {n} sample(s); "
-                "need at least 2 to split"
+                f"class {name!r} has {n} sample(s); need at least 2 to split"
             )
-        order = rng.permutation(n)
+        shuffled = idxs[rng.permutation(n)]
         n_train = min(max(int(math.floor(ratio * n)), 1), n - 1)
-        shuffled = [idxs[i] for i in order]
-        train_idx.extend(shuffled[:n_train])
-        test_idx.extend(shuffled[n_train:])
+        train_idx.append(shuffled[:n_train])
+        test_idx.append(shuffled[n_train:])
     return DatasetSplit(
-        train=[samples[i] for i in train_idx],
-        test=[samples[i] for i in test_idx],
+        train=windows[np.concatenate(train_idx)],
+        test=windows[np.concatenate(test_idx)],
         class_names=list(class_names),
         seed=seed,
     )
 
 
-def ros(train_samples, num_classes, seed=0):
-    """Random over-sampling: duplicate minority samples (uniform, with
+def ros(windows, num_classes, seed=0):
+    """Random over-sampling: append minority windows (uniform, with
     replacement) until every class matches the pre-ROS maximum count."""
-    counts = class_histogram(train_samples, num_classes)
-    if (counts == 0).any():
-        empty = int(np.nonzero(counts == 0)[0][0])
-        raise ConfigError(f"cannot oversample: class index {empty} is empty")
+    counts = _counts_of_every_class(windows, num_classes, "oversample")
     target = int(counts.max())
-    by_class = [[] for _ in range(num_classes)]
-    for s in train_samples:
-        by_class[s.label].append(s)
     rng = seeded_rng(seed, ROS)
-    out = list(train_samples)
+    picks = [np.arange(len(windows))]
     for c in range(num_classes):
         deficit = target - counts[c]
         if deficit > 0:
-            picks = rng.integers(0, counts[c], size=deficit)
-            out.extend(by_class[c][i] for i in picks)
-    return out
+            members = np.flatnonzero(windows.labels == c)
+            picks.append(members[rng.integers(0, counts[c], size=deficit)])
+    return windows[np.concatenate(picks)]
 
 
-def rus(train_samples, num_classes, seed=0):
+def rus(windows, num_classes, seed=0):
     """Random under-sampling: per class, keep a uniform without-replacement
     subset of the pre-RUS minimum count (original order preserved)."""
-    counts = class_histogram(train_samples, num_classes)
-    if (counts == 0).any():
-        empty = int(np.nonzero(counts == 0)[0][0])
-        raise ConfigError(f"cannot undersample: class index {empty} is empty")
+    counts = _counts_of_every_class(windows, num_classes, "undersample")
     target = int(counts.min())
-    by_class = [[] for _ in range(num_classes)]
-    for i, s in enumerate(train_samples):
-        by_class[s.label].append(i)
     rng = seeded_rng(seed, RUS)
-    keep = []
-    for c in range(num_classes):
-        idxs = by_class[c]
-        chosen = rng.choice(len(idxs), size=target, replace=False)
-        keep.extend(idxs[i] for i in sorted(chosen))
-    keep.sort()
-    return [train_samples[i] for i in keep]
+    keep = [np.flatnonzero(windows.labels == c)[rng.choice(int(n), size=target, replace=False)]
+            for c, n in enumerate(counts)]
+    return windows[np.sort(np.concatenate(keep))]
 
 
-def class_weights(train_samples, num_classes):
+def class_weights(windows, num_classes):
     """Inverse-frequency weights w_c = N / (C * n_c); sums w_c*n_c back to N."""
-    counts = class_histogram(train_samples, num_classes)
-    if (counts == 0).any():
-        empty = int(np.nonzero(counts == 0)[0][0])
-        raise ConfigError(f"cannot weight classes: class index {empty} is empty")
+    counts = _counts_of_every_class(windows, num_classes, "weight classes")
     n = counts.sum()
     return n / (num_classes * counts.astype(np.float64))
 
 
-def samples_to_arrays(samples):
-    """Stack WindowSamples into (states (N, 5, 4), labels (N,))."""
-    if not samples:
-        return np.zeros((0, WINDOW_SIZE, 4)), np.zeros(0, dtype=np.int64)
-    states = np.stack([s.states for s in samples]).astype(np.float64)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return states, labels
-
-
-def standardize_stats(samples):
-    """Per-feature mean/std computed on the given (training) samples."""
-    states, _ = samples_to_arrays(samples)
-    mean = states.reshape(-1, states.shape[-1]).mean(axis=0)
-    std = states.reshape(-1, states.shape[-1]).std(axis=0)
+def standardize_stats(windows):
+    """Per-feature mean/std computed on the given (training) windows."""
+    rows = windows.states.reshape(-1, 4)
+    mean = rows.mean(axis=0)
+    std = rows.std(axis=0)
     std = np.where(std > 1e-12, std, 1.0)
     return {"mean": mean.tolist(), "std": std.tolist()}
 
 
-def apply_standardization(samples, stats):
+def apply_standardization(windows, stats):
     mean = np.asarray(stats["mean"])
     std = np.asarray(stats["std"])
-    return [
-        WindowSample(states=(s.states - mean) / std, label=s.label, source=s.source)
-        for s in samples
-    ]
+    return replace(windows, states=(windows.states - mean) / std)
 
 
 # ---------------------------------------------------------------------------
 # Prepared-dataset dump
 # ---------------------------------------------------------------------------
 
-def _pack_sources(samples, agent_table):
-    agent_idx = np.empty(len(samples), dtype=np.int64)
-    frames = np.empty(len(samples), dtype=np.int64)
-    for i, s in enumerate(samples):
-        agent_idx[i] = agent_table.setdefault(s.source[0], len(agent_table))
-        frames[i] = s.source[1]
-    return agent_idx, frames
+_SPLIT_KEYS = ("states", "labels", "agents", "frames")
+_SPLIT_ARRAYS = tuple(f"{part}_{key}" for part in ("train", "test") for key in _SPLIT_KEYS)
 
 
-_SPLIT_ARRAYS = (
-    "train_states", "train_labels", "train_agents", "train_frames",
-    "test_states", "test_labels", "test_agents", "test_frames",
-)
+def _number_agents(train, test):
+    """(agent ids, train indices, test indices), numbered by first appearance, train first."""
+    ids = np.concatenate([np.asarray(w.agents, dtype=str)[w.agent_idx] for w in (train, test)])
+    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    renumbered = np.argsort(order)[inverse]
+    return unique[order].tolist(), renumbered[:len(train)], renumbered[len(train):]
 
 
 def save_prepared(dataset, path):
-    split_ = dataset.split
-    train_states, train_labels = samples_to_arrays(split_.train)
-    test_states, test_labels = samples_to_arrays(split_.test)
-    agent_table = {}
-    train_agents, train_frames = _pack_sources(split_.train, agent_table)
-    test_agents, test_frames = _pack_sources(split_.test, agent_table)
-    agents = [a for a, _ in sorted(agent_table.items(), key=lambda kv: kv[1])]
+    train, test = dataset.split.train, dataset.split.test
+    agents, train_agents, test_agents = _number_agents(train, test)
     meta = {
-        "class_names": split_.class_names,
-        "seed": split_.seed,
+        "class_names": dataset.split.class_names,
+        "seed": dataset.split.seed,
         "config": dataset.config,
         "agents": agents,
         "normalization": dataset.normalization,
         "has_loss_weights": dataset.loss_weights is not None,
     }
-    arrays = {
-        "train_states": train_states,
-        "train_labels": train_labels,
-        "train_agents": train_agents,
-        "train_frames": train_frames,
-        "test_states": test_states,
-        "test_labels": test_labels,
-        "test_agents": test_agents,
-        "test_frames": test_frames,
-    }
+    arrays = {}
+    for part, w, agent_idx in (("train", train, train_agents), ("test", test, test_agents)):
+        arrays.update({f"{part}_states": w.states, f"{part}_labels": w.labels,
+                       f"{part}_agents": agent_idx, f"{part}_frames": w.end_frame})
     if dataset.loss_weights is not None:
         arrays["loss_weights"] = np.asarray(dataset.loss_weights, dtype=np.float64)
     write_container(path, "dataset", meta, arrays)
 
 
-def _unpack_samples(states, labels, agent_idx, frames, agents):
-    return [
-        WindowSample(
-            states=states[i],
-            label=int(labels[i]),
-            source=(agents[int(agent_idx[i])], int(frames[i])),
-        )
-        for i in range(states.shape[0])
-    ]
+def _split_windows(path, arrays, part, agents, num_classes):
+    """The `part` split of a dataset dump as Windows, after checking that its
+    arrays agree in length and hold valid labels and agent indices."""
+    w = Windows(*(arrays[f"{part}_{key}"] for key in _SPLIT_KEYS), agents)
+    n = len(w.states) if w.states.ndim else 0
+    for name, values, shape, upper in (("states", w.states, (n, WINDOW_SIZE, 4), None),
+                                       ("labels", w.labels, (n,), num_classes),
+                                       ("agents", w.agent_idx, (n,), len(agents)),
+                                       ("frames", w.end_frame, (n,), None)):
+        if values.shape != shape or (name != "states" and values.dtype != np.int64):
+            problem = f"has shape {values.shape} and dtype {values.dtype}, expected {shape}"
+        elif upper is not None and n and not 0 <= values.min() <= values.max() < upper:
+            problem = f"holds values outside [0, {upper})"
+        else:
+            continue
+        raise CheckpointError(f"{path}: dataset array '{part}_{name}' {problem}")
+    return w
 
 
 def load_prepared(path):
@@ -477,22 +483,22 @@ def load_prepared(path):
         raise DataError(f"{path}: expected a prepared dataset, found {kind!r}")
     require_keys(path, meta, ("agents", "class_names", "seed"), "dataset metadata")
     require_keys(path, arrays, _SPLIT_ARRAYS, "dataset")
+    num_classes = len(meta["class_names"])
+    weights = None
     if meta.get("has_loss_weights"):
         require_keys(path, arrays, ("loss_weights",), "dataset")
-    agents = meta["agents"]
+        weights = arrays["loss_weights"]
+        if weights.shape != (num_classes,):
+            raise CheckpointError(
+                f"{path}: dataset array 'loss_weights' has shape {weights.shape}, "
+                f"expected ({num_classes},)"
+            )
     split_ = DatasetSplit(
-        train=_unpack_samples(
-            arrays["train_states"], arrays["train_labels"],
-            arrays["train_agents"], arrays["train_frames"], agents,
-        ),
-        test=_unpack_samples(
-            arrays["test_states"], arrays["test_labels"],
-            arrays["test_agents"], arrays["test_frames"], agents,
-        ),
+        train=_split_windows(path, arrays, "train", meta["agents"], num_classes),
+        test=_split_windows(path, arrays, "test", meta["agents"], num_classes),
         class_names=list(meta["class_names"]),
         seed=int(meta["seed"]),
     )
-    weights = arrays["loss_weights"] if meta.get("has_loss_weights") else None
     return PreparedDataset(
         split=split_,
         config=dict(meta.get("config", {})),

@@ -12,6 +12,7 @@ outlier cannot underflow to log 0.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ class GaussianHMM:
     variances: np.ndarray        # (K, D), >= VARIANCE_FLOOR
     fit_loglik: list = field(default_factory=list, compare=False)
     fit_converged: bool = field(default=False, compare=False)
+    fit_seconds: float = field(default=0.0, compare=False)
 
     @property
     def n_states(self):
@@ -148,8 +150,9 @@ def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
     before that iteration's M-step) is stored on the returned model as
     `fit_loglik`; EM guarantees it is non-decreasing up to the variance
     floor. `fit_converged` is True when the tolerance stopped EM and False
-    when `max_iters` did.
+    when `max_iters` did. `fit_seconds` is the wall time of the fit.
     """
+    t0 = time.perf_counter()
     seqs = _check_sequences(sequences)
     if seqs.shape[0] < 1:
         raise ConfigError("baum_welch_fit requires at least one sequence")
@@ -204,6 +207,7 @@ def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
 
     model.fit_loglik = trace
     model.fit_converged = converged
+    model.fit_seconds = time.perf_counter() - t0
     return model
 
 

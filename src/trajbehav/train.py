@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import samples_to_arrays
+from .data import as_windows
 from .errors import ConfigError, NumericalError
 from .hmm import HMMClassifier, fit_classifier, hmm_predict_batch
 from .metrics import report
@@ -82,31 +82,32 @@ def lr_at(config, epoch):
 
 
 def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
-    """Train a model of `model_kind` on the split's training samples.
+    """Train a model of `model_kind` on `split.train`, a Windows or a
+    sequence of WindowSample rows (see `as_windows`); `split.test` is never read.
 
     Returns (model, TrainLog). For the HMM baseline the log carries one row
-    per class (its final mean log-likelihood as the loss column) since the
-    fit is per-class EM, not epoch-based.
+    per class (its final mean log-likelihood as the loss column and the
+    seconds of that class's Baum-Welch fit) since the fit is per-class EM,
+    not epoch-based.
     """
     config.validate()
-    if not split.train:
+    windows = as_windows(split.train)
+    if not windows:
         raise ConfigError("training split is empty")
     num_classes = len(split.class_names)
-    states, labels = samples_to_arrays(split.train)
+    states, labels = windows.states, windows.labels
 
     if model_kind == "hmm":
         log = TrainLog()
-        t0 = time.perf_counter()
         clf = fit_classifier(
             states, labels, split.class_names,
             n_states=config.hmm_states, max_iters=config.hmm_max_iters,
             tol=config.hmm_tol, seed=config.seed,
         )
-        elapsed = time.perf_counter() - t0
         for i, m in enumerate(clf.models):
             mean_ll = m.fit_loglik[-1] / max(int((labels == i).sum()), 1)
             log.entries.append(
-                EpochStats(epoch=i, loss=-mean_ll, lr=0.0, seconds=elapsed)
+                EpochStats(epoch=i, loss=-mean_ll, lr=0.0, seconds=m.fit_seconds)
             )
         return clf, log
 
@@ -170,13 +171,12 @@ def predict_batch(model, states, batch_size=1024):
 
 
 def evaluate(model, samples, class_names):
-    """Metrics report of a trained model over evaluation samples.
-
-    No resampling is ever applied here; resampling belongs to the training
-    phase only.
+    """Metrics report of a trained model over `samples`, a Windows or a
+    sequence of WindowSample rows. No resampling is ever applied here;
+    resampling belongs to the training phase only.
     """
-    if not samples:
+    windows = as_windows(samples)
+    if not windows:
         raise ConfigError("evaluation set is empty")
-    states, labels = samples_to_arrays(samples)
-    preds = predict_batch(model, states)
-    return report(preds, labels, class_names)
+    preds = predict_batch(model, windows.states)
+    return report(preds, windows.labels, class_names)

@@ -6,36 +6,32 @@ import numpy as np
 import pytest
 
 from trajbehav.container import MAGIC, VERSION
-from trajbehav.data import WindowSample
+from trajbehav.data import Windows
+
+
+def _windows(states, labels, prefix):
+    """Windows whose row i comes from agent `{prefix}-{i}` at frame i."""
+    n = len(labels)
+    return Windows(
+        states=states, labels=np.asarray(labels, dtype=np.int64).reshape(n),
+        agent_idx=np.arange(n), end_frame=np.arange(n),
+        agents=[f"{prefix}-{i}" for i in range(n)],
+    )
 
 
 def make_samples(labels, rng=None, scale=1.0):
-    """WindowSamples with random 5x4 states and the given labels."""
+    """Windows with random 5x4 states and the given labels."""
     rng = rng or np.random.default_rng(0)
-    out = []
-    for i, label in enumerate(labels):
-        out.append(
-            WindowSample(
-                states=rng.normal(scale=scale, size=(5, 4)),
-                label=int(label),
-                source=(f"agent-{i}", i),
-            )
-        )
-    return out
+    return _windows(rng.normal(scale=scale, size=(len(labels), 5, 4)), labels, "agent")
 
 
 def blob_samples(rng, counts, centers, sigma=0.3):
-    """Gaussian-blob window samples: one blob per class around `centers`."""
-    samples = []
-    idx = 0
-    for label, (count, center) in enumerate(zip(counts, centers)):
-        for _ in range(count):
-            states = rng.normal(loc=center, scale=sigma, size=(5, 4))
-            samples.append(
-                WindowSample(states=states, label=label, source=(f"blob-{idx}", idx))
-            )
-            idx += 1
-    return samples
+    """Gaussian-blob windows: one blob per class around `centers`."""
+    states = np.concatenate([
+        rng.normal(loc=center, scale=sigma, size=(count, 5, 4))
+        for count, center in zip(counts, centers)
+    ])
+    return _windows(states, np.repeat(np.arange(len(counts)), counts), "blob")
 
 
 def checksummed(header, data=b""):

@@ -142,6 +142,25 @@ class TestPrep:
         assert lines["window_samples"] == "4"
         assert lines["windows_skipped_at_frame_gaps"] == "4"
 
+    @pytest.mark.parametrize("ratio", ["nan", "0", "1", "-0.2", "inf"])
+    def test_ratio_outside_unit_interval_exit_2(self, tmp_path, capsys, ratio):
+        csv = tmp_path / "t.csv"
+        rows = ["agent_id,kind,frame,x,y,z,d,label"]
+        rows += [f"a,vehicle,{i},{float(i)},0.0,0.0,0.0,X" for i in range(9)]
+        csv.write_text("\n".join(rows) + "\n")
+        code = run(["prep", "--data", csv, "--out", tmp_path / "p",
+                    "--min-class-count", 1, "--ratio", ratio])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ratio" in err and "Traceback" not in err
+        assert not (tmp_path / "p").exists()
+
+    def test_window_size_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["prep", "--data", tmp_path / "t.csv", "--out", tmp_path / "p",
+                 "--window-size", 5])
+        assert exc.value.code == 2
+
     def test_ros_flat_histogram_reported(self, workspace):
         prep = gen_and_prep(workspace, resample="ros", prep_name="prep_ros")
         lines = dict(
@@ -344,6 +363,29 @@ class TestMalformedContainers:
         assert repr(meta_key or array_key) in err and "Traceback" not in err
         assert not (workspace / "t").exists()
 
+    @pytest.mark.parametrize("array_key, edit", [
+        ("train_agents", lambda a: np.where(np.arange(a.size) == 0, 10**6, a)),
+        ("train_labels", lambda a: a[:-3]),
+        ("train_labels", lambda a: np.where(np.arange(a.size) == 0, 99, a)),
+        ("test_labels", lambda a: a - 1),
+        ("test_states", lambda a: np.concatenate([a, a[:, :2]], axis=1)),
+        ("test_frames", lambda a: a.astype(np.float64)),
+        ("loss_weights", lambda a: np.append(a, 1.0)),
+    ], ids=["agent-1e6", "labels-short", "label-99", "label-minus-1",
+            "states-7-frames", "float-frames", "weights-too-long"])
+    def test_dataset_malformed_array_exit_3(self, workspace, capsys, array_key, edit):
+        prep = gen_and_prep(workspace, resample="wl", prep_name="prep_wl")
+        kind, meta, arrays = read_container(prep / "prepared.tbh")
+        arrays[array_key] = edit(arrays[array_key])
+        bad = workspace / "bad.tbh"
+        write_container(bad, kind, meta, arrays)
+        code = run(["train", "--data", bad, "--model", "hmm", "--out", workspace / "t",
+                    "--config", workspace / "tiny.cfg"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert repr(array_key) in err and "Traceback" not in err
+        assert not (workspace / "t").exists()
+
     def test_weighted_dataset_without_weights_exit_3(self, workspace, capsys):
         prep = gen_and_prep(workspace, resample="wl", prep_name="prep_wl")
         bad = workspace / "bad.tbh"
@@ -416,6 +458,15 @@ class TestAblate:
             names = [l.split("\t")[0] for l in lines[1:]]
             assert names == ["Bi-LSTM", "Bi-LSTM+MSCNN", "ROS+Bi-LSTM",
                              "ROS+Bi-LSTM+MSCNN"]
+
+    def test_non_integer_seed_exit_2(self, workspace, capsys):
+        prep = gen_and_prep(workspace)
+        code = run(["ablate", "--data", prep, "--out", workspace / "abl",
+                    "--seeds", "a,b", "--config", workspace / "tiny.cfg"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'a'" in err and "Traceback" not in err
+        assert not (workspace / "abl").exists()
 
     def test_resampled_dataset_rejected(self, workspace):
         prep = gen_and_prep(workspace, resample="ros", prep_name="prep_r")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trajbehav import data as dmod
 from trajbehav.data import (
@@ -11,22 +13,26 @@ from trajbehav.data import (
     PreparedDataset,
     Trajectory,
     TrajectoryPoint,
+    WindowSample,
+    Windows,
+    as_windows,
     class_weights,
     filter_rare_classes,
     filter_short,
     load_label_map,
     load_prepared,
     load_trajectories,
+    normalize_angle,
     ros,
     rus,
     save_label_map,
     save_prepared,
     save_trajectories,
     split,
-    window,
     window_all,
 )
 from trajbehav.errors import ConfigError, IngestError
+from trajbehav.rng import ROS, RUS, SPLIT, seeded_rng
 
 from conftest import make_samples
 
@@ -151,10 +157,10 @@ class TestFilterWindow:
         assert filter_short([]) == []
 
     def test_window_count_length_seven(self):
-        assert len(window(make_traj("a", 7))) == 3
+        assert len(window_all([make_traj("a", 7)])) == 3
 
     def test_window_exact_length_single_sample(self):
-        samples = window(make_traj("a", 5, label=3))
+        samples = window_all([make_traj("a", 5, label=3)])
         assert len(samples) == 1
         assert samples[0].label == 3
         assert samples[0].states.shape == (5, 4)
@@ -165,19 +171,19 @@ class TestFilterWindow:
             for i in range(20)
         ]
         traj = Trajectory("a", "vehicle", points)
-        for i, s in enumerate(window(traj)):
+        for i, s in enumerate(window_all([traj])):
             assert s.label == points[i + 4].label
             assert s.source == ("a", points[i + 4].frame)
 
     def test_window_too_short_raises(self):
         with pytest.raises(ConfigError):
-            window(make_traj("a", 4))
+            window_all([make_traj("a", 4)])
 
     def test_window_counts_property(self):
         r = np.random.default_rng(0)
         for _ in range(1000):
             n = int(r.integers(5, 60))
-            assert len(window(make_traj("a", n))) == n - 4
+            assert len(window_all([make_traj("a", n)])) == n - 4
 
     def test_one_frame_gap_skips_spanning_windows(self):
         # frames 0..5 and 7..12: frame 6 was dropped by the tracker
@@ -185,7 +191,7 @@ class TestFilterWindow:
             TrajectoryPoint(x=float(f), y=0, z=0, d=0, label=0, frame=f)
             for f in range(13) if f != 6
         ]
-        samples = window(Trajectory("a", "vehicle", points))
+        samples = window_all([Trajectory("a", "vehicle", points)])
         assert [s.source[1] for s in samples] == [4, 5, 11, 12]
         for s in samples:
             end = s.source[1]
@@ -193,10 +199,20 @@ class TestFilterWindow:
         again, skipped = window_all([Trajectory("a", "vehicle", points)], return_skipped=True)
         assert len(again) == 4 and skipped == 4
 
+    def test_windows_never_span_two_trajectories(self):
+        # b's frames continue a's, so only the trajectory boundary separates them
+        a = make_traj("a", 7, label=1)
+        b = make_traj("b", 6, label=2, start_frame=7)
+        windows, skipped = window_all([a, b], return_skipped=True)
+        assert skipped == 0
+        assert [s.source for s in windows] == [
+            ("a", 4), ("a", 5), ("a", 6), ("b", 11), ("b", 12)]
+        assert list(windows.labels) == [1, 1, 1, 2, 2]
+
     def test_purity_inputs_unchanged(self):
         traj = make_traj("a", 8)
         before = list(traj.points)
-        window(traj)
+        window_all([traj])
         filter_short([traj])
         assert traj.points == before
 
@@ -279,6 +295,12 @@ class TestSplit:
             frac = hist[c] / n
             assert 0.8 - 1.0 / n <= frac <= 0.8 + 1e-12
 
+    def test_split_ratio_outside_unit_interval_rejected(self):
+        samples = make_samples([0] * 10)
+        for ratio in (0.0, 1.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="ratio"):
+                split(samples, ["A"], ratio=ratio)
+
     def test_single_sample_class_raises_with_name(self):
         samples = make_samples([0, 0, 1])
         with pytest.raises(ConfigError, match="'B'"):
@@ -293,22 +315,30 @@ class TestSplit:
             assert x.label in train_classes
 
 
+def rows(windows):
+    """(source, label) of every row, in order; make_samples gives each
+    original row its own source."""
+    return [(s.source, s.label) for s in windows]
+
+
 class TestResampling:
     def test_ros_balanced_input_unchanged(self):
         samples = make_samples([0] * 5 + [1] * 5)
         out = ros(samples, 2, seed=0)
-        assert out == samples
+        assert rows(out) == rows(samples)
+        assert np.array_equal(out.states, samples.states)
 
     def test_ros_small_example(self):
         samples = make_samples([0] * 10 + [1] * 3)
         out = ros(samples, 2, seed=0)
         hist = dmod.class_histogram(out, 2)
         assert list(hist) == [10, 10]
-        originals = set(map(id, samples))
-        assert all(id(s) in originals for s in out), "additions must be copies"
-        b_originals = {id(s) for s in samples if s.label == 1}
-        added = out[len(samples):]
-        assert all(id(s) in b_originals for s in added)
+        originals = rows(samples)
+        assert all(r in originals for r in rows(out)), "additions must be copies"
+        assert np.array_equal(out.states, samples.states[out.agent_idx])
+        b_originals = [r for r in originals if r[1] == 1]
+        added = rows(out)[len(samples):]
+        assert all(r in b_originals for r in added)
 
     def test_ros_invariants_randomized(self):
         for trial in range(200):
@@ -320,19 +350,16 @@ class TestResampling:
             out = ros(samples, c, seed=trial)
             hist = dmod.class_histogram(out, c)
             assert (hist == counts.max()).all()
-            assert out[: len(samples)] == samples, "originals preserved, in order"
-            for s in out[len(samples):]:
-                assert any(
-                    id(s) == id(orig)
-                    for orig in samples
-                    if orig.label == s.label
-                )
+            assert rows(out)[: len(samples)] == rows(samples), "originals preserved, in order"
+            originals = set(rows(samples))
+            for row in rows(out)[len(samples):]:
+                assert row in originals
 
     def test_ros_deterministic(self):
         samples = make_samples([0] * 9 + [1] * 2)
         a = ros(samples, 2, seed=7)
         b = ros(samples, 2, seed=7)
-        assert [id(s) for s in a] == [id(s) for s in b]
+        assert rows(a) == rows(b)
 
     def test_ros_empty_class_raises(self):
         with pytest.raises(ConfigError):
@@ -343,13 +370,14 @@ class TestResampling:
         out = rus(samples, 2, seed=0)
         hist = dmod.class_histogram(out, 2)
         assert list(hist) == [3, 3]
-        originals = set(map(id, samples))
-        assert all(id(s) in originals for s in out)
+        originals = rows(samples)
+        assert all(r in originals for r in rows(out))
+        assert np.array_equal(out.states, samples.states[out.agent_idx])
 
     def test_rus_balanced_unchanged_up_to_order(self):
         samples = make_samples([0] * 4 + [1] * 4)
         out = rus(samples, 2, seed=1)
-        assert sorted(map(id, out)) == sorted(map(id, samples))
+        assert sorted(rows(out)) == sorted(rows(samples))
 
     def test_rus_histogram_property(self):
         for trial in range(100):
@@ -428,3 +456,221 @@ class TestPreparedDump:
         train_keys = {s.source for s in back.split.train}
         test_keys = {s.source for s in back.split.test}
         assert not (train_keys & test_keys)
+
+
+class TestWindows:
+    def test_int_index_gives_the_row(self):
+        w = make_samples([2, 0, 1])
+        row = w[1]
+        assert isinstance(row, WindowSample)
+        assert row.label == 0 and row.source == ("agent-1", 1)
+        assert np.array_equal(row.states, w.states[1])
+        assert w[-1].source == ("agent-2", 2)
+        with pytest.raises(IndexError):
+            w[3]
+
+    def test_index_array_and_slice_give_windows(self):
+        w = make_samples([2, 0, 1, 1])
+        picked = w[np.array([3, 0, 0])]
+        assert isinstance(picked, Windows) and picked.agents is w.agents
+        assert rows(picked) == [rows(w)[3], rows(w)[0], rows(w)[0]]
+        assert rows(w[1:3]) == rows(w)[1:3]
+        assert rows(w[w.labels == 1]) == rows(w)[2:]
+
+    def test_as_windows_stacks_rows_in_order(self):
+        w = make_samples([1, 0, 1])
+        back = as_windows(list(w))
+        assert rows(back) == rows(w)
+        assert np.array_equal(back.states, w.states) and back.states.dtype == np.float64
+        assert as_windows(w) is w
+        empty = as_windows([])
+        assert len(empty) == 0 and empty.states.shape == (0, 5, 4)
+
+
+# ---------------------------------------------------------------------------
+# The list-based pipeline of earlier versions, kept as the oracle of the
+# array-backed one: same rows, same order, same errors.
+# ---------------------------------------------------------------------------
+
+def oracle_histogram(samples, num_classes):
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for s in samples:
+        counts[s.label] += 1
+    return counts
+
+
+def oracle_filter_rare_classes(samples, class_names, min_count):
+    counts = oracle_histogram(samples, len(class_names))
+    kept = [i for i in range(len(class_names)) if counts[i] >= min_count]
+    if not kept:
+        raise ConfigError(
+            f"no class reaches the minimum count {min_count}; "
+            f"largest class has {int(counts.max()) if counts.size else 0} samples"
+        )
+    old_to_new = {old: new for new, old in enumerate(kept)}
+    filtered = [
+        WindowSample(states=s.states, label=old_to_new[s.label], source=s.source)
+        for s in samples
+        if s.label in old_to_new
+    ]
+    return filtered, [class_names[i] for i in kept], old_to_new
+
+
+def oracle_split(samples, class_names, ratio, seed):
+    num_classes = len(class_names)
+    by_class = [[] for _ in range(num_classes)]
+    for i, s in enumerate(samples):
+        by_class[s.label].append(i)
+    rng = seeded_rng(seed, SPLIT)
+    train_idx, test_idx = [], []
+    for c in range(num_classes):
+        idxs = by_class[c]
+        n = len(idxs)
+        if n < 2:
+            raise ConfigError(
+                f"class {class_names[c]!r} has {n} sample(s); "
+                "need at least 2 to split"
+            )
+        order = rng.permutation(n)
+        n_train = min(max(int(math.floor(ratio * n)), 1), n - 1)
+        shuffled = [idxs[i] for i in order]
+        train_idx.extend(shuffled[:n_train])
+        test_idx.extend(shuffled[n_train:])
+    return [samples[i] for i in train_idx], [samples[i] for i in test_idx]
+
+
+def oracle_ros(samples, num_classes, seed):
+    counts = oracle_histogram(samples, num_classes)
+    if (counts == 0).any():
+        empty = int(np.nonzero(counts == 0)[0][0])
+        raise ConfigError(f"cannot oversample: class index {empty} is empty")
+    target = int(counts.max())
+    by_class = [[] for _ in range(num_classes)]
+    for s in samples:
+        by_class[s.label].append(s)
+    rng = seeded_rng(seed, ROS)
+    out = list(samples)
+    for c in range(num_classes):
+        deficit = target - counts[c]
+        if deficit > 0:
+            picks = rng.integers(0, counts[c], size=deficit)
+            out.extend(by_class[c][i] for i in picks)
+    return out
+
+
+def oracle_rus(samples, num_classes, seed):
+    counts = oracle_histogram(samples, num_classes)
+    if (counts == 0).any():
+        empty = int(np.nonzero(counts == 0)[0][0])
+        raise ConfigError(f"cannot undersample: class index {empty} is empty")
+    target = int(counts.min())
+    by_class = [[] for _ in range(num_classes)]
+    for i, s in enumerate(samples):
+        by_class[s.label].append(i)
+    rng = seeded_rng(seed, RUS)
+    keep = []
+    for c in range(num_classes):
+        idxs = by_class[c]
+        chosen = rng.choice(len(idxs), size=target, replace=False)
+        keep.extend(idxs[i] for i in sorted(chosen))
+    keep.sort()
+    return [samples[i] for i in keep]
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("error", message) of a ConfigError."""
+    try:
+        return "ok", fn(*args)
+    except ConfigError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def labelled(draw, max_classes=5, max_size=60):
+    """(number of classes, label vector)."""
+    c = draw(st.integers(1, max_classes))
+    return c, draw(st.lists(st.integers(0, c - 1), max_size=max_size))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+RATIOS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestPipelineProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(data=labelled(), min_count=st.integers(0, 20))
+    def test_filter_rare_classes_matches_oracle(self, data, min_count):
+        c, labels = data
+        windows = make_samples(labels)
+        names = [f"C{i}" for i in range(c)]
+        got = outcome(filter_rare_classes, windows, names, min_count)
+        want = outcome(oracle_filter_rare_classes, list(windows), names, min_count)
+        assert got[0] == want[0]
+        if got[0] == "error":
+            assert got[1] == want[1]
+            return
+        (out, kept, mapping), (o_out, o_kept, o_mapping) = got[1], want[1]
+        assert rows(out) == rows(o_out) and kept == o_kept and mapping == o_mapping
+        assert np.array_equal(out.states, np.array([s.states for s in o_out]).reshape(-1, 5, 4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=labelled(), ratio=RATIOS, seed=SEEDS)
+    def test_split_matches_oracle(self, data, ratio, seed):
+        c, labels = data
+        windows = make_samples(labels)
+        names = [f"C{i}" for i in range(c)]
+        got = outcome(split, windows, names, ratio, seed)
+        want = outcome(oracle_split, list(windows), names, ratio, seed)
+        assert got[0] == want[0]
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert rows(got[1].train) == rows(want[1][0])
+            assert rows(got[1].test) == rows(want[1][1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=labelled(), seed=SEEDS)
+    def test_ros_and_rus_match_oracle(self, data, seed):
+        c, labels = data
+        windows = make_samples(labels)
+        for new, old in ((ros, oracle_ros), (rus, oracle_rus)):
+            got = outcome(new, windows, c, seed)
+            want = outcome(old, list(windows), c, seed)
+            assert got[0] == want[0]
+            assert (got[1] == want[1]) if got[0] == "error" else rows(got[1]) == rows(want[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(2, 30), min_size=1, max_size=5),
+           ratio=RATIOS, seed=SEEDS)
+    def test_split_is_a_stratified_partition(self, counts, ratio, seed):
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)), counts))
+        windows = make_samples(labels)
+        s = split(windows, [f"C{i}" for i in range(len(counts))], ratio=ratio, seed=seed)
+        train_rows, test_rows = set(s.train.agent_idx), set(s.test.agent_idx)
+        assert len(train_rows) == len(s.train) and len(test_rows) == len(s.test)
+        assert not train_rows & test_rows
+        assert train_rows | test_rows == set(range(len(windows)))
+        for c, n in enumerate(counts):
+            assert (s.train.labels == c).sum() == min(max(math.floor(ratio * n), 1), n - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(1, 30), min_size=1, max_size=5), seed=SEEDS)
+    def test_ros_and_rus_histograms_are_flat(self, counts, seed):
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)), counts))
+        windows = make_samples(labels)
+        up = ros(windows, len(counts), seed=seed)
+        assert list(dmod.class_histogram(up, len(counts))) == [max(counts)] * len(counts)
+        assert rows(up[:len(windows)]) == rows(windows)
+        down = rus(windows, len(counts), seed=seed)
+        assert list(dmod.class_histogram(down, len(counts))) == [min(counts)] * len(counts)
+        assert (np.diff(down.agent_idx) > 0).all(), "original order kept, no repeats"
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.one_of(st.floats(-math.pi, math.pi, exclude_max=True),
+                       st.floats(allow_nan=False, allow_infinity=False)))
+    @example(d=math.nextafter(-math.pi, -math.inf))   # (d + pi) % 2pi rounds to 2pi
+    def test_normalize_angle_lands_in_range(self, d):
+        out = normalize_angle(d)
+        assert -math.pi <= out < math.pi
+        if -math.pi <= d < math.pi:
+            assert out == d

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trajbehav.data import samples_to_arrays, save_trajectories, window_all
+from trajbehav.data import save_trajectories, window_all
 from trajbehav.errors import ConfigError
 from trajbehav.synth import (
     EGO_SPEED,
@@ -139,7 +139,8 @@ class TestSeparability:
         spec = SynthSpec(counts={c: 25 for c in classes}, length=12,
                          noise=0.0, seed=17)
         trajs, names = gen_dataset(spec)
-        states, labels = samples_to_arrays(window_all(trajs))
+        windows = window_all(trajs)
+        states, labels = windows.states, windows.labels
         excluded = {frozenset(("OFL", "PDIL")), frozenset(("OFR", "PDIR"))}
         bad = []
         for i in range(len(names)):
@@ -158,7 +159,8 @@ class TestSeparability:
             length=20, noise=1.0, seed=9,
         )
         trajs, names = gen_dataset(spec)
-        states, labels = samples_to_arrays(window_all(trajs))
+        windows = window_all(trajs)
+        states, labels = windows.states, windows.labels
         e1 = pairwise_1nn_error(states, labels, names.index("OFL"),
                                 names.index("PDIL"))
         e2 = pairwise_1nn_error(states, labels, names.index("OFR"),

@@ -16,16 +16,12 @@ def blob_split(rng, counts=(40, 40), spread=3.0, sigma=0.3, num_classes=None):
     num_classes = num_classes or len(counts)
     centers = [spread * c for c in range(num_classes)]
     samples = blob_samples(rng, counts, centers, sigma=sigma)
-    n_train = [int(0.8 * c) for c in counts]
-    train_s, test_s = [], []
-    offset = 0
-    for c, count in enumerate(counts):
-        group = samples[offset:offset + count]
-        train_s.extend(group[: n_train[c]])
-        test_s.extend(group[n_train[c]:])
-        offset += count
+    # the first 80% of each class's windows train, the rest test
+    rank = np.concatenate([np.arange(c) for c in counts])
+    in_train = rank < np.repeat([int(0.8 * c) for c in counts], counts)
     names = [f"C{c}" for c in range(num_classes)]
-    return DatasetSplit(train=train_s, test=test_s, class_names=names, seed=0)
+    return DatasetSplit(train=samples[in_train], test=samples[~in_train],
+                        class_names=names, seed=0)
 
 
 def tiny_config(**kw):
@@ -142,6 +138,38 @@ class TestTrainLoop:
         assert len(clf.models) == 3
         assert len(log.entries) == 3
 
+    def test_hmm_log_seconds_are_each_class_fit_time(self, rng, monkeypatch):
+        # A clock that only moves, by one second, in each EM forward pass:
+        # a class's seconds are then its own EM iteration count.
+        import time
+
+        import trajbehav.hmm as hmm_mod
+        clock = [0.0]
+        real_forward = hmm_mod._forward_batch
+
+        def forward(model, seqs):
+            clock[0] += 1.0
+            return real_forward(model, seqs)
+
+        monkeypatch.setattr(hmm_mod, "_forward_batch", forward)
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        split = blob_split(rng, counts=(30, 30, 30), spread=4.0)
+        clf, log = train("hmm", tiny_config(), split)
+        seconds = [e.seconds for e in log.entries]
+        assert seconds == [float(len(m.fit_loglik)) for m in clf.models]
+        assert sum(seconds) == clock[0]
+
+    def test_rows_and_windows_train_alike(self, rng):
+        split = blob_split(rng)
+        as_rows = DatasetSplit(train=list(split.train), test=list(split.test),
+                               class_names=split.class_names, seed=split.seed)
+        m1, _ = train("lstm", tiny_config(), split)
+        m2, _ = train("lstm", tiny_config(), as_rows)
+        for name in m1.parameters:
+            assert np.array_equal(m1.parameters[name].data, m2.parameters[name].data)
+        assert (evaluate(m1, split.test, split.class_names).to_dict()
+                == evaluate(m2, as_rows.test, split.class_names).to_dict())
+
 
 class TestEvaluate:
     def test_separable_blobs_near_perfect(self):
@@ -177,7 +205,5 @@ class TestEvaluate:
     def test_predict_batch_dispatches_to_hmm(self, rng):
         split = blob_split(rng, counts=(30, 30), spread=5.0, sigma=0.2)
         clf, _ = train("hmm", tiny_config(), split)
-        states = np.stack([s.states for s in split.test])
-        preds = predict_batch(clf, states)
-        labels = np.array([s.label for s in split.test])
-        assert (preds == labels).mean() >= 0.9
+        preds = predict_batch(clf, split.test.states)
+        assert (preds == split.test.labels).mean() >= 0.9
