@@ -258,7 +258,7 @@ def cmd_prep(args, argv):
     stages = [("trajectories_loaded", str(len(trajectories)))]
     kept = dmod.filter_short(trajectories, min_len=args.min_len)
     stages.append(("after_min_length_filter", str(len(kept))))
-    windows, skipped = dmod.window_all(kept, return_skipped=True)
+    windows, skipped = dmod.window_all(kept)
     stages.append(("window_samples", str(len(windows))))
     stages.append(("windows_skipped_at_frame_gaps", str(skipped)))
     windows, kept_names, _ = dmod.filter_rare_classes(

@@ -1,8 +1,10 @@
 """Trajectory ingestion, windowing, filtering, splitting, and resampling.
 
-A set of windows is one `Windows` of parallel arrays. Every step after
-`window_all` selects, reorders or rescales them with index arrays and
-masks, and the prepared-dataset dump stores them as they are.
+An agent's track is one `Trajectory` of per-frame arrays and a set of
+windows is one `Windows` of parallel arrays. `window_all` gathers every
+window with one index array; every later step selects, reorders or
+rescales them with index arrays and masks, and the prepared-dataset dump
+stores them as they are.
 
 All operations are pure: inputs are never mutated, so every function can be
 called concurrently. The split is stratified per class (with heavy
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -37,26 +40,23 @@ WINDOW_SIZE = 5
 MIN_TRAJECTORY_LEN = 7
 MIN_CLASS_COUNT = 100
 SPLIT_RATIO = 0.8
+_MAX_FRAME = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    x: float
-    y: float
-    z: float
-    d: float        # radians in [-pi, pi)
-    label: int
-    frame: int
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """One agent's n tracked frames in increasing frame order, without
+    repeats: row i is frame frames[i], with state states[i] and class
+    label labels[i]."""
+
     agent_id: str
     agent_kind: str
-    points: list
+    states: np.ndarray           # (n, 4) float64, columns x,y,z,d (d radians in [-pi, pi))
+    labels: np.ndarray           # (n,) int64
+    frames: np.ndarray           # (n,) int64
 
     def __len__(self):
-        return len(self.points)
+        return self.labels.shape[0]
 
 
 @dataclass
@@ -206,6 +206,9 @@ def load_trajectories(path, class_names=None, degrees=False):
             if frame < 0:
                 problems.append(f"row {lineno}: negative frame {frame}")
                 continue
+            if frame > _MAX_FRAME:
+                problems.append(f"row {lineno}: frame {frame} does not fit in int64")
+                continue
             if not all(math.isfinite(v) for v in (x, y, z, d)):
                 problems.append(f"row {lineno}: non-finite coordinate")
                 continue
@@ -233,27 +236,22 @@ def load_trajectories(path, class_names=None, degrees=False):
         seen_frames[key] = lineno
         if degrees:
             d = math.radians(d)
-        point = TrajectoryPoint(
-            x=x, y=y, z=z, d=normalize_angle(d), label=name_to_idx[label], frame=frame
-        )
-        entry = by_agent.setdefault(agent_id, {"kind": kind, "points": [], "row": lineno})
+        entry = by_agent.setdefault(agent_id, {"kind": kind, "rows": []})
         if entry["kind"] != kind:
             problems.append(
                 f"row {lineno}: agent {agent_id!r} changes kind "
                 f"{entry['kind']!r} -> {kind!r}"
             )
             continue
-        entry["points"].append(point)
+        entry["rows"].append((frame, x, y, z, normalize_angle(d), name_to_idx[label]))
     if problems:
         raise IngestError(f"{path}: {len(problems)} bad rows: " + "; ".join(problems[:20]))
 
     trajectories = []
-    for agent_id in sorted(by_agent):
-        entry = by_agent[agent_id]
-        points = sorted(entry["points"], key=lambda p: p.frame)
-        trajectories.append(
-            Trajectory(agent_id=agent_id, agent_kind=entry["kind"], points=points)
-        )
+    for agent_id, entry in sorted(by_agent.items()):
+        frames, x, y, z, d, labels = zip(*sorted(entry["rows"], key=itemgetter(0)))
+        trajectories.append(Trajectory(agent_id, entry["kind"], np.column_stack((x, y, z, d)),
+                                       np.array(labels, np.int64), np.array(frames, np.int64)))
     return trajectories, list(class_names)
 
 
@@ -262,13 +260,11 @@ def save_trajectories(trajectories, class_names, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for traj in trajectories:
-            for p in traj.points:
-                writer.writerow(
-                    [traj.agent_id, traj.agent_kind, p.frame,
-                     repr(p.x), repr(p.y), repr(p.z), repr(p.d),
-                     class_names[p.label]]
-                )
+        for t in trajectories:
+            writer.writerows(
+                [t.agent_id, t.agent_kind, frame, *map(repr, state), class_names[label]]
+                for frame, state, label in zip(t.frames.tolist(), t.states.tolist(),
+                                               t.labels.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -277,41 +273,39 @@ def save_trajectories(trajectories, class_names, path):
 
 def filter_short(trajectories, min_len=MIN_TRAJECTORY_LEN):
     """Keep exactly the trajectories with at least `min_len` points."""
-    return [t for t in trajectories if len(t.points) >= min_len]
+    return [t for t in trajectories if len(t) >= min_len]
 
 
-def window_all(trajectories, return_skipped=False):
+def window_all(trajectories):
     """Every window of every trajectory, in trajectory then frame order.
 
     A window covers WINDOW_SIZE consecutive frames of one trajectory and is
     labeled by its last point; windows that span a tracking gap (a jump of
-    more than one frame) are skipped. Points are taken to be in frame order
-    without repeats, as `load_trajectories` returns them. With
-    `return_skipped`, returns (windows, number skipped).
+    more than one frame) are skipped. Returns (windows, number skipped).
     """
-    short = [t for t in trajectories if len(t.points) < WINDOW_SIZE]
+    short = [t for t in trajectories if len(t) < WINDOW_SIZE]
     if short:
         raise ConfigError(
-            f"trajectory {short[0].agent_id!r} has {len(short[0].points)} points, "
+            f"trajectory {short[0].agent_id!r} has {len(short[0])} points, "
             f"shorter than window size {WINDOW_SIZE}; filter first"
         )
-    points = [p for t in trajectories for p in t.points]
-    rows = np.array([(p.x, p.y, p.z, p.d) for p in points], dtype=np.float64).reshape(-1, 4)
-    frames = np.array([p.frame for p in points], dtype=np.int64)
-    owner = np.repeat(np.arange(len(trajectories)), [len(t.points) for t in trajectories])
-    starts = np.arange(len(points) - WINDOW_SIZE + 1)
+    rows = np.concatenate([np.zeros((0, 4))] + [t.states for t in trajectories])
+    labels = np.concatenate([np.zeros(0, np.int64)] + [t.labels for t in trajectories])
+    frames = np.concatenate([np.zeros(0, np.int64)] + [t.frames for t in trajectories])
+    owner = np.repeat(np.arange(len(trajectories)), [len(t) for t in trajectories])
+    starts = np.arange(len(frames) - WINDOW_SIZE + 1)
     ends = starts + WINDOW_SIZE - 1
     inside = owner[starts] == owner[ends]
     gap = frames[ends] - frames[starts] != WINDOW_SIZE - 1
     starts, ends = starts[inside & ~gap], ends[inside & ~gap]
     windows = Windows(
         states=rows[starts[:, None] + np.arange(WINDOW_SIZE)],
-        labels=np.array([p.label for p in points], dtype=np.int64)[ends],
+        labels=labels[ends],
         agent_idx=owner[ends],
         end_frame=frames[ends],
         agents=[t.agent_id for t in trajectories],
     )
-    return (windows, int((inside & gap).sum())) if return_skipped else windows
+    return windows, int((inside & gap).sum())
 
 
 def class_histogram(windows, num_classes):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Trajectory, TrajectoryPoint, normalize_angle
+from .data import Trajectory, normalize_angle
 from .errors import ConfigError
 from .rng import SYNTH, seeded_rng
 
@@ -228,17 +228,13 @@ def _gen_trajectory(template, index, label, spec, rng):
         y = y + rng.normal(0.0, sy * spec.noise, spec.length)
         z = z + rng.normal(0.0, sz * spec.noise, spec.length)
         d = d + rng.normal(0.0, sd * spec.noise, spec.length)
-    points = [
-        TrajectoryPoint(
-            x=float(x[i]), y=float(y[i]), z=float(z[i]),
-            d=float(normalize_angle(d[i])), label=label, frame=i,
-        )
-        for i in range(spec.length)
-    ]
+    d = np.array([normalize_angle(v) for v in d], dtype=np.float64)
     return Trajectory(
         agent_id=f"{template.name}-{index:04d}",
         agent_kind=template.agent_kind,
-        points=points,
+        states=np.column_stack((x, y, z, d)),
+        labels=np.full(spec.length, label, dtype=np.int64),
+        frames=np.arange(spec.length, dtype=np.int64),
     )
 
 
@@ -263,7 +259,7 @@ def gen_dataset(spec):
 # Template self-check
 # ---------------------------------------------------------------------------
 
-def _predicate(template, x, y, d, dt):
+def _predicate(template, x, y, dt):
     p = template.profile
     side = template.params.get("side", 0)
     if p == "uniform":
@@ -311,15 +307,8 @@ def verify_templates(names=None, length=20, dt=DEFAULT_DT, draws=3):
         template = TEMPLATES[name]
         spec = SynthSpec(counts={name: draws}, length=length, dt=dt, noise=0.0,
                          seed=1234)
-        ok = True
         rng = seeded_rng(spec.seed, SYNTH)
-        for i in range(draws):
-            traj = _gen_trajectory(template, i, 0, spec, rng)
-            x = np.array([pt.x for pt in traj.points])
-            y = np.array([pt.y for pt in traj.points])
-            d = np.array([pt.d for pt in traj.points])
-            if not _predicate(template, x, y, d, dt):
-                ok = False
-                break
-        results[name] = ok
+        trajs = (_gen_trajectory(template, i, 0, spec, rng) for i in range(draws))
+        results[name] = all(_predicate(template, t.states[:, 0], t.states[:, 1], dt)
+                            for t in trajs)
     return results

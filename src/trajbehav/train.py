@@ -44,8 +44,9 @@ class TrainConfig:
     hmm_tol: float = 1e-4
 
     def validate(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "hmm_states", "hmm_max_iters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.epochs > 0 and self.lr_switch_epoch >= self.epochs:
@@ -55,6 +56,15 @@ class TrainConfig:
             )
         if self.precision not in ("verify", "fast"):
             raise ConfigError(f"unknown precision {self.precision!r}")
+        for name in ("lr_initial", "lr_after"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass

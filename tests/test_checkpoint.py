@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 from conftest import checksummed
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trajbehav.checkpoint import load_checkpoint, save_checkpoint
 from trajbehav.container import read_container, write_container
@@ -72,6 +75,49 @@ class TestContainer:
         path.write_bytes(checksummed(header))
         with pytest.raises(CheckpointError, match=match):
             read_container(path)
+
+
+container_meta = st.dictionaries(st.text(max_size=4), st.one_of(
+    st.none(), st.booleans(), st.integers(-2**62, 2**62), st.text(max_size=6),
+    st.floats(allow_nan=False), st.lists(st.integers(), max_size=3)), max_size=4)
+container_arrays = st.dictionaries(
+    st.text(min_size=1, max_size=4),
+    hnp.arrays(st.sampled_from([np.float32, np.float64, np.int64]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+    max_size=3)
+_TMP_PATH_OK = [HealthCheck.function_scoped_fixture]   # each example overwrites its files
+
+
+class TestContainerProperties:
+    @settings(max_examples=60, deadline=None, suppress_health_check=_TMP_PATH_OK)
+    @given(kind=st.text(max_size=8), meta=container_meta, arrays=container_arrays)
+    def test_roundtrip_bit_identical(self, tmp_path, kind, meta, arrays):
+        path = tmp_path / "x.tbh"
+        write_container(path, kind, meta, arrays)
+        kind2, meta2, back = read_container(path)
+        assert (kind2, meta2) == (kind, meta)
+        assert list(back) == list(arrays)
+        for name, arr in arrays.items():
+            assert (back[name].dtype, back[name].shape) == (arr.dtype, arr.shape)
+            assert back[name].tobytes() == arr.tobytes()
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=_TMP_PATH_OK)
+    @given(meta=container_meta, arrays=container_arrays, mask=st.integers(1, 255))
+    def test_every_flipped_byte_and_truncation_rejected(self, tmp_path, meta, arrays, mask):
+        path = tmp_path / "x.tbh"
+        write_container(path, "k", meta, arrays)
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.tbh"
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= mask
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError):
+                read_container(bad)
+        for n in range(len(raw)):
+            bad.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                read_container(bad)
 
 
 class TestModelCheckpoint:

@@ -199,6 +199,20 @@ class TestPrep:
         assert "row 2" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("frame", [2**63, 2**70], ids=["2**63", "2**70"])
+    def test_frame_beyond_int64_exit_3(self, tmp_path, capsys, frame):
+        csv = tmp_path / "t.csv"
+        rows = ["agent_id,kind,frame,x,y,z,d,label"]
+        rows += [f"a,vehicle,{i},{float(i)},0.0,0.0,0.0,X" for i in range(8)]
+        rows.append(f"a,vehicle,{frame},0.0,0.0,0.0,0.0,X")
+        csv.write_text("\n".join(rows) + "\n")
+        code = run(["prep", "--data", csv, "--out", tmp_path / "p",
+                    "--min-class-count", 1, "--ratio", "0.5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "row 10" in err and "int64" in err and "Traceback" not in err
+        assert not (tmp_path / "p").exists()
+
 
 class TestTrainEvalCommands:
     def test_unknown_model_kind_exit_2(self, workspace, capsys):
@@ -207,6 +221,31 @@ class TestTrainEvalCommands:
             run(["train", "--data", prep, "--model", "transformer",
                  "--out", workspace / "t"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("model, line", [
+        ("hmm", "hmm_states = 0"),
+        ("hmm", "hmm_max_iters = 0"),
+        ("lstm", "lr_initial = nan"),
+        ("lstm", "lr_initial = 0"),
+        ("lstm", "lr_after = inf"),
+        ("lstm", "lr_after = -0.001"),
+        ("lstm", "beta1 = 1"),
+        ("lstm", "beta1 = -0.1"),
+        ("lstm", "beta2 = 1"),
+        ("lstm", "beta2 = nan"),
+        ("lstm", "epsilon = 0"),
+        ("lstm", "epsilon = -1e-8"),
+    ])
+    def test_bad_config_value_exit_2(self, workspace, capsys, model, line):
+        prep = gen_and_prep(workspace)
+        cfg = workspace / "bad.cfg"
+        cfg.write_text(TINY_CFG + line + "\n")
+        code = run(["train", "--data", prep, "--model", model,
+                    "--out", workspace / "t", "--config", cfg])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert line.split(" =")[0] in err and "Traceback" not in err
+        assert not (workspace / "t").exists()
 
     def test_train_writes_checkpoint_log_config(self, workspace):
         prep = gen_and_prep(workspace)

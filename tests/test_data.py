@@ -1,18 +1,20 @@
 """Data pipeline: ingestion, windowing, filtering, splitting, resampling."""
 
 import math
+import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trajbehav import data as dmod
 from trajbehav.data import (
+    AGENT_KINDS,
     DatasetSplit,
     PreparedDataset,
     Trajectory,
-    TrajectoryPoint,
     WindowSample,
     Windows,
     as_windows,
@@ -38,12 +40,31 @@ from conftest import make_samples
 
 
 def make_traj(agent_id, n, label=0, kind="vehicle", start_frame=0):
-    points = [
-        TrajectoryPoint(x=float(i), y=0.5 * i, z=0.0, d=0.01 * i, label=label,
-                        frame=start_frame + i)
-        for i in range(n)
-    ]
-    return Trajectory(agent_id=agent_id, agent_kind=kind, points=points)
+    i = np.arange(n, dtype=np.float64)
+    return Trajectory(
+        agent_id=agent_id, agent_kind=kind,
+        states=np.column_stack((i, 0.5 * i, np.zeros(n), 0.01 * i)),
+        labels=np.full(n, label, dtype=np.int64),
+        frames=start_frame + np.arange(n, dtype=np.int64),
+    )
+
+
+def traj_from_frames(agent_id, frames, labels=None):
+    """A vehicle trajectory at `frames` with x = frame and the other states 0."""
+    frames = np.asarray(frames, dtype=np.int64)
+    states = np.zeros((len(frames), 4))
+    states[:, 0] = frames
+    labels = np.zeros(len(frames), dtype=np.int64) if labels is None else labels
+    return Trajectory(agent_id, "vehicle", states, np.asarray(labels, dtype=np.int64), frames)
+
+
+def assert_same_trajectory(got, want):
+    """Same id, kind and bit-identical states, labels and frames."""
+    assert (got.agent_id, got.agent_kind) == (want.agent_id, want.agent_kind)
+    for name in ("states", "labels", "frames"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestLoadSave:
@@ -56,7 +77,7 @@ class TestLoadSave:
         )
         trajs, names = load_trajectories(path)
         assert len(trajs) == 1
-        assert len(trajs[0].points) == 2
+        assert len(trajs[0]) == 2
         assert names == ["USD"]
         assert trajs[0].agent_kind == "vehicle"
 
@@ -69,8 +90,10 @@ class TestLoadSave:
             "a1,vehicle,1,2.0,0,0,0,USD\n"
         )
         trajs, _ = load_trajectories(path)
-        assert [p.frame for p in trajs[0].points] == [0, 1, 2]
-        assert [p.x for p in trajs[0].points] == [1.0, 2.0, 3.0]
+        assert trajs[0].frames.tolist() == [0, 1, 2]
+        assert trajs[0].states[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert trajs[0].states.shape == (3, 4) and trajs[0].states.dtype == np.float64
+        assert trajs[0].frames.dtype == np.int64 and trajs[0].labels.dtype == np.int64
 
     def test_duplicate_frame_rejected_with_row_numbers(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -113,7 +136,7 @@ class TestLoadSave:
             "a1,vehicle,0,0,0,0,270.0,USD\n"
         )
         trajs, _ = load_trajectories(path, degrees=True)
-        d = trajs[0].points[0].d
+        d = trajs[0].states[0, 3]
         assert -math.pi <= d < math.pi
         assert abs(d + math.pi / 2) < 1e-12
 
@@ -121,15 +144,9 @@ class TestLoadSave:
         trajs = []
         names = ["A", "B", "C"]
         for i in range(1000):
-            points = [
-                TrajectoryPoint(
-                    x=float(rng.normal()), y=float(rng.normal()),
-                    z=float(rng.normal()), d=float(rng.uniform(-3, 3)),
-                    label=int(rng.integers(0, 3)), frame=j,
-                )
-                for j in range(3)
-            ]
-            trajs.append(Trajectory(f"agent-{i:04d}", "rider", points))
+            states = np.column_stack((rng.normal(size=(3, 3)), rng.uniform(-3, 3, size=3)))
+            trajs.append(Trajectory(f"agent-{i:04d}", "rider", states,
+                                    rng.integers(0, 3, size=3), np.arange(3)))
         path = tmp_path / "dump.csv"
         save_trajectories(trajs, names, path)
         back, names2 = load_trajectories(path, names)
@@ -137,15 +154,77 @@ class TestLoadSave:
         assert len(back) == len(trajs)
         by_id = {t.agent_id: t for t in trajs}
         for t in back:
-            orig = by_id[t.agent_id]
-            assert t.agent_kind == orig.agent_kind
-            for p, q in zip(t.points, orig.points):
-                assert p == q
+            assert_same_trajectory(t, by_id[t.agent_id])
+
+    def test_roundtrip_frames_beyond_float64_precision(self, tmp_path):
+        # float64 holds every integer only up to 2**53; frames must stay int64
+        frames = np.array([2**53 + 1, 2**53 + 2, 2**53 + 4] + [2**63 - 5 + i for i in range(5)])
+        traj = Trajectory("a", "vehicle", np.zeros((8, 4)), np.zeros(8, np.int64), frames)
+        path = tmp_path / "t.csv"
+        save_trajectories([traj], ["A"], path)
+        (back,), _ = load_trajectories(path, ["A"])
+        assert back.frames.tolist() == frames.tolist()
+        windows, skipped = window_all([back])
+        assert windows.end_frame.tolist() == [2**63 - 1] and skipped == 3
 
     def test_label_map_roundtrip(self, tmp_path):
         path = tmp_path / "labels.csv"
         save_label_map(["OFL", "USD", "S"], path)
         assert load_label_map(path) == ["OFL", "USD", "S"]
+
+
+CLASS_NAMES = ["A", "B", "C"]
+_BIG = 1.7976931348623157e308   # largest finite float64
+
+
+@st.composite
+def trajectory_sets(draw):
+    """Trajectories of random agents and kinds, with gaps between frames,
+    any finite x/y/z and any d in [-pi, pi) (where ingestion leaves d as is)."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    angle = st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True)
+    ids = draw(st.lists(st.text("ab09-_.", min_size=1, max_size=5),
+                        min_size=1, max_size=5, unique=True))
+    trajs = []
+    for agent_id in ids:
+        n = draw(st.integers(1, 8))
+        start = draw(st.integers(0, 2**63 - 1 - 4 * 7))
+        gaps = draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+        states = draw(st.lists(st.tuples(finite, finite, finite, angle), min_size=n, max_size=n))
+        trajs.append(Trajectory(
+            agent_id, draw(st.sampled_from(AGENT_KINDS)),
+            np.array(states, dtype=np.float64).reshape(n, 4),
+            np.array(draw(st.lists(st.integers(0, len(CLASS_NAMES) - 1),
+                                   min_size=n, max_size=n)), dtype=np.int64),
+            np.array(list(accumulate(gaps, initial=start)), dtype=np.int64),
+        ))
+    return trajs
+
+
+class TestTrajectoryCSVProperties:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trajs=trajectory_sets(), order=st.randoms(use_true_random=False))
+    @example(trajs=[Trajectory(
+        "x", "pedestrian",
+        np.array([[-0.0, 5e-324, -2.5e-310, -0.0],
+                  [_BIG, -_BIG, 2.2250738585072014e-308, -5e-324],
+                  [0.0, -0.0, 5e-324, -math.pi],
+                  [1e-310, 1.0, -1.0, math.nextafter(math.pi, 0.0)]]),
+        np.array([2, 0, 1, 2]), np.array([0, 1, 3, 2**63 - 1]),
+    )], order=random.Random(0))
+    def test_csv_roundtrip_bit_identical(self, tmp_path, trajs, order):
+        path = tmp_path / "t.csv"
+        save_trajectories(trajs, CLASS_NAMES, path)
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        order.shuffle(rows)
+        path.write_bytes(header + b"".join(rows))
+        back, names = load_trajectories(path, CLASS_NAMES)
+        assert names == CLASS_NAMES
+        by_id = {t.agent_id: t for t in trajs}
+        assert [t.agent_id for t in back] == sorted(by_id)
+        for t in back:
+            assert_same_trajectory(t, by_id[t.agent_id])
 
 
 class TestFilterWindow:
@@ -157,23 +236,26 @@ class TestFilterWindow:
         assert filter_short([]) == []
 
     def test_window_count_length_seven(self):
-        assert len(window_all([make_traj("a", 7)])) == 3
+        assert len(window_all([make_traj("a", 7)])[0]) == 3
 
     def test_window_exact_length_single_sample(self):
-        samples = window_all([make_traj("a", 5, label=3)])
+        samples, _ = window_all([make_traj("a", 5, label=3)])
         assert len(samples) == 1
         assert samples[0].label == 3
         assert samples[0].states.shape == (5, 4)
 
     def test_window_labels_match_last_point(self):
-        points = [
-            TrajectoryPoint(x=i, y=0, z=0, d=0, label=i % 3, frame=i)
-            for i in range(20)
-        ]
-        traj = Trajectory("a", "vehicle", points)
-        for i, s in enumerate(window_all([traj])):
-            assert s.label == points[i + 4].label
-            assert s.source == ("a", points[i + 4].frame)
+        traj = traj_from_frames("a", range(20), labels=np.arange(20) % 3)
+        windows, _ = window_all([traj])
+        for i, s in enumerate(windows):
+            assert s.label == traj.labels[i + 4]
+            assert s.source == ("a", traj.frames[i + 4])
+
+    def test_window_all_of_no_trajectories(self):
+        windows, skipped = window_all([])
+        assert len(windows) == 0 and skipped == 0
+        assert windows.states.shape == (0, 5, 4) and windows.states.dtype == np.float64
+        assert windows.labels.dtype == windows.end_frame.dtype == np.int64
 
     def test_window_too_short_raises(self):
         with pytest.raises(ConfigError):
@@ -183,27 +265,22 @@ class TestFilterWindow:
         r = np.random.default_rng(0)
         for _ in range(1000):
             n = int(r.integers(5, 60))
-            assert len(window_all([make_traj("a", n)])) == n - 4
+            assert len(window_all([make_traj("a", n)])[0]) == n - 4
 
     def test_one_frame_gap_skips_spanning_windows(self):
         # frames 0..5 and 7..12: frame 6 was dropped by the tracker
-        points = [
-            TrajectoryPoint(x=float(f), y=0, z=0, d=0, label=0, frame=f)
-            for f in range(13) if f != 6
-        ]
-        samples = window_all([Trajectory("a", "vehicle", points)])
+        samples, skipped = window_all([traj_from_frames("a", [f for f in range(13) if f != 6])])
         assert [s.source[1] for s in samples] == [4, 5, 11, 12]
         for s in samples:
             end = s.source[1]
             assert list(s.states[:, 0]) == [float(f) for f in range(end - 4, end + 1)]
-        again, skipped = window_all([Trajectory("a", "vehicle", points)], return_skipped=True)
-        assert len(again) == 4 and skipped == 4
+        assert skipped == 4
 
     def test_windows_never_span_two_trajectories(self):
         # b's frames continue a's, so only the trajectory boundary separates them
         a = make_traj("a", 7, label=1)
         b = make_traj("b", 6, label=2, start_frame=7)
-        windows, skipped = window_all([a, b], return_skipped=True)
+        windows, skipped = window_all([a, b])
         assert skipped == 0
         assert [s.source for s in windows] == [
             ("a", 4), ("a", 5), ("a", 6), ("b", 11), ("b", 12)]
@@ -211,10 +288,10 @@ class TestFilterWindow:
 
     def test_purity_inputs_unchanged(self):
         traj = make_traj("a", 8)
-        before = list(traj.points)
+        before = make_traj("a", 8)
         window_all([traj])
         filter_short([traj])
-        assert traj.points == before
+        assert_same_trajectory(traj, before)
 
 
 class TestRareClasses:

@@ -40,24 +40,21 @@ class TestPredicates:
         spec = SynthSpec(counts={"SD": 2}, length=12, noise=0.0, seed=0)
         trajs, _ = gen_dataset(spec)
         for traj in trajs:
-            x = np.array([p.x for p in traj.points])
-            speeds = np.diff(x) / spec.dt
+            speeds = np.diff(traj.states[:, 0]) / spec.dt
             assert (np.diff(speeds) < 0).all()
 
     def test_stopping_relative_speed_is_minus_ego(self):
         spec = SynthSpec(counts={"S": 2}, length=12, noise=0.0, seed=0)
         trajs, _ = gen_dataset(spec)
         for traj in trajs:
-            x = np.array([p.x for p in traj.points])
-            speeds = np.diff(x) / spec.dt
+            speeds = np.diff(traj.states[:, 0]) / spec.dt
             assert np.abs(speeds + EGO_SPEED).max() < 1e-6
 
     def test_ofl_crosses_zero_on_the_left(self):
         spec = SynthSpec(counts={"OFL": 3}, length=20, noise=0.0, seed=2)
         trajs, _ = gen_dataset(spec)
         for traj in trajs:
-            x = np.array([p.x for p in traj.points])
-            y = np.array([p.y for p in traj.points])
+            x, y = traj.states[:, 0], traj.states[:, 1]
             assert x[0] < 0 < x[-1]
             assert (y < -1.0).all(), "left of ego throughout the pass"
 
@@ -69,16 +66,15 @@ class TestGeneration:
         assert len(trajs) == 3
         assert names == ["USD"]
         for traj in trajs:
-            xs = {p.x for p in traj.points}
-            assert len(xs) == 1
-            assert all(names[p.label] == "USD" for p in traj.points)
+            assert np.unique(traj.states[:, 0]).size == 1
+            assert traj.labels.tolist() == [names.index("USD")] * 10
 
     def test_histogram_matches_counts(self):
         spec = SynthSpec(counts={"USD": 500, "SA": 10}, length=7, seed=1)
         trajs, names = gen_dataset(spec)
         hist = {name: 0 for name in names}
         for t in trajs:
-            hist[names[t.points[0].label]] += 1
+            hist[names[t.labels[0]]] += 1
         assert hist == {"SA": 10, "USD": 500}
 
     def test_unknown_class_rejected(self):
@@ -102,12 +98,12 @@ class TestGeneration:
     def test_different_seeds_differ(self):
         a, _ = gen_dataset(SynthSpec(counts={"USD": 2}, length=8, seed=1))
         b, _ = gen_dataset(SynthSpec(counts={"USD": 2}, length=8, seed=2))
-        assert a[0].points[0].x != b[0].points[0].x
+        assert a[0].states[0, 0] != b[0].states[0, 0]
 
     def test_every_trajectory_survives_min_length_filter(self):
         spec = SynthSpec(counts={c: 2 for c in VEHICLE_CLASSES}, length=7, seed=3)
         trajs, _ = gen_dataset(spec)
-        assert all(len(t.points) >= 7 for t in trajs)
+        assert all(len(t) >= 7 for t in trajs)
 
     def test_agent_kinds_match_templates(self):
         spec = SynthSpec(
@@ -139,7 +135,7 @@ class TestSeparability:
         spec = SynthSpec(counts={c: 25 for c in classes}, length=12,
                          noise=0.0, seed=17)
         trajs, names = gen_dataset(spec)
-        windows = window_all(trajs)
+        windows, _ = window_all(trajs)
         states, labels = windows.states, windows.labels
         excluded = {frozenset(("OFL", "PDIL")), frozenset(("OFR", "PDIR"))}
         bad = []
@@ -159,7 +155,7 @@ class TestSeparability:
             length=20, noise=1.0, seed=9,
         )
         trajs, names = gen_dataset(spec)
-        windows = window_all(trajs)
+        windows, _ = window_all(trajs)
         states, labels = windows.states, windows.labels
         e1 = pairwise_1nn_error(states, labels, names.index("OFL"),
                                 names.index("PDIL"))
