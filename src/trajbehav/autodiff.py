@@ -123,10 +123,6 @@ def _unbroadcast(g, shape):
     return g
 
 
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------

@@ -3,23 +3,24 @@
 A checkpoint stores the model kind, its architecture config, the class map,
 optional normalization stats, and every parameter tensor in its native
 precision, so a save/load roundtrip restores parameters bit-exactly and
-reproduces predictions bit-identically. Loads verify the integrity checksum
-and reject shape or config mismatches.
+reproduces predictions bit-identically. Each neural kind has one fixed
+architecture: a load rebuilds it from the class count (and, for fusion,
+whether the conv branch is on) and rejects a stored config that differs
+from it, as well as checksum, shape or dtype mismatches.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DTYPES
 from .container import read_container, require_keys, write_container
-from .errors import CheckpointError
+from .data import STATE_FEATURES
+from .errors import CheckpointError, ConfigError
 from .hmm import GaussianHMM, HMMClassifier
-from .models import MODEL_KINDS, config_from_dict, config_to_dict, model_from_config
-
-STATE_FEATURES = 4               # x, y, z, d at every window step
+from .models import MODEL_KINDS, build_model
 
 
 @dataclass
@@ -49,7 +50,7 @@ def save_checkpoint(model, class_names, path, normalization=None):
 
     meta = {
         "model_kind": model.kind,
-        "config": config_to_dict(model.config),
+        "config": model.config(),
         "precision": model.precision,
         "class_names": list(class_names),
         "normalization": normalization,
@@ -94,10 +95,25 @@ def load_checkpoint(path):
         )
 
     require_keys(path, meta, ("config", "precision"), "checkpoint metadata")
-    if meta["precision"] not in DTYPES:
+    config = meta["config"]
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: checkpoint config is not a JSON object")
+    if not isinstance(meta["precision"], str):
         raise CheckpointError(f"{path}: unknown precision {meta['precision']!r}")
-    config = config_from_dict(model_kind, meta["config"])
-    model = model_from_config(model_kind, config, seed=0, precision=meta["precision"])
+    try:
+        model = build_model(model_kind, len(class_names), precision=meta["precision"],
+                            use_mscnn=config.get("use_mscnn") is not False)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    arch = model.config()
+    differ = sorted(k for k in config.keys() | arch.keys()
+                    if k not in config or k not in arch
+                    or json.dumps(config[k]) != json.dumps(arch[k]))
+    if differ:
+        raise CheckpointError(
+            f"{path}: stored config differs from the {model_kind} architecture at "
+            f"{differ}: stored {_pick(config, differ)}, expected {_pick(arch, differ)}"
+        )
     expected = set(model.parameters)
     found = set(arrays)
     if expected != found:
@@ -111,7 +127,7 @@ def load_checkpoint(path):
         if stored.shape != p.data.shape:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {stored.shape}, "
-                f"config implies {p.data.shape}"
+                f"the architecture implies {p.data.shape}"
             )
         if stored.dtype != p.data.dtype:
             raise CheckpointError(
@@ -124,3 +140,7 @@ def load_checkpoint(path):
         model=model, kind=model_kind, class_names=class_names,
         normalization=meta.get("normalization"),
     )
+
+
+def _pick(d, keys):
+    return {k: d[k] for k in keys if k in d}

@@ -5,8 +5,9 @@ atomic-rename, so a failure leaves no partial outputs, and drops exactly
 one manifest.json recording the arguments, resolved config, input hashes,
 and output hashes (timing-bearing files are listed but not hashed).
 
-Exit codes: 0 success, 2 usage/config error, 3 data/compatibility error,
-4 numerical abort.
+Exit codes: 0 success, 1 other package error, 2 usage/config error,
+3 data/compatibility error, 4 numerical abort (each error class carries its
+own `exit_code`).
 """
 
 from __future__ import annotations
@@ -464,31 +465,20 @@ def cmd_ablate(args, argv):
     majority_idx = int(np.argmax(hist))
     results = run_ablation(dataset, seeds, base_config=base)
 
+    names = [name for name, _, _ in ABLATION_CELLS]
+    # table[s, c]: the metric columns of cell c at seed s
+    table = np.array([[(*_metric_row(results[name][seed]),
+                        _minority_recall(results[name][seed], majority_idx))
+                       for name in names] for seed in seeds])
+    # numpy sums a contiguous last axis pairwise, like np.mean of one cell's
+    # per-seed column; an axis-0 reduction would add the seeds in sequence
+    mean = np.ascontiguousarray(np.moveaxis(table, 0, -1)).mean(axis=-1)
     with atomic_out_dir(args.out) as tmp:
-        mean_rows = []
-        for name, _, _ in ABLATION_CELLS:
-            per_seed = results[name]
-            bas = [per_seed[s].balanced_accuracy for s in seeds]
-            f1s = [per_seed[s].macro_f1 for s in seeds]
-            recs = [per_seed[s].macro_recall for s in seeds]
-            minos = [_minority_recall(per_seed[s], majority_idx) for s in seeds]
-            mean_rows.append(
-                (name, float(np.mean(bas)), float(np.mean(f1s)),
-                 float(np.mean(recs)), float(np.mean(minos)))
-            )
-        for seed in seeds:
-            rows = [
-                (name,
-                 results[name][seed].balanced_accuracy,
-                 results[name][seed].macro_f1,
-                 results[name][seed].macro_recall,
-                 _minority_recall(results[name][seed], majority_idx))
-                for name, _, _ in ABLATION_CELLS
-            ]
+        for seed, rows in zip(seeds, table):
             with open(tmp / f"ablation_seed{seed}.txt", "w", encoding="utf-8") as fh:
-                fh.write(_format_ablation_table(rows))
+                fh.write(_format_ablation_table(zip(names, *rows.T)))
         with open(tmp / "ablation_mean.txt", "w", encoding="utf-8") as fh:
-            fh.write(_format_ablation_table(mean_rows))
+            fh.write(_format_ablation_table(zip(names, *mean.T)))
         inputs = [prepared_path] + ([args.config] if args.config else [])
         write_manifest(
             tmp, "ablate", argv,
@@ -603,18 +593,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except TrajbehavError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ AGENT_KINDS = ("vehicle", "pedestrian", "rider")
 TRAJECTORY_COLUMNS = ("agent_id", "kind", "frame", "x", "y", "z", "d", "label")
 
 WINDOW_SIZE = 5
+STATE_FEATURES = 4               # x, y, z, d at every frame
 MIN_TRAJECTORY_LEN = 7
 MIN_CLASS_COUNT = 100
 SPLIT_RATIO = 0.8
@@ -51,7 +52,7 @@ class Trajectory:
 
     agent_id: str
     agent_kind: str
-    states: np.ndarray           # (n, 4) float64, columns x,y,z,d (d radians in [-pi, pi))
+    states: np.ndarray           # (n, STATE_FEATURES) float64, x,y,z,d (d radians in [-pi, pi))
     labels: np.ndarray           # (n,) int64
     frames: np.ndarray           # (n,) int64
 
@@ -63,7 +64,7 @@ class Trajectory:
 class WindowSample:
     """One row of a `Windows`."""
 
-    states: np.ndarray           # (WINDOW_SIZE, 4) rows t-4..t, columns x,y,z,d
+    states: np.ndarray           # (WINDOW_SIZE, STATE_FEATURES) rows t-4..t, columns x,y,z,d
     label: int
     source: tuple                # (agent_id, end frame)
 
@@ -75,7 +76,7 @@ class Windows:
     WindowSample; a slice, mask or index array gives those rows, in that
     order, as a Windows sharing `agents`."""
 
-    states: np.ndarray           # (N, WINDOW_SIZE, 4) float64, columns x,y,z,d
+    states: np.ndarray           # (N, WINDOW_SIZE, STATE_FEATURES) float64, columns x,y,z,d
     labels: np.ndarray           # (N,) int64
     agent_idx: np.ndarray        # (N,) int64 into agents
     end_frame: np.ndarray        # (N,) int64
@@ -104,7 +105,7 @@ def as_windows(samples):
     pos = {}
     agent_idx = [pos.setdefault(s.source[0], len(pos)) for s in rows]
     states = np.array([s.states for s in rows], dtype=np.float64)
-    return Windows(states if rows else np.zeros((0, WINDOW_SIZE, 4)),
+    return Windows(states if rows else np.zeros((0, WINDOW_SIZE, STATE_FEATURES)),
                    np.array([s.label for s in rows], dtype=np.int64),
                    np.array(agent_idx, dtype=np.int64),
                    np.array([s.source[1] for s in rows], dtype=np.int64), list(pos))
@@ -209,7 +210,8 @@ def load_trajectories(path, class_names=None, degrees=False):
             if frame > _MAX_FRAME:
                 problems.append(f"row {lineno}: frame {frame} does not fit in int64")
                 continue
-            if not all(math.isfinite(v) for v in (x, y, z, d)):
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+                    and math.isfinite(d)):
                 problems.append(f"row {lineno}: non-finite coordinate")
                 continue
             rows.append((lineno, agent_id, kind, frame, x, y, z, d, label))
@@ -289,7 +291,7 @@ def window_all(trajectories):
             f"trajectory {short[0].agent_id!r} has {len(short[0])} points, "
             f"shorter than window size {WINDOW_SIZE}; filter first"
         )
-    rows = np.concatenate([np.zeros((0, 4))] + [t.states for t in trajectories])
+    rows = np.concatenate([np.zeros((0, STATE_FEATURES))] + [t.states for t in trajectories])
     labels = np.concatenate([np.zeros(0, np.int64)] + [t.labels for t in trajectories])
     frames = np.concatenate([np.zeros(0, np.int64)] + [t.frames for t in trajectories])
     owner = np.repeat(np.arange(len(trajectories)), [len(t) for t in trajectories])
@@ -400,11 +402,27 @@ def class_weights(windows, num_classes):
     return n / (num_classes * counts.astype(np.float64))
 
 
+def _require_finite(values, what):
+    """Raise DataError naming each state feature with a non-finite value in
+    `values` (features on the last axis)."""
+    bad = ~np.isfinite(values.reshape(-1, STATE_FEATURES)).all(axis=0)
+    if bad.any():
+        names = ", ".join(TRAJECTORY_COLUMNS[3 + i] for i in np.flatnonzero(bad))
+        raise DataError(
+            f"{what} of feature {names} are not finite: coordinates too large to standardize"
+        )
+
+
 def standardize_stats(windows):
-    """Per-feature mean/std computed on the given (training) windows."""
-    rows = windows.states.reshape(-1, 4)
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    """Per-feature mean/std computed on the given (training) windows.
+
+    Finite coordinates can still overflow float64 when summed or squared;
+    non-finite statistics raise DataError naming the feature."""
+    rows = windows.states.reshape(-1, STATE_FEATURES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        std = rows.std(axis=0)
+    _require_finite(np.stack([mean, std]), "normalization statistics")
     std = np.where(std > 1e-12, std, 1.0)
     return {"mean": mean.tolist(), "std": std.tolist()}
 
@@ -412,7 +430,10 @@ def standardize_stats(windows):
 def apply_standardization(windows, stats):
     mean = np.asarray(stats["mean"])
     std = np.asarray(stats["std"])
-    return replace(windows, states=(windows.states - mean) / std)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = (windows.states - mean) / std
+    _require_finite(states, "standardized states")
+    return replace(windows, states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +478,11 @@ def _split_windows(path, arrays, part, agents, num_classes):
     arrays agree in length and hold valid labels and agent indices."""
     w = Windows(*(arrays[f"{part}_{key}"] for key in _SPLIT_KEYS), agents)
     n = len(w.states) if w.states.ndim else 0
-    for name, values, shape, upper in (("states", w.states, (n, WINDOW_SIZE, 4), None),
-                                       ("labels", w.labels, (n,), num_classes),
-                                       ("agents", w.agent_idx, (n,), len(agents)),
-                                       ("frames", w.end_frame, (n,), None)):
+    for name, values, shape, upper in (
+            ("states", w.states, (n, WINDOW_SIZE, STATE_FEATURES), None),
+            ("labels", w.labels, (n,), num_classes),
+            ("agents", w.agent_idx, (n,), len(agents)),
+            ("frames", w.end_frame, (n,), None)):
         if values.shape != shape or (name != "states" and values.dtype != np.int64):
             problem = f"has shape {values.shape} and dtype {values.dtype}, expected {shape}"
         elif upper is not None and n and not 0 <= values.min() <= values.max() < upper:

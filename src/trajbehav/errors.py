@@ -1,12 +1,14 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError (and
-subclasses) -> 3, NumericalError -> 4.
+Each class carries the exit code the CLI returns for it: ConfigError 2,
+DataError (and subclasses) 3, NumericalError 4, any other TrajbehavError 1.
 """
 
 
 class TrajbehavError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class DimensionError(TrajbehavError):
@@ -16,9 +18,13 @@ class DimensionError(TrajbehavError):
 class ConfigError(TrajbehavError):
     """Invalid configuration, unusable parameter combination, or misuse."""
 
+    exit_code = 2
+
 
 class DataError(TrajbehavError):
     """Invalid data content (out-of-range labels, non-finite values, ...)."""
+
+    exit_code = 3
 
 
 class IngestError(DataError):
@@ -35,3 +41,5 @@ class StateError(TrajbehavError):
 
 class NumericalError(TrajbehavError):
     """Non-finite values encountered where finiteness is guaranteed."""
+
+    exit_code = 4

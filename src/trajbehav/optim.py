@@ -22,10 +22,6 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
     def step(self):
         """One update of every parameter from its populated gradient."""
         self.t += 1

@@ -11,7 +11,7 @@ from trajbehav.checkpoint import load_checkpoint, save_checkpoint
 from trajbehav.container import read_container, write_container
 from trajbehav.errors import CheckpointError
 from trajbehav.hmm import GaussianHMM, HMMClassifier, forward_loglik_batch
-from trajbehav.models import FusionConfig, FusionModel, build_model, predict
+from trajbehav.models import build_model, predict
 
 
 class TestContainer:
@@ -180,6 +180,83 @@ class TestModelCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, list("ABC"), path, normalization=stats)
         assert load_checkpoint(path).normalization == stats
+
+
+# The `config` entry each kind has always written, for five classes.
+_SHARED = {"num_classes": 5, "seq_len": 5, "input_channels": 4}
+_FUSION = {**_SHARED, "lstm_layers": 2, "lstm_hidden": 64, "kernel_sizes": [2, 3, 4],
+           "channels_per_kernel": 32, "fc1_out": 32}
+STORED_CONFIGS = {
+    ("fusion", True): {**_FUSION, "use_mscnn": True},
+    ("fusion", False): {**_FUSION, "use_mscnn": False},
+    ("lstm", True): {**_SHARED, "hidden": 64, "layers": 2},
+    ("conv1d", True): {**_SHARED, "channels": [32, 32, 64, 64], "kernel": 2},
+}
+
+
+class TestStoredConfig:
+    @pytest.mark.parametrize("kind, use_mscnn", list(STORED_CONFIGS))
+    @pytest.mark.parametrize("precision", ["fast", "verify"])
+    def test_written_config_and_bytes_match_the_stored_format(
+            self, kind, use_mscnn, precision, tmp_path, rng):
+        """A checkpoint hand-written in the stored format (literal config)
+        equals the saved one byte for byte, and loads to the same logits."""
+        model = build_model(kind, 5, seed=4, precision=precision, use_mscnn=use_mscnn)
+        saved, literal = tmp_path / "saved.ckpt", tmp_path / "literal.ckpt"
+        stats = {"mean": [0.0, 1.0, 2.0, 3.0], "std": [1.0, 1.0, 2.0, 1.0]}
+        save_checkpoint(model, list("ABCDE"), saved, normalization=stats)
+        meta = {"model_kind": kind, "config": STORED_CONFIGS[kind, use_mscnn],
+                "precision": precision, "class_names": list("ABCDE"),
+                "normalization": stats}
+        write_container(literal, "model", meta,
+                        {name: p.data for name, p in model.parameters.items()})
+        assert read_container(saved)[1]["config"] == STORED_CONFIGS[kind, use_mscnn]
+        assert saved.read_bytes() == literal.read_bytes()
+        batch = rng.normal(size=(6, 5, 4))
+        loaded = load_checkpoint(literal).model
+        assert np.array_equal(loaded.forward(batch).data, model.forward(batch).data)
+        assert np.array_equal(predict(loaded, batch), predict(model, batch))
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda c: {**c, "lstm_hidden": 64.0}, "lstm_hidden"),
+        (lambda c: {**c, "kernel_sizes": [2, 3]}, "kernel_sizes"),
+        (lambda c: {**c, "use_mscnn": "yes"}, "use_mscnn"),
+        (lambda c: {k: v for k, v in c.items() if k != "fc1_out"}, "fc1_out"),
+    ], ids=["float-hidden", "two-kernels", "string-mscnn", "missing-key"])
+    def test_config_differing_from_the_architecture_rejected(self, tmp_path, edit, key):
+        """More cases (an extra key, a string `lstm_hidden`, a wrong
+        `num_classes`) go through `trajbehav eval` in test_cli."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model("fusion", 5, seed=0), list("ABCDE"), path)
+        kind, meta, arrays = read_container(path)
+        write_container(path, kind, {**meta, "config": edit(meta["config"])}, arrays)
+        with pytest.raises(CheckpointError, match=f"architecture at \\['{key}'\\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [None, [], "fusion", 5])
+    def test_config_not_an_object_rejected(self, tmp_path, config):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model("lstm", 3, seed=0), list("ABC"), path)
+        kind, meta, arrays = read_container(path)
+        write_container(path, kind, {**meta, "config": config}, arrays)
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    def test_unhashable_precision_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model("lstm", 3, seed=0), list("ABC"), path)
+        kind, meta, arrays = read_container(path)
+        write_container(path, kind, {**meta, "precision": ["fast"]}, arrays)
+        with pytest.raises(CheckpointError, match="unknown precision"):
+            load_checkpoint(path)
+
+    def test_single_class_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model("conv1d", 3, seed=0), list("ABC"), path)
+        kind, meta, arrays = read_container(path)
+        write_container(path, kind, {**meta, "class_names": ["A"]}, arrays)
+        with pytest.raises(CheckpointError, match="num_classes must be >= 2"):
+            load_checkpoint(path)
 
 
 class TestHMMCheckpoint:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, manifests, atomicity, emitted artifacts."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 from conftest import checksummed
 
+from trajbehav import cli
 from trajbehav.checkpoint import save_checkpoint
 from trajbehav.cli import main
 from trajbehav.container import read_container, write_container
 from trajbehav.data import load_prepared
 from trajbehav.hmm import GaussianHMM, HMMClassifier
+from trajbehav.metrics import recall_per_class, report
 from trajbehav.models import build_model
 
 
@@ -211,6 +214,22 @@ class TestPrep:
         assert code == 3
         err = capsys.readouterr().err
         assert "row 10" in err and "int64" in err and "Traceback" not in err
+        assert not (tmp_path / "p").exists()
+
+
+    def test_normalize_overflowing_coordinates_exit_3(self, tmp_path, capsys):
+        # finite x = +-1.5e308 overflows float64 in the mean and variance sums
+        csv = tmp_path / "t.csv"
+        rows = ["agent_id,kind,frame,x,y,z,d,label"]
+        for agent, x, label in (("a", 1.5e308, "X"), ("b", -1.5e308, "X"),
+                                ("c", 1.5e308, "Y"), ("d", -1.5e308, "Y")):
+            rows += [f"{agent},vehicle,{i},{x!r},0.0,0.0,0.0,{label}" for i in range(7)]
+        csv.write_text("\n".join(rows) + "\n")
+        code = run(["prep", "--data", csv, "--out", tmp_path / "p", "--min-class-count", 1,
+                    "--ratio", "0.5", "--normalize"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "of feature x are not finite" in err and "Traceback" not in err
         assert not (tmp_path / "p").exists()
 
 
@@ -455,6 +474,23 @@ class TestMalformedContainers:
         err = capsys.readouterr().err
         assert "'half'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda c: {**c, "dropout": 0.1}, "dropout"),
+        (lambda c: {**c, "lstm_hidden": "64"}, "lstm_hidden"),
+        (lambda c: {**c, "num_classes": 4}, "num_classes"),
+    ], ids=["extra-key", "string-hidden", "num-classes-4"])
+    def test_checkpoint_config_mismatch_exit_3(self, workspace, capsys, edit, key):
+        prep = gen_and_prep(workspace)
+        good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
+        save_checkpoint(build_model("fusion", 3, seed=0), ["SA", "USD", "S"], good)
+        kind, meta, arrays = read_container(good)
+        write_container(bad, kind, {**meta, "config": edit(meta["config"])}, arrays)
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"architecture at ['{key}']" in err and "Traceback" not in err
+        assert not (workspace / "ev").exists()
+
     @pytest.mark.parametrize("tensor, shape", [
         ("means", (3, 2)), ("variances", (3, 5)), ("transitions", (3, 2)),
         ("initial", (4,)),
@@ -512,6 +548,59 @@ class TestAblate:
         code = run(["ablate", "--data", prep, "--out", workspace / "abl2",
                     "--seeds", "0", "--config", workspace / "tiny.cfg"])
         assert code == 2
+
+
+    # Twelve per-seed values whose mean prints as 0.123457 when summed
+    # pairwise (np.mean of the column) but as 0.123456 when the seeds are
+    # added one after another.
+    PAIRWISE_SENSITIVE = [
+        0.12559108123501284, 0.14752318481629678, 0.10720798063598169,
+        0.1474324723568622, 0.11559157260052427, 0.1211663224486288,
+        0.1413851296910221, 0.12045995681845807, 0.12747968438365298,
+        0.10137795566215342, 0.13767565543374033, 0.08858700391766638,
+    ]
+
+    def test_tables_byte_identical_to_per_column_means(self, workspace, monkeypatch):
+        """Each seed table lists that seed's metrics, and the mean table is
+        np.mean over each cell's per-seed column, byte for byte."""
+        col = self.PAIRWISE_SENSITIVE
+        assert f"{np.mean(col):.6f}" != f"{sum(col) / len(col):.6f}"
+        prep = gen_and_prep(workspace)
+        class_names = load_prepared(prep / "prepared.tbh").split.class_names
+        seeds = list(range(len(col)))
+        gen = np.random.default_rng(5)
+        labels = gen.integers(0, len(class_names), size=97)
+        results = {name: {s: report(np.where(gen.random(97) < 0.7, labels,
+                                             gen.integers(0, len(class_names), size=97)),
+                                    labels, class_names) for s in seeds}
+                   for name, _, _ in cli.ABLATION_CELLS}
+        first = results["Bi-LSTM"]
+        for s, value in zip(seeds, col):
+            first[s] = dataclasses.replace(first[s], balanced_accuracy=value)
+        monkeypatch.setattr(cli, "run_ablation", lambda *args, **kwargs: results)
+        out = workspace / "abl"
+        assert run(["ablate", "--data", prep, "--out", out,
+                    "--seeds", ",".join(map(str, seeds))]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        majority = class_names.index(manifest["params"]["majority_class"])
+
+        def columns(rep):
+            recalls = recall_per_class(rep.confusion)
+            minority = [recalls[i] for i in range(len(recalls)) if i != majority]
+            return (rep.balanced_accuracy, rep.macro_f1, rep.macro_recall,
+                    float(np.mean(minority)))
+
+        def table(rows):
+            lines = ["model\tbalanced_accuracy\tf1_score\trecall\tminority_recall"]
+            lines += ["\t".join([name] + [f"{v:.6f}" for v in vals]) for name, vals in rows]
+            return "\n".join(lines) + "\n"
+
+        for s in seeds:
+            expect = table((name, columns(cell[s])) for name, cell in results.items())
+            assert (out / f"ablation_seed{s}.txt").read_text() == expect
+        means = [(name, [float(np.mean(c)) for c in zip(*(columns(cell[s]) for s in seeds))])
+                 for name, cell in results.items()]
+        assert (out / "ablation_mean.txt").read_text() == table(means)
 
 
 class TestGradcheckCommand:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -17,6 +18,7 @@ from trajbehav.data import (
     Trajectory,
     WindowSample,
     Windows,
+    apply_standardization,
     as_windows,
     class_weights,
     filter_rare_classes,
@@ -31,9 +33,10 @@ from trajbehav.data import (
     save_prepared,
     save_trajectories,
     split,
+    standardize_stats,
     window_all,
 )
-from trajbehav.errors import ConfigError, IngestError
+from trajbehav.errors import ConfigError, DataError, IngestError
 from trajbehav.rng import ROS, RUS, SPLIT, seeded_rng
 
 from conftest import make_samples
@@ -489,6 +492,31 @@ class TestClassWeights:
     def test_empty_class_raises(self):
         with pytest.raises(ConfigError):
             class_weights(make_samples([0, 0]), 2)
+
+
+class TestStandardization:
+    def test_train_features_zero_mean_unit_std(self, rng):
+        w = make_samples([0] * 20 + [1] * 20, rng=rng, scale=3.0)
+        out = apply_standardization(w, standardize_stats(w)).states.reshape(-1, 4)
+        assert np.abs(out.mean(axis=0)).max() < 1e-12
+        assert np.abs(out.std(axis=0) - 1.0).max() < 1e-12
+
+    def test_overflowing_statistics_name_the_feature(self):
+        w = make_samples([0, 0, 1, 1])
+        states = np.zeros((4, 5, 4))
+        states[:, :, 0] = [[1.5e308], [-1.5e308], [1.5e308], [-1.5e308]]  # sum overflows
+        states[:, :, 2] = [[1e200], [-1e200], [1e200], [-1e200]]          # square overflows
+        with pytest.raises(DataError, match="statistics of feature x, z are not finite"):
+            standardize_stats(replace(w, states=states))
+
+    def test_overflowing_standardized_states_rejected(self):
+        w = make_samples([0, 0])
+        train = replace(w, states=np.full((2, 5, 4), 2.0 ** 1020))  # exact mean, std 0
+        test = replace(w, states=np.full((2, 5, 4), -1.79e308))  # minus the mean overflows
+        stats = standardize_stats(train)
+        assert np.array_equal(apply_standardization(train, stats).states, np.zeros((2, 5, 4)))
+        with pytest.raises(DataError, match="standardized states of feature x, y, z, d"):
+            apply_standardization(test, stats)
 
 
 class TestPreparedDump:

@@ -8,15 +8,15 @@ from trajbehav.autodiff import Tensor
 from trajbehav.errors import ConfigError, DimensionError
 from trajbehav.gradcheck import grad_check
 from trajbehav.models import (
+    CHANNELS_PER_KERNEL,
+    FC1_OUT,
+    KERNEL_SIZES,
+    LSTM_HIDDEN,
+    LSTM_LAYERS,
     Conv1DBaseline,
-    Conv1DBaselineConfig,
-    FusionConfig,
     FusionModel,
     LSTMBaseline,
-    LSTMBaselineConfig,
     build_model,
-    fusion_parameter_count,
-    parameter_count,
     predict,
 )
 
@@ -42,6 +42,34 @@ def reference_lstm_sequence(x_seq, wx, wh, b, hidden):
     return np.stack(hs)
 
 
+def parameter_count(model):
+    return sum(p.data.size for p in model.parameters.values())
+
+
+def fusion_parameter_count(num_classes, use_mscnn):
+    """Closed-form parameter count of FusionModel.
+
+    Per LSTM direction of layer l: d_in*4H + H*4H + 4H where d_in is the
+    input width (4 state features for layer 0, 2H above). Conv bank k
+    contributes ch*4*k + ch; the bottleneck (3*ch)*fc1 + fc1; the head maps
+    the fused feature (2H [+ fc1]) to num_classes with bias.
+    """
+    h = LSTM_HIDDEN
+    total = 0
+    for layer in range(LSTM_LAYERS):
+        d_in = 4 if layer == 0 else 2 * h
+        total += 2 * (d_in * 4 * h + h * 4 * h + 4 * h)
+    if use_mscnn:
+        ch = CHANNELS_PER_KERNEL
+        for k in KERNEL_SIZES:
+            total += ch * 4 * k + ch
+        concat_dim = len(KERNEL_SIZES) * ch
+        total += concat_dim * FC1_OUT + FC1_OUT
+    head_in = 2 * h + (FC1_OUT if use_mscnn else 0)
+    total += head_in * num_classes + num_classes
+    return total
+
+
 def zero_model(model):
     for p in model.parameters.values():
         p.data[...] = 0.0
@@ -50,14 +78,14 @@ def zero_model(model):
 
 class TestBiLSTMBranch:
     def test_zero_weights_zero_feature(self, rng):
-        model = zero_model(FusionModel(FusionConfig(num_classes=4), precision="verify"))
+        model = zero_model(FusionModel(4, precision="verify"))
         batch = rng.normal(size=(3, 5, 4))
         feats = model.bilstm_features(batch).data
         assert feats.shape == (3, 128)
         assert np.allclose(feats, 0.0)
 
     def test_batch_order_invariance(self, rng):
-        model = FusionModel(FusionConfig(num_classes=4), seed=3, precision="verify")
+        model = FusionModel(4, seed=3, precision="verify")
         batch = rng.normal(size=(6, 5, 4))
         perm = rng.permutation(6)
         out = model.bilstm_features(batch).data
@@ -65,15 +93,14 @@ class TestBiLSTMBranch:
         assert np.allclose(out[perm], out_perm)
 
     def test_matches_per_sample_sequential_reference(self, rng):
-        cfg = FusionConfig(num_classes=4)
-        model = FusionModel(cfg, seed=9, precision="verify")
+        model = FusionModel(4, seed=9, precision="verify")
         batch = rng.normal(size=(4, 5, 4))
         got = model.bilstm_features(batch).data
-        h = cfg.lstm_hidden
+        h = LSTM_HIDDEN
         for b in range(4):
             seq = batch[b]
             layer_in = [seq[t] for t in range(5)]
-            for layer in range(cfg.lstm_layers):
+            for layer in range(LSTM_LAYERS):
                 pre = f"bilstm.l{layer}"
                 fw = reference_lstm_sequence(
                     layer_in,
@@ -94,18 +121,18 @@ class TestBiLSTMBranch:
 
 class TestMSCNNBranch:
     def test_zero_input_zero_feature(self):
-        model = FusionModel(FusionConfig(num_classes=4), seed=1, precision="verify")
+        model = FusionModel(4, seed=1, precision="verify")
         feats = model.mscnn_features(np.zeros((2, 5, 4))).data
         assert feats.shape == (2, 32)
         # zero input, zero conv biases: pooled activations are zero
         assert np.allclose(feats, 0.0)
 
     def test_concat_width_is_96(self, rng):
-        model = FusionModel(FusionConfig(num_classes=4), seed=1, precision="verify")
+        model = FusionModel(4, seed=1, precision="verify")
         batch = rng.normal(size=(2, 5, 4))
         x = Tensor(batch.transpose(0, 2, 1))
         pooled = []
-        for k in model.config.kernel_sizes:
+        for k in KERNEL_SIZES:
             y = ad.conv1d_valid(
                 x, model.parameters[f"mscnn.k{k}.w"], model.parameters[f"mscnn.k{k}.b"]
             )
@@ -114,12 +141,12 @@ class TestMSCNNBranch:
         assert ad.concat(pooled, axis=1).data.shape == (2, 96)
 
     def test_matches_composed_primitive_oracle(self, rng):
-        model = FusionModel(FusionConfig(num_classes=4), seed=5, precision="verify")
+        model = FusionModel(4, seed=5, precision="verify")
         batch = rng.normal(size=(3, 5, 4))
         got = model.mscnn_features(batch).data
         x = batch.transpose(0, 2, 1)
         pooled = []
-        for k in model.config.kernel_sizes:
+        for k in KERNEL_SIZES:
             w = model.parameters[f"mscnn.k{k}.w"].data
             b = model.parameters[f"mscnn.k{k}.b"].data
             length = 5 - k + 1
@@ -138,7 +165,7 @@ class TestMSCNNBranch:
 
 class TestFusionForward:
     def test_zero_parameters_uniform_logits(self, rng):
-        model = zero_model(FusionModel(FusionConfig(num_classes=6), precision="verify"))
+        model = zero_model(FusionModel(6, precision="verify"))
         batch = rng.normal(size=(4, 5, 4))
         logits = model.forward(batch)
         assert np.allclose(logits.data, 0.0)
@@ -146,7 +173,7 @@ class TestFusionForward:
         assert abs(loss.item() - np.log(6)) < 1e-12
 
     def test_duplicated_sample_identical_rows(self, rng):
-        model = FusionModel(FusionConfig(num_classes=5), seed=2, precision="verify")
+        model = FusionModel(5, seed=2, precision="verify")
         one = rng.normal(size=(1, 5, 4))
         batch = np.repeat(one, 3, axis=0)
         logits = model.forward(batch).data
@@ -154,7 +181,7 @@ class TestFusionForward:
         assert np.array_equal(logits[0], logits[2])
 
     def test_single_vs_batch_row_equality(self, rng):
-        model = FusionModel(FusionConfig(num_classes=5), seed=2, precision="verify")
+        model = FusionModel(5, seed=2, precision="verify")
         batch = rng.normal(size=(5, 5, 4))
         full = model.forward(batch).data
         for b in range(5):
@@ -162,7 +189,7 @@ class TestFusionForward:
             assert np.abs(row - full[b]).max() < 1e-6
 
     def test_shape_errors(self):
-        model = FusionModel(FusionConfig(num_classes=5), seed=2)
+        model = FusionModel(5, seed=2)
         with pytest.raises(DimensionError):
             model.forward(np.zeros((2, 4, 4)))
         with pytest.raises(DimensionError):
@@ -170,47 +197,37 @@ class TestFusionForward:
 
     def test_parameter_count_formula(self):
         for c, mscnn in [(13, True), (6, True), (7, True), (6, False)]:
-            cfg = FusionConfig(num_classes=c, use_mscnn=mscnn)
-            model = FusionModel(cfg, seed=0)
-            assert parameter_count(model) == fusion_parameter_count(cfg)
+            model = FusionModel(c, seed=0, use_mscnn=mscnn)
+            assert parameter_count(model) == fusion_parameter_count(c, mscnn)
 
     def test_invalid_config(self):
-        with pytest.raises(ConfigError):
-            FusionConfig(num_classes=1).validate()
-        with pytest.raises(ConfigError):
-            FusionConfig(num_classes=3, kernel_sizes=(2, 6)).validate()
+        for kind in ("fusion", "lstm", "conv1d"):
+            with pytest.raises(ConfigError, match="num_classes"):
+                build_model(kind, num_classes=1)
 
 
 class TestBaselines:
     def test_lstm_zero_parameters_uniform_logits(self, rng):
-        model = zero_model(
-            LSTMBaseline(LSTMBaselineConfig(num_classes=7), precision="verify")
-        )
+        model = zero_model(LSTMBaseline(7, precision="verify"))
         logits = model.forward(rng.normal(size=(3, 5, 4))).data
         assert logits.shape == (3, 7)
         assert np.allclose(logits, 0.0)
 
     def test_conv1d_zero_parameters_uniform_logits(self, rng):
-        model = zero_model(
-            Conv1DBaseline(Conv1DBaselineConfig(num_classes=7), precision="verify")
-        )
+        model = zero_model(Conv1DBaseline(7, precision="verify"))
         logits = model.forward(rng.normal(size=(3, 5, 4))).data
         assert logits.shape == (3, 7)
         assert np.allclose(logits, 0.0)
 
     def test_conv1d_output_shape_for_any_batch(self, rng):
-        model = Conv1DBaseline(Conv1DBaselineConfig(num_classes=4), seed=1)
-        for b in (1, 2, 9):
+        model = Conv1DBaseline(4, seed=1)
+        for b in (0, 1, 2, 9):
             assert model.forward(rng.normal(size=(b, 5, 4))).data.shape == (b, 4)
 
     def test_lstm_requires_fixed_length(self, rng):
-        model = LSTMBaseline(LSTMBaselineConfig(num_classes=4), seed=1)
+        model = LSTMBaseline(4, seed=1)
         with pytest.raises(DimensionError):
             model.forward(rng.normal(size=(2, 1, 4)))
-
-    def test_conv1d_layer_budget_validated(self):
-        with pytest.raises(ConfigError):
-            Conv1DBaselineConfig(num_classes=3, channels=(8, 8, 8, 8, 8)).validate()
 
 
 class TestGradients:
@@ -227,9 +244,7 @@ class TestGradients:
         assert err < 1e-5, f"{kind}: {err}"
 
     def test_bilstm_only_model_gradcheck(self, rng):
-        model = FusionModel(
-            FusionConfig(num_classes=4, use_mscnn=False), seed=11, precision="verify"
-        )
+        model = FusionModel(4, seed=11, precision="verify", use_mscnn=False)
         batch = rng.normal(size=(3, 5, 4))
         labels = rng.integers(0, 4, size=3)
 
@@ -241,18 +256,18 @@ class TestGradients:
 
 class TestPredict:
     def test_argmax(self):
-        model = zero_model(FusionModel(FusionConfig(num_classes=3), precision="verify"))
+        model = zero_model(FusionModel(3, precision="verify"))
         model.parameters["head.b"].data[...] = [0.1, 0.9, 0.3]
         out = predict(model, np.zeros((2, 5, 4)))
         assert list(out) == [1, 1]
 
     def test_tie_goes_to_lowest_index(self):
-        model = zero_model(FusionModel(FusionConfig(num_classes=3), precision="verify"))
+        model = zero_model(FusionModel(3, precision="verify"))
         model.parameters["head.b"].data[...] = [1.0, 1.0, 0.0]
         assert list(predict(model, np.zeros((1, 5, 4)))) == [0]
 
     def test_matches_scan_argmax(self, rng):
-        model = FusionModel(FusionConfig(num_classes=6), seed=4, precision="verify")
+        model = FusionModel(6, seed=4, precision="verify")
         batch = rng.normal(size=(8, 5, 4))
         logits = model.forward(batch).data
         preds = predict(model, batch)

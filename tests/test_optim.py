@@ -25,7 +25,7 @@ def test_zero_gradient_is_exact_fixed_point(rng):
     p = Parameter(values.copy(), "p")
     opt = Adam([p], lr=0.005)
     for _ in range(5):
-        opt.zero_grad()
+        p.zero_grad()
         opt.step()
     assert np.array_equal(p.data, values)
     assert opt.t == 5
@@ -47,7 +47,7 @@ def test_three_step_trace_matches_reference():
     mine = []
     grads = []
     for _ in range(3):
-        opt.zero_grad()
+        p.zero_grad()
         grads.append(p.data[0])
         p.grad[...] = p.data[0]
         opt.step()
@@ -60,7 +60,7 @@ def test_second_moment_nonnegative_and_step_counts(rng):
     p = Parameter(rng.normal(size=7), "p")
     opt = Adam([p], lr=0.01)
     for k in range(4):
-        opt.zero_grad()
+        p.zero_grad()
         p.grad[...] = rng.normal(size=7)
         opt.step()
         assert (opt.v[0] >= 0).all()
