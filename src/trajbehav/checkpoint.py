@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, require_keys, write_container
+from .container import read_container, require_keys, require_str_list, write_container
 from .data import STATE_FEATURES
 from .errors import CheckpointError, ConfigError
 from .hmm import GaussianHMM, HMMClassifier
@@ -67,7 +67,7 @@ def load_checkpoint(path):
     model_kind = meta["model_kind"]
     if model_kind not in MODEL_KINDS:
         raise CheckpointError(f"{path}: unknown model kind {model_kind!r}")
-    class_names = list(meta["class_names"])
+    class_names = require_str_list(path, meta["class_names"], "checkpoint 'class_names'")
 
     if model_kind == "hmm":
         require_keys(path, meta, ("n_states",), "checkpoint metadata")

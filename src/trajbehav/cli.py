@@ -43,9 +43,7 @@ RESAMPLE_MODES = ("none", "ros", "rus", "wl")
 
 # fields whose defaults are engineering choices, not stated by the source
 # experiment description; flagged in emitted config files
-_PAPER_SILENT = {
-    "seed", "precision", "beta1", "beta2", "epsilon", "hmm_max_iters", "hmm_tol",
-}
+_PAPER_SILENT = {"seed", "hmm_max_iters"}
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ def format_train_config(config):
     return "\n".join(lines) + "\n"
 
 
-def load_synth_spec(path, seed_override=None):
+def load_synth_spec(path):
     raw = parse_kv_file(path)
     counts = {}
     kwargs = {}
@@ -131,8 +129,6 @@ def load_synth_spec(path, seed_override=None):
             raise ConfigError(f"{path}: unknown generator key {key!r}")
     if not counts:
         raise ConfigError(f"{path}: no count.<class> entries")
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
     spec = SynthSpec(counts=counts, **kwargs)
     spec.validate()
     return spec
@@ -214,7 +210,7 @@ def _resolve_prepared(path):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args, argv):
-    spec = load_synth_spec(args.spec, seed_override=args.seed)
+    spec = load_synth_spec(args.spec)
     trajectories, class_names = gen_dataset(spec)
     with atomic_out_dir(args.out) as tmp:
         dmod.save_trajectories(trajectories, class_names, tmp / "trajectories.csv")
@@ -257,7 +253,7 @@ def cmd_prep(args, argv):
         )
 
     stages = [("trajectories_loaded", str(len(trajectories)))]
-    kept = dmod.filter_short(trajectories, min_len=args.min_len)
+    kept = dmod.filter_short(trajectories)
     stages.append(("after_min_length_filter", str(len(kept))))
     windows, skipped = dmod.window_all(kept)
     stages.append(("window_samples", str(len(windows))))
@@ -294,7 +290,7 @@ def cmd_prep(args, argv):
 
     config = {
         "kind": args.kind or (kinds[0] if kinds else None),
-        "min_len": args.min_len,
+        "min_len": dmod.MIN_TRAJECTORY_LEN,
         "window_size": dmod.WINDOW_SIZE,
         "min_class_count": args.min_class_count,
         "ratio": args.ratio,
@@ -328,9 +324,7 @@ def _write_em_log(path, clf):
 def cmd_train(args, argv):
     prepared_path = _resolve_prepared(args.data)
     dataset = dmod.load_prepared(prepared_path)
-    config = load_train_config(
-        args.config, seed=args.seed, precision=args.precision
-    )
+    config = load_train_config(args.config, seed=args.seed)
     model, log = train(
         args.model, config, dataset.split, loss_weights=dataset.loss_weights
     )
@@ -492,6 +486,10 @@ def cmd_ablate(args, argv):
 def run_gradcheck(seed=0, num_samples=3, num_classes=6, max_elements=200):
     """Finite-difference check of all three neural models; returns
     {kind: max relative error}."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if num_samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(num_samples, 5, 4))
     labels = rng.integers(0, num_classes, size=num_samples)
@@ -538,7 +536,6 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a synthetic trajectory dataset")
     p.add_argument("--spec", required=True, help="generator spec (key = value file)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("prep", help="window, filter, split, and resample")
@@ -549,7 +546,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resample", choices=RESAMPLE_MODES, default="none")
     p.add_argument("--ratio", type=float, default=dmod.SPLIT_RATIO)
-    p.add_argument("--min-len", type=int, default=dmod.MIN_TRAJECTORY_LEN)
     p.add_argument("--min-class-count", type=int, default=dmod.MIN_CLASS_COUNT)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--degrees", action="store_true",
@@ -562,7 +558,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="training config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--precision", choices=("verify", "fast"), default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate checkpoints on the test split")

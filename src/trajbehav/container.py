@@ -42,6 +42,17 @@ def require_keys(path, mapping, keys, what):
         )
 
 
+def require_str_list(path, value, what):
+    """Return `value` as a list, raising CheckpointError naming `what` unless
+    it is a JSON list of strings."""
+    if not isinstance(value, list):
+        raise CheckpointError(f"{path}: {what} is {value!r}, not a list of strings")
+    for i, v in enumerate(value):
+        if not isinstance(v, str):
+            raise CheckpointError(f"{path}: {what}[{i}] is {v!r}, not a string")
+    return list(value)
+
+
 def _check_header(path, header):
     """Raise CheckpointError unless `header` has the layout write_container emits."""
     if not isinstance(header, dict):

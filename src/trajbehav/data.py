@@ -29,7 +29,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .container import read_container, require_keys, write_container
+from .container import read_container, require_keys, require_str_list, write_container
 from .errors import CheckpointError, ConfigError, DataError, IngestError
 from .rng import ROS, RUS, SPLIT, seeded_rng
 
@@ -273,9 +273,9 @@ def save_trajectories(trajectories, class_names, path):
 # Pipeline operations
 # ---------------------------------------------------------------------------
 
-def filter_short(trajectories, min_len=MIN_TRAJECTORY_LEN):
-    """Keep exactly the trajectories with at least `min_len` points."""
-    return [t for t in trajectories if len(t) >= min_len]
+def filter_short(trajectories):
+    """Keep exactly the trajectories with at least MIN_TRAJECTORY_LEN points."""
+    return [t for t in trajectories if len(t) >= MIN_TRAJECTORY_LEN]
 
 
 def window_all(trajectories):
@@ -499,7 +499,9 @@ def load_prepared(path):
         raise DataError(f"{path}: expected a prepared dataset, found {kind!r}")
     require_keys(path, meta, ("agents", "class_names", "seed"), "dataset metadata")
     require_keys(path, arrays, _SPLIT_ARRAYS, "dataset")
-    num_classes = len(meta["class_names"])
+    class_names = require_str_list(path, meta["class_names"], "dataset 'class_names'")
+    agents = require_str_list(path, meta["agents"], "dataset 'agents'")
+    num_classes = len(class_names)
     weights = None
     if meta.get("has_loss_weights"):
         require_keys(path, arrays, ("loss_weights",), "dataset")
@@ -510,9 +512,9 @@ def load_prepared(path):
                 f"expected ({num_classes},)"
             )
     split_ = DatasetSplit(
-        train=_split_windows(path, arrays, "train", meta["agents"], num_classes),
-        test=_split_windows(path, arrays, "test", meta["agents"], num_classes),
-        class_names=list(meta["class_names"]),
+        train=_split_windows(path, arrays, "train", agents, num_classes),
+        test=_split_windows(path, arrays, "test", agents, num_classes),
+        class_names=class_names,
         seed=int(meta["seed"]),
     )
     return PreparedDataset(

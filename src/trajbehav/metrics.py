@@ -120,18 +120,13 @@ def balanced_accuracy(cm):
     return float(recall_per_class(cm).mean())
 
 
-def f1_per_class(cm, beta=1.0):
+def f1_per_class(cm):
     r = recall_per_class(cm)
     p = precision_per_class(cm)
-    b2 = beta * beta
-    num = (1.0 + b2) * r * p
-    den = b2 * r + p
+    num = 2.0 * r * p
+    den = r + p
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0, num / den, 0.0)
-
-
-def f1(cm, beta=1.0):
-    return float(f1_per_class(cm, beta).mean())
 
 
 def report(preds, labels, class_names):

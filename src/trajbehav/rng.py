@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # domain tags (arbitrary distinct constants)
 INIT = 1
 SHUFFLE = 2
@@ -19,5 +21,8 @@ HMM_INIT = 7
 
 
 def seeded_rng(*key):
-    """Deterministic Generator from an integer key tuple."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    """Deterministic Generator from a non-negative integer key tuple."""
+    key = [int(k) for k in key]
+    if min(key) < 0:
+        raise ConfigError(f"seed must be >= 0, got {min(key)}")
+    return np.random.default_rng(np.random.SeedSequence(key))

@@ -31,7 +31,7 @@ from .rng import SYNTH, seeded_rng
 
 EGO_SPEED = 10.0        # m/s
 DEFAULT_DT = 0.1        # s
-DEFAULT_NOISE_SIGMA = (0.05, 0.05, 0.01, 0.02)   # per channel x,y,z,d
+NOISE_SIGMA = (0.05, 0.05, 0.01, 0.02)   # per channel x,y,z,d
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class BehaviorTemplate:
     agent_kind: str
     profile: str                     # kinematic law key
     params: dict = field(default_factory=dict)   # name -> (lo, hi) or constant
-    noise_sigma: tuple = DEFAULT_NOISE_SIGMA
 
 
 def _t(name, kind, profile, **params):
@@ -223,7 +222,7 @@ def _gen_trajectory(template, index, label, spec, rng):
     d = _heading(x, y, spec.dt)
     z = np.zeros(spec.length)
     if spec.noise > 0:
-        sx, sy, sz, sd = template.noise_sigma
+        sx, sy, sz, sd = NOISE_SIGMA
         x = x + rng.normal(0.0, sx * spec.noise, spec.length)
         y = y + rng.normal(0.0, sy * spec.noise, spec.length)
         z = z + rng.normal(0.0, sz * spec.noise, spec.length)

@@ -1,8 +1,11 @@
 """Deterministic training loop and evaluation orchestration.
 
 The schedule follows the reference setup: 60 epochs, batch 256, Adam at
-lr 0.005 switching to 0.001 after epoch 40, cross-entropy loss (optionally
-class-weighted). Every epoch reshuffles with a stream derived from
+lr LR_INITIAL = 0.005 switching to LR_AFTER = 0.001 after epoch 40,
+cross-entropy loss (optionally class-weighted). The two rates are fixed;
+`TrainConfig` holds only the values callers vary. Adam's beta1, beta2 and
+epsilon are the `optim` constants, and neural models always train in
+"fast" (float32) precision. Every epoch reshuffles with a stream derived from
 (seed, epoch) so resampling and shuffling never interact; given the same
 (config, split) the final parameters are bit-identical across runs. The
 last partial batch is kept. Epoch loss is the batch-size-weighted mean of
@@ -27,24 +30,20 @@ from .optim import Adam
 from .rng import SHUFFLE, seeded_rng
 
 
+LR_INITIAL = 0.005
+LR_AFTER = 0.001
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 60
     batch_size: int = 256
-    lr_initial: float = 0.005
-    lr_after: float = 0.001
     lr_switch_epoch: int = 40
     seed: int = 0
-    precision: str = "fast"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    hmm_states: int = 7
     hmm_max_iters: int = 100
-    hmm_tol: float = 1e-4
 
     def validate(self):
-        for name in ("batch_size", "hmm_states", "hmm_max_iters"):
+        for name in ("batch_size", "hmm_max_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.epochs < 0:
@@ -54,17 +53,6 @@ class TrainConfig:
                 f"lr_switch_epoch ({self.lr_switch_epoch}) must be below "
                 f"epochs ({self.epochs})"
             )
-        if self.precision not in ("verify", "fast"):
-            raise ConfigError(f"unknown precision {self.precision!r}")
-        for name in ("lr_initial", "lr_after"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass
@@ -88,7 +76,7 @@ class TrainLog:
 
 def lr_at(config, epoch):
     """Learning rate for a 1-indexed epoch."""
-    return config.lr_initial if epoch <= config.lr_switch_epoch else config.lr_after
+    return LR_INITIAL if epoch <= config.lr_switch_epoch else LR_AFTER
 
 
 def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
@@ -111,8 +99,7 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
         log = TrainLog()
         clf = fit_classifier(
             states, labels, split.class_names,
-            n_states=config.hmm_states, max_iters=config.hmm_max_iters,
-            tol=config.hmm_tol, seed=config.seed,
+            max_iters=config.hmm_max_iters, seed=config.seed,
         )
         for i, m in enumerate(clf.models):
             mean_ll = m.fit_loglik[-1] / max(int((labels == i).sum()), 1)
@@ -121,10 +108,7 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
             )
         return clf, log
 
-    model = build_model(
-        model_kind, num_classes, seed=config.seed,
-        precision=config.precision, use_mscnn=use_mscnn,
-    )
+    model = build_model(model_kind, num_classes, seed=config.seed, use_mscnn=use_mscnn)
     states = states.astype(model.dtype)
     weights = None
     if loss_weights is not None:
@@ -134,10 +118,7 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
                 f"loss weights shape {weights.shape} != ({num_classes},)"
             )
 
-    opt = Adam(
-        model.param_list(), lr=config.lr_initial,
-        beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon,
-    )
+    opt = Adam(model.param_list(), LR_INITIAL)
     n = states.shape[0]
     log = TrainLog()
     for epoch in range(1, config.epochs + 1):

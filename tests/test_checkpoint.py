@@ -250,6 +250,28 @@ class TestStoredConfig:
         with pytest.raises(CheckpointError, match="unknown precision"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("model_kind", ["lstm", "hmm"])
+    @pytest.mark.parametrize("names, match", [
+        (5, r"'class_names' is 5, not a list"),
+        ("ABC", r"'class_names' is 'ABC', not a list"),
+        ([1, 2, 3], r"'class_names'\[0\] is 1, not a string"),
+        (["A", None, "C"], r"'class_names'\[1\] is None, not a string"),
+    ], ids=["int", "string", "ints", "null"])
+    def test_class_names_not_a_string_list_rejected(self, tmp_path, model_kind, names,
+                                                    match):
+        path = tmp_path / "m.ckpt"
+        if model_kind == "hmm":
+            k = 2
+            model = GaussianHMM(np.full(k, 1 / k), np.full((k, k), 1 / k),
+                                np.zeros((k, 4)), np.ones((k, 4)))
+            save_checkpoint(HMMClassifier([model] * 3, list("ABC")), list("ABC"), path)
+        else:
+            save_checkpoint(build_model(model_kind, 3, seed=0), list("ABC"), path)
+        kind, meta, arrays = read_container(path)
+        write_container(path, kind, {**meta, "class_names": names}, arrays)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_single_class_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_model("conv1d", 3, seed=0), list("ABC"), path)

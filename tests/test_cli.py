@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, manifests, atomicity, emitted artifacts."""
 
 import dataclasses
+import inspect
 import json
 import xml.etree.ElementTree as ET
 
@@ -16,6 +17,8 @@ from trajbehav.data import load_prepared
 from trajbehav.hmm import GaussianHMM, HMMClassifier
 from trajbehav.metrics import recall_per_class, report
 from trajbehav.models import build_model
+from trajbehav.optim import Adam
+from trajbehav.train import TrainConfig
 
 
 GEN_SPEC = """
@@ -32,7 +35,6 @@ TINY_CFG = """
 epochs = 3
 batch_size = 64
 lr_switch_epoch = 2
-hmm_states = 3
 hmm_max_iters = 10
 """
 
@@ -244,6 +246,8 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("model, line", [
         ("hmm", "hmm_states = 0"),
         ("hmm", "hmm_max_iters = 0"),
+        ("hmm", "hmm_tol = 0.001"),
+        ("lstm", "precision = verify"),
         ("lstm", "lr_initial = nan"),
         ("lstm", "lr_initial = 0"),
         ("lstm", "lr_after = inf"),
@@ -281,6 +285,19 @@ class TestTrainEvalCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "model.ckpt" in manifest["outputs"]
         assert "train_log.txt" in manifest["outputs_unhashed"]
+
+    @pytest.mark.parametrize("model", ["lstm", "hmm"])
+    def test_config_txt_round_trips_byte_identical(self, workspace, model):
+        """A run's config.txt fed back through --config repeats the run."""
+        prep = gen_and_prep(workspace)
+        first, second = workspace / "t1", workspace / "t2"
+        assert run(["train", "--data", prep, "--model", model, "--out", first,
+                    "--config", workspace / "tiny.cfg", "--seed", 4]) == 0
+        assert run(["train", "--data", prep, "--model", model, "--out", second,
+                    "--config", first / "config.txt"]) == 0
+        for name in ("model.ckpt", "config.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert "seed = 4  # paper-silent" in (second / "config.txt").read_text()
 
     def test_hmm_checkpoint_one_model_per_class(self, workspace):
         prep = gen_and_prep(workspace)
@@ -453,6 +470,36 @@ class TestMalformedContainers:
         assert code == 3
         assert "'loss_weights'" in capsys.readouterr().err
 
+    def test_checkpoint_class_names_not_a_list_exit_3(self, workspace, capsys):
+        prep = gen_and_prep(workspace)
+        good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
+        save_checkpoint(build_model("lstm", 3, seed=0), ["SA", "USD", "S"], good)
+        kind, meta, arrays = read_container(good)
+        write_container(bad, kind, {**meta, "class_names": 5}, arrays)
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'class_names' is 5, not a list" in err and "Traceback" not in err
+        assert not (workspace / "ev").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("class_names", 5, "'class_names' is 5, not a list"),
+        ("agents", 3, "'agents' is 3, not a list"),
+        ("class_names", [1, 2], "'class_names'[0] is 1, not a string"),
+    ], ids=["class-names-int", "agents-int", "class-names-ints"])
+    def test_dataset_name_list_not_strings_exit_3(self, workspace, capsys, key, value,
+                                                  message):
+        prep = gen_and_prep(workspace)
+        kind, meta, arrays = read_container(prep / "prepared.tbh")
+        bad = workspace / "bad.tbh"
+        write_container(bad, kind, {**meta, key: value}, arrays)
+        code = run(["train", "--data", bad, "--model", "lstm", "--out", workspace / "t",
+                    "--config", workspace / "tiny.cfg"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (workspace / "t").exists()
+
     def test_checkpoint_unknown_model_kind_exit_3(self, workspace, capsys):
         prep = gen_and_prep(workspace)
         good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
@@ -601,6 +648,81 @@ class TestAblate:
         means = [(name, [float(np.mean(c)) for c in zip(*(columns(cell[s]) for s in seeds))])
                  for name, cell in results.items()]
         assert (out / "ablation_mean.txt").read_text() == table(means)
+
+
+class TestSeedAndSampleBounds:
+    """A negative seed, or a gradient check of no samples, exits 2 with a
+    message and writes no output directory."""
+
+    @pytest.mark.parametrize("command", ["gen", "prep", "train", "ablate"])
+    def test_negative_seed_exit_2(self, workspace, capsys, command):
+        if command == "gen":
+            spec = workspace / "neg.txt"
+            spec.write_text(GEN_SPEC.replace("seed = 7", "seed = -1"))
+            argv = ["gen", "--spec", spec]
+        else:
+            prep = gen_and_prep(workspace)
+            argv = {
+                "prep": ["prep", "--data", workspace / "gen" / "trajectories.csv",
+                         "--kind", "vehicle", "--seed", -1],
+                "train": ["train", "--data", prep, "--model", "lstm",
+                          "--config", workspace / "tiny.cfg", "--seed", -1],
+                "ablate": ["ablate", "--data", prep, "--config", workspace / "tiny.cfg",
+                           "--seeds=-1"],
+            }[command]
+        out = workspace / "neg_out"
+        capsys.readouterr()
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--samples", "-2", "samples must be >= 1, got -2"),
+        ("--samples", "0", "samples must be >= 1, got 0"),
+    ])
+    def test_gradcheck_bounds_exit_2(self, capsys, option, value, message):
+        assert run(["gradcheck", option, value]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert "max_relative_error" not in captured.out
+
+
+class TestSettableValues:
+    """Every setting is pinned here, so adding one is a deliberate change."""
+
+    def test_train_config_fields_and_adam_signature(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "epochs", "batch_size", "lr_switch_epoch", "seed", "hmm_max_iters"]
+        assert list(inspect.signature(Adam).parameters) == ["params", "lr"]
+
+    def test_subcommand_options(self):
+        (subparsers,) = [a for a in cli.build_parser()._actions
+                         if a.dest == "command"]
+        options = {name: sorted(o for a in p._actions for o in a.option_strings
+                                if o not in ("-h", "--help"))
+                   for name, p in subparsers.choices.items()}
+        assert options == {
+            "gen": ["--out", "--spec"],
+            "prep": ["--data", "--degrees", "--kind", "--labels", "--min-class-count",
+                     "--normalize", "--out", "--ratio", "--resample", "--seed"],
+            "train": ["--config", "--data", "--model", "--out", "--seed"],
+            "eval": ["--checkpoint", "--data", "--out"],
+            "ablate": ["--config", "--data", "--out", "--seeds"],
+            "gradcheck": ["--samples", "--seed"],
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d", "--model", "lstm", "--out", "o", "--precision", "fast"],
+        ["prep", "--data", "t.csv", "--out", "o", "--min-len", "7"],
+        ["gen", "--spec", "s.txt", "--out", "o", "--seed", "1"],
+    ], ids=["train-precision", "prep-min-len", "gen-seed"])
+    def test_removed_option_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -9,7 +9,6 @@ from trajbehav.metrics import (
     EvalReport,
     balanced_accuracy,
     confusion,
-    f1,
     f1_per_class,
     format_report,
     precision_per_class,
@@ -134,20 +133,12 @@ class TestRecallPrecision:
 class TestF1:
     def test_perfect(self):
         labels = np.array([0, 1, 0, 1])
-        assert f1(confusion(labels, labels, ["A", "B"])) == 1.0
+        assert f1_per_class(confusion(labels, labels, ["A", "B"])).mean() == 1.0
 
     def test_beta1_identity_when_p_equals_r(self):
         # symmetric confusion: per-class precision == recall
         cm = ConfusionMatrix(np.array([[8, 2], [2, 8]]), ["A", "B"])
-        assert abs(f1(cm) - balanced_accuracy(cm)) < 1e-12
-
-    def test_beta2_hand_computed(self):
-        cm = ConfusionMatrix(np.array([[6, 2], [3, 9]]), ["A", "B"])
-        got = f1(cm, beta=2.0)
-        r = recall_per_class(cm)
-        p = precision_per_class(cm)
-        expect = np.mean(5 * r * p / (4 * r + p))
-        assert abs(got - expect) < 1e-12
+        assert abs(f1_per_class(cm).mean() - balanced_accuracy(cm)) < 1e-12
 
     def test_zero_when_no_tp(self):
         cm = ConfusionMatrix(np.array([[0, 3], [4, 0]]), ["A", "B"])

@@ -25,8 +25,7 @@ def blob_split(rng, counts=(40, 40), spread=3.0, sigma=0.3, num_classes=None):
 
 
 def tiny_config(**kw):
-    base = dict(epochs=3, batch_size=16, lr_switch_epoch=1, seed=0,
-                hmm_states=2, hmm_max_iters=10)
+    base = dict(epochs=3, batch_size=16, lr_switch_epoch=1, seed=0, hmm_max_iters=10)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -62,7 +61,7 @@ class TestTrainLoop:
         model, log = train("fusion", config, split)
         assert log.entries == []
         from trajbehav.models import build_model
-        fresh = build_model("fusion", 2, seed=0, precision=config.precision)
+        fresh = build_model("fusion", 2, seed=0)
         for name, p in model.parameters.items():
             assert np.array_equal(p.data, fresh.parameters[name].data)
 
@@ -84,6 +83,10 @@ class TestTrainLoop:
         model, log = train("fusion", config, split)
         assert log.entries[-1].loss < 0.1
         assert len(log.entries) == 60
+
+    def test_negative_seed_rejected(self, rng):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            train("lstm", tiny_config(seed=-1), blob_split(rng))
 
     def test_empty_split_rejected(self):
         split = DatasetSplit(train=[], test=[], class_names=["A"], seed=0)
