@@ -6,7 +6,9 @@ precision, so a save/load roundtrip restores parameters bit-exactly and
 reproduces predictions bit-identically. Each neural kind has one fixed
 architecture: a load rebuilds it from the class count (and, for fusion,
 whether the conv branch is on) and rejects a stored config that differs
-from it, as well as checksum, shape or dtype mismatches.
+from it, as well as checksum, shape or dtype mismatches. An HMM checkpoint
+must hold finite float64 tensors: positive variances, and initial and
+transition rows that are probability distributions.
 """
 
 from __future__ import annotations
@@ -16,11 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, require_keys, require_str_list, write_container
+from .container import (read_container, require_int, require_keys, require_str_list,
+                         write_container)
 from .data import STATE_FEATURES
 from .errors import CheckpointError, ConfigError
 from .hmm import GaussianHMM, HMMClassifier
 from .models import MODEL_KINDS, build_model
+
+# How far a stored HMM probability row may sum from 1.
+PROB_SUM_TOL = 1e-6
 
 
 @dataclass
@@ -71,7 +77,7 @@ def load_checkpoint(path):
 
     if model_kind == "hmm":
         require_keys(path, meta, ("n_states",), "checkpoint metadata")
-        k = meta["n_states"]
+        k = require_int(path, meta["n_states"], "checkpoint 'n_states'", 1)
         shapes = {"initial": (k,), "transitions": (k, k),
                   "means": (k, STATE_FEATURES), "variances": (k, STATE_FEATURES)}
         models = []
@@ -81,12 +87,7 @@ def load_checkpoint(path):
                 key = f"class{i}.{name}"
                 if key not in arrays:
                     raise CheckpointError(f"{path}: missing tensor {key}")
-                if arrays[key].shape != shape:
-                    raise CheckpointError(
-                        f"{path}: tensor {key} has shape {arrays[key].shape}, "
-                        f"n_states {k!r} implies {shape}"
-                    )
-                tensors[name] = arrays[key]
+                tensors[name] = _hmm_tensor(path, key, arrays[key], shape)
             models.append(GaussianHMM(**tensors))
         clf = HMMClassifier(models=models, class_names=class_names)
         return Checkpoint(
@@ -140,6 +141,30 @@ def load_checkpoint(path):
         model=model, kind=model_kind, class_names=class_names,
         normalization=meta.get("normalization"),
     )
+
+
+def _hmm_tensor(path, key, value, shape):
+    """`value` if it is a finite float64 array of `shape` that holds what its
+    name says: positive variances, probability rows for initial and
+    transitions; otherwise CheckpointError naming `key`."""
+    if value.shape != shape:
+        raise CheckpointError(
+            f"{path}: tensor {key} has shape {value.shape}, n_states {shape[0]} implies {shape}"
+        )
+    if value.dtype != np.float64:
+        raise CheckpointError(f"{path}: tensor {key} stored as {value.dtype}, not float64")
+    if not np.isfinite(value).all():
+        raise CheckpointError(f"{path}: tensor {key} has non-finite values")
+    if key.endswith(".variances") and not (value > 0).all():
+        raise CheckpointError(f"{path}: tensor {key} has variances <= 0")
+    if key.endswith((".initial", ".transitions")) and (
+        (value < 0).any() or np.abs(value.sum(axis=-1) - 1.0).max() > PROB_SUM_TOL
+    ):
+        raise CheckpointError(
+            f"{path}: tensor {key} is not made of probability rows "
+            f"(entries >= 0 summing to 1 within {PROB_SUM_TOL:g})"
+        )
+    return value
 
 
 def _pick(d, keys):

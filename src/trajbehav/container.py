@@ -53,6 +53,14 @@ def require_str_list(path, value, what):
     return list(value)
 
 
+def require_int(path, value, what, minimum):
+    """Return `value`, raising CheckpointError naming `what` unless it is a
+    JSON int (not a bool) >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise CheckpointError(f"{path}: {what} is {value!r}, not an int >= {minimum}")
+    return value
+
+
 def _check_header(path, header):
     """Raise CheckpointError unless `header` has the layout write_container emits."""
     if not isinstance(header, dict):

@@ -29,7 +29,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .container import read_container, require_keys, require_str_list, write_container
+from .container import (read_container, require_int, require_keys, require_str_list,
+                         write_container)
 from .errors import CheckpointError, ConfigError, DataError, IngestError
 from .rng import ROS, RUS, SPLIT, seeded_rng
 
@@ -511,15 +512,19 @@ def load_prepared(path):
                 f"{path}: dataset array 'loss_weights' has shape {weights.shape}, "
                 f"expected ({num_classes},)"
             )
+    seed = require_int(path, meta["seed"], "dataset 'seed'", 0)
+    config = meta.get("config", {})
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: dataset 'config' is {config!r}, not a JSON object")
     split_ = DatasetSplit(
         train=_split_windows(path, arrays, "train", agents, num_classes),
         test=_split_windows(path, arrays, "test", agents, num_classes),
         class_names=class_names,
-        seed=int(meta["seed"]),
+        seed=seed,
     )
     return PreparedDataset(
         split=split_,
-        config=dict(meta.get("config", {})),
+        config=dict(config),
         loss_weights=weights,
         normalization=meta.get("normalization"),
     )

@@ -8,6 +8,16 @@ Proc. IEEE, section V.A): emissions are shifted by their per-step maximum
 before exponentiation, alpha is renormalised at every step, and the
 log-likelihood is the sum of the log scales plus the shifts, so a far
 outlier cannot underflow to log 0.
+
+Layout. The public functions take (N, T, D) sequences and transpose them
+once; inside EM and scoring, observations are (T, D, N) and every per-state
+array (log emissions, b, alpha, beta, gamma) is (T, K, N). The sequence
+axis N, hundreds to thousands long, is then contiguous and innermost, so
+each numpy call runs long loops over it instead of short ones over K = 7
+states or D = 4 features, and each forward or backward step is one
+(K, K) @ (K, N) product. The M-step sums over (T, N) per state and
+builds the variances one dimension at a time, with no (N, T, K, D)
+temporary.
 """
 
 from __future__ import annotations
@@ -48,58 +58,64 @@ class HMMClassifier:
 
 
 def _log_emissions(model, obs):
-    """log N(obs | state) for every state; obs (..., D) -> (..., K).
+    """log N(obs | state) for every state; obs (T, D, N) -> (T, K, N).
 
     The quadratic term is accumulated one dimension at a time, in the order
-    a sum over D would add, without an (..., K, D) temporary.
+    a sum over D would add, without a (T, K, D, N) temporary.
     """
-    quad = 0.0
-    for d in range(model.means.shape[1]):
-        diff = obs[..., d, None] - model.means[:, d]
-        quad = quad + diff * diff / model.variances[:, d]
-    norm = (LOG_2PI + np.log(model.variances)).sum(axis=-1)
-    return -0.5 * (norm + quad)
+    means, variances = model.means, model.variances
+    quad = np.zeros((obs.shape[0], means.shape[0], obs.shape[2]))
+    for d in range(means.shape[1]):
+        diff = obs[:, d, None, :] - means[:, d, None]
+        diff *= diff
+        diff /= variances[:, d, None]
+        quad += diff
+    quad += (LOG_2PI + np.log(variances)).sum(axis=-1)[:, None]
+    quad *= -0.5
+    return quad
 
 
-def _forward_batch(model, seqs):
+def _forward_batch(model, obs):
     """Scaled forward pass over a batch of equal-length sequences.
 
-    seqs: (N, T, D). Returns (b, alpha, scale, loglik): the emissions
-    b (N, T, K), shifted per (n, t) so that the likeliest state reads 1;
-    alpha (N, T, K), normalised to sum 1 at every step; the scales
-    c (N, T); and the log-likelihoods (N,), the sum of log c plus the
+    obs: (T, D, N). Returns (b, alpha, scale, loglik): the emissions
+    b (T, K, N), shifted per (t, n) so that the likeliest state reads 1;
+    alpha (T, K, N), normalised to sum 1 at every step; the scales
+    c (T, N); and the log-likelihoods (N,), the sum of log c plus the
     shifts. A sequence the model cannot emit at double precision gets a
     zero scale from that step on, alpha 0 and log-likelihood -inf.
     """
-    logb = _log_emissions(model, seqs)
-    shift = logb.max(axis=2, keepdims=True)
-    b = np.exp(logb - shift)
-    n, t_len, k = b.shape
-    alpha = np.empty((n, t_len, k))
-    scale = np.empty((n, t_len))
-    a = model.initial * b[:, 0]
+    logb = _log_emissions(model, obs)
+    shift = logb.max(axis=1)
+    logb -= shift[:, None]
+    b = np.exp(logb, out=logb)
+    t_len, n = shift.shape
+    alpha = np.empty_like(b)
+    scale = np.empty((t_len, n))
+    a = model.initial[:, None] * b[0]
     for t in range(t_len):
         if t:
-            a = (alpha[:, t - 1] @ model.transitions) * b[:, t]
-        c = a.sum(axis=1)
-        alpha[:, t] = a / np.where(c > 0, c, 1.0)[:, None]
-        scale[:, t] = c
+            a = model.transitions.T @ alpha[t - 1]
+            a *= b[t]
+        c = a.sum(axis=0)
+        np.divide(a, np.where(c > 0, c, 1.0), out=alpha[t])
+        scale[t] = c
     with np.errstate(divide="ignore"):
-        loglik = np.log(scale).sum(axis=1) + shift.sum(axis=(1, 2))
+        loglik = np.log(scale).sum(axis=0) + shift.sum(axis=0)
     return b, alpha, scale, loglik
 
 
 def _backward_batch(model, b, scale):
-    """Scaled backward pass: beta_t = ((b_{t+1} * beta_{t+1}) @ A^T) / c_{t+1}.
+    """Scaled backward pass: beta_t = A @ (b_{t+1} * beta_{t+1}) / c_{t+1}.
 
     Takes the emissions and scales of `_forward_batch`, whose alpha times
-    this beta is the state posterior gamma. Returns beta (N, T, K).
+    this beta is the state posterior gamma. Returns beta (T, K, N).
     """
     beta = np.empty_like(b)
-    beta[:, -1] = 1.0
-    for t in range(b.shape[1] - 2, -1, -1):
-        beta[:, t] = (b[:, t + 1] * beta[:, t + 1]) @ model.transitions.T
-        beta[:, t] /= scale[:, t + 1, None]
+    beta[-1] = 1.0
+    for t in range(b.shape[0] - 2, -1, -1):
+        np.matmul(model.transitions, b[t + 1] * beta[t + 1], out=beta[t])
+        beta[t] /= scale[t + 1]
     return beta
 
 
@@ -114,22 +130,32 @@ def _check_sequences(seqs):
     return seqs
 
 
+def _state_major(seqs):
+    """(N, T, D) sequences as contiguous (T, D, N) observations."""
+    return np.ascontiguousarray(seqs.transpose(1, 2, 0))
+
+
 def forward_loglik_batch(model, seqs):
     """Log-likelihood of each observation sequence; seqs (N, T, D) or (T, D)."""
-    return _forward_batch(model, _check_sequences(seqs))[3]
+    return _forward_batch(model, _state_major(_check_sequences(seqs)))[3]
 
 
 def _init_model(seqs, n_states, seed):
-    """Seeded k-means-style means over pooled observations; near-uniform
-    initial/transition rows with jitter to break symmetry."""
+    """Seeded k-means-style means over pooled (N, T, D) observations;
+    near-uniform initial/transition rows with jitter to break symmetry."""
     rng = seeded_rng(seed, HMM_INIT)
     pooled = seqs.reshape(-1, seqs.shape[-1])
+    columns = pooled.T.copy()                    # (D, n_obs)
     n_obs = pooled.shape[0]
     idx = rng.choice(n_obs, size=n_states, replace=n_obs < n_states)
     centers = pooled[idx].copy()
     for _ in range(10):
-        dist = ((pooled[:, None, :] - centers[None]) ** 2).sum(axis=2)
-        assign = dist.argmin(axis=1)
+        dist = np.zeros((n_states, n_obs))
+        for d in range(columns.shape[0]):
+            diff = columns[d] - centers[:, d, None]
+            diff *= diff
+            dist += diff
+        assign = dist.argmin(axis=0)
         for k in range(n_states):
             members = pooled[assign == k]
             if len(members):
@@ -157,11 +183,12 @@ def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
     if seqs.shape[0] < 1:
         raise ConfigError("baum_welch_fit requires at least one sequence")
     model = _init_model(seqs, n_states, seed)
+    obs = _state_major(seqs)                     # (T, D, N)
     trace = []
     converged = False
     prev_ll = -np.inf
     for _ in range(max_iters):
-        b, alpha, scale, ll = _forward_batch(model, seqs)
+        b, alpha, scale, ll = _forward_batch(model, obs)
         total_ll = float(ll.sum())
         if not np.isfinite(total_ll):
             raise NumericalError(
@@ -175,31 +202,33 @@ def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
         prev_ll = total_ll
 
         beta = _backward_batch(model, b, scale)
-        gamma = alpha * beta                         # (N, T, K)
+        gamma = alpha * beta                         # (T, K, N)
         # xi summed over sequences and steps: alpha_t(i) A(i, j)
-        # b_{t+1}(j) beta_{t+1}(j) / c_{t+1}, one GEMM over the N(T-1) steps.
-        nxt = b[:, 1:] * beta[:, 1:] / scale[:, 1:, None]
-        xi_sum = model.transitions * (
-            alpha[:, :-1].reshape(-1, n_states).T @ nxt.reshape(-1, n_states)
-        )
+        # b_{t+1}(j) beta_{t+1}(j) / c_{t+1}.
+        nxt = b[1:] * beta[1:]
+        nxt /= scale[1:, None]
+        xi_sum = model.transitions * np.einsum("tin,tjn->ij", alpha[:-1], nxt)
 
-        initial = gamma[:, 0].sum(axis=0)
+        initial = gamma[0].sum(axis=1)
         initial /= initial.sum()
 
-        trans_den = gamma[:, :-1].sum(axis=(0, 1))
+        trans_den = gamma[:-1].sum(axis=(0, 2))
         transitions = model.transitions.copy()
         active = trans_den > 0
         transitions[active] = xi_sum[active] / trans_den[active, None]
         transitions /= transitions.sum(axis=1, keepdims=True)
 
-        gsum = gamma.sum(axis=(0, 1))
+        gsum = gamma.sum(axis=(0, 2))
         means = model.means.copy()
         variances = model.variances.copy()
         occupied = gsum > 0
-        new_means = np.einsum("ntk,ntd->kd", gamma, seqs)
+        new_means = np.einsum("tkn,tdn->kd", gamma, obs)
         means[occupied] = new_means[occupied] / gsum[occupied, None]
-        diff = seqs[:, :, None, :] - means[None, None]
-        new_vars = np.einsum("ntk,ntkd->kd", gamma, diff * diff)
+        new_vars = np.empty_like(variances)
+        for d in range(obs.shape[1]):
+            diff = obs[:, d, None, :] - means[:, d, None]
+            diff *= diff
+            new_vars[:, d] = np.einsum("tkn,tkn->k", gamma, diff)
         variances[occupied] = new_vars[occupied] / gsum[occupied, None]
         variances = np.maximum(variances, VARIANCE_FLOOR)
 
@@ -220,12 +249,12 @@ def fit_classifier(states, labels, class_names, n_states=7, max_iters=100,
         class_seqs = states[labels == idx]
         if class_seqs.shape[0] == 0:
             raise ConfigError(f"no training sequences for class {name!r}")
-        models.append(
-            baum_welch_fit(
-                class_seqs, n_states=n_states, max_iters=max_iters, tol=tol,
-                seed=seed + idx,
-            )
-        )
+        try:
+            model = baum_welch_fit(class_seqs, n_states=n_states, max_iters=max_iters,
+                                   tol=tol, seed=seed + idx)
+        except NumericalError as exc:
+            raise NumericalError(f"class {name!r}: {exc}") from exc
+        models.append(model)
     return HMMClassifier(models=models, class_names=list(class_names))
 
 
@@ -233,8 +262,8 @@ def hmm_predict_batch(classifier, seqs):
     """Class with the highest sequence log-likelihood; ties to lowest index."""
     if any(m is None for m in classifier.models):
         raise StateError("classifier has untrained class models")
-    seqs = _check_sequences(seqs)
+    obs = _state_major(_check_sequences(seqs))
     scores = np.stack(
-        [_forward_batch(m, seqs)[3] for m in classifier.models], axis=1
+        [_forward_batch(m, obs)[3] for m in classifier.models], axis=1
     )
     return np.argmax(scores, axis=1)

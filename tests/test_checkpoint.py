@@ -300,3 +300,53 @@ class TestHMMCheckpoint:
         seq = rng.normal(size=(5, 4))
         for orig, loaded in zip(clf.models, ck.model.models):
             assert forward_loglik_batch(orig, seq) == forward_loglik_batch(loaded, seq)
+
+    @staticmethod
+    def _saved(path, k=3):
+        model = GaussianHMM(np.full(k, 1 / k), np.full((k, k), 1 / k),
+                            np.zeros((k, 4)), np.ones((k, 4)))
+        save_checkpoint(HMMClassifier([model] * 2, ["A", "B"]), ["A", "B"], path)
+        return read_container(path)
+
+    @pytest.mark.parametrize("n_states", [0, -1, "3", 3.0, True, None, [3]])
+    def test_n_states_not_a_positive_int_rejected(self, tmp_path, n_states):
+        path = tmp_path / "hmm.ckpt"
+        kind, meta, arrays = self._saved(path)
+        write_container(path, kind, {**meta, "n_states": n_states}, arrays)
+        with pytest.raises(CheckpointError, match=r"'n_states' is .*, not an int >= 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, edit, match", [
+        ("class0.variances", lambda a: -a, "variances <= 0"),
+        ("class1.variances", lambda a: a * 0.0, "variances <= 0"),
+        ("class1.variances", lambda a: a.astype(np.int64), "stored as int64, not float64"),
+        ("class0.means", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 5,
+                                            np.nan, a), "non-finite"),
+        ("class1.means", lambda a: a + np.inf, "non-finite"),
+        ("class0.means", lambda a: a.astype(np.float32), "stored as float32"),
+        ("class0.initial", lambda a: a * 2.0, "probability rows"),
+        ("class1.initial", lambda a: a - np.array([0.5, 0.0, -0.5]), "probability rows"),
+        ("class0.transitions", lambda a: np.where(np.eye(3) > 0, a + 1e-5, a),
+         "probability rows"),
+        ("class1.transitions", lambda a: a[:, ::-1] * np.array([-1.0, 1.0, 3.0]),
+         "probability rows"),
+    ], ids=["negated-variances", "zero-variances", "int64-variances", "nan-mean",
+            "inf-means", "float32-means", "initial-sums-2", "initial-negative",
+            "transitions-sum-off", "transitions-negative"])
+    def test_bad_tensor_values_rejected(self, tmp_path, key, edit, match):
+        path = tmp_path / "hmm.ckpt"
+        kind, meta, arrays = self._saved(path)
+        arrays[key] = edit(arrays[key])
+        write_container(path, kind, meta, arrays)
+        with pytest.raises(CheckpointError, match=match) as info:
+            load_checkpoint(path)
+        assert f"tensor {key} " in str(info.value)
+
+    def test_probability_rows_within_tolerance_accepted(self, tmp_path):
+        path = tmp_path / "hmm.ckpt"
+        kind, meta, arrays = self._saved(path)
+        arrays["class1.transitions"] = arrays["class1.transitions"] + [5e-7, 0.0, 0.0]
+        arrays["class0.initial"] = np.array([1.0, 0.0, 0.0])
+        write_container(path, kind, meta, arrays)
+        ck = load_checkpoint(path)
+        assert np.array_equal(ck.model.models[1].transitions, arrays["class1.transitions"])

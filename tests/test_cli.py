@@ -558,6 +558,53 @@ class TestMalformedContainers:
         assert f"class1.{tensor}" in err and "Traceback" not in err
         assert not (workspace / "ev").exists()
 
+    @pytest.mark.parametrize("key, edit, message", [
+        ("class0.variances", lambda a: -a, "tensor class0.variances has variances <= 0"),
+        ("class2.means", lambda a: np.where(np.eye(3, 4) > 0, np.nan, a),
+         "tensor class2.means has non-finite values"),
+        ("class1.variances", lambda a: a.astype(np.int64),
+         "tensor class1.variances stored as int64, not float64"),
+        ("n_states", lambda k: 0, "checkpoint 'n_states' is 0, not an int >= 1"),
+    ], ids=["negated-variances", "nan-means", "int64-variances", "n-states-0"])
+    def test_hmm_checkpoint_bad_values_exit_3(self, workspace, capsys, key, edit, message):
+        prep = gen_and_prep(workspace)
+        good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
+        k = 3
+        model = GaussianHMM(np.full(k, 1 / k), np.full((k, k), 1 / k),
+                            np.zeros((k, 4)), np.ones((k, 4)))
+        save_checkpoint(HMMClassifier([model] * 3, ["SA", "USD", "S"]), ["SA", "USD", "S"], good)
+        kind, meta, arrays = read_container(good)
+        edited = meta if key in meta else arrays
+        edited[key] = edit(edited[key])
+        write_container(bad, kind, meta, arrays)
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (workspace / "ev").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "abc", "dataset 'seed' is 'abc', not an int >= 0"),
+        ("seed", [1], "dataset 'seed' is [1], not an int >= 0"),
+        ("seed", -3, "dataset 'seed' is -3, not an int >= 0"),
+        ("seed", True, "dataset 'seed' is True, not an int >= 0"),
+        ("seed", 2.0, "dataset 'seed' is 2.0, not an int >= 0"),
+        ("config", 5, "dataset 'config' is 5, not a JSON object"),
+        ("config", ["resample"], "dataset 'config' is ['resample'], not a JSON object"),
+    ], ids=["seed-str", "seed-list", "seed-negative", "seed-bool", "seed-float",
+            "config-int", "config-list"])
+    def test_dataset_bad_seed_or_config_exit_3(self, workspace, capsys, key, value, message):
+        prep = gen_and_prep(workspace)
+        kind, meta, arrays = read_container(prep / "prepared.tbh")
+        bad = workspace / "bad.tbh"
+        write_container(bad, kind, {**meta, key: value}, arrays)
+        code = run(["train", "--data", bad, "--model", "hmm", "--out", workspace / "t",
+                    "--config", workspace / "tiny.cfg"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (workspace / "t").exists()
+
     def test_container_header_without_arrays_exit_3(self, workspace, capsys):
         prep = gen_and_prep(workspace)
         bad = workspace / "bad.ckpt"

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from trajbehav import hmm
 from trajbehav.errors import ConfigError, DataError, NumericalError, StateError
+from trajbehav.rng import HMM_INIT, seeded_rng
 from trajbehav.hmm import (
     VARIANCE_FLOOR,
     GaussianHMM,
     HMMClassifier,
+    LOG_2PI,
     _init_model,
-    _log_emissions,
     baum_welch_fit,
     fit_classifier,
     forward_loglik_batch,
@@ -30,9 +31,19 @@ def _logsumexp(a, axis):
     return out
 
 
+def log_density(model, seqs):
+    """Diagonal Gaussian log N(x | state) of (..., T, D) observations ->
+    (..., T, K): a per-dimension term summed over D, independent of the
+    package's state-major emission code."""
+    x = np.asarray(seqs)[..., None, :]
+    per_dim = -0.5 * (LOG_2PI + np.log(model.variances)
+                      + (x - model.means) ** 2 / model.variances)
+    return per_dim.sum(axis=-1)
+
+
 def log_forward(model, seqs):
     """Log-space forward pass: (log_alpha (N, T, K), loglik (N,))."""
-    logb = _log_emissions(model, seqs)
+    logb = log_density(model, seqs)
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.initial)
         log_a = np.log(model.transitions)
@@ -65,7 +76,7 @@ def log_space_em(seqs, n_states, max_iters, tol=1e-4, seed=0):
     trace = []
     prev_ll = -np.inf
     for _ in range(max_iters):
-        logb = _log_emissions(model, seqs)
+        logb = log_density(model, seqs)
         log_alpha, ll = log_forward(model, seqs)
         log_beta = log_backward(model, logb)
         trace.append(float(ll.sum()))
@@ -119,7 +130,7 @@ def enumerate_loglik(model, seq):
     """Brute force over all K^T hidden state paths."""
     k = model.n_states
     t_len = seq.shape[0]
-    logb = _log_emissions(model, seq)
+    logb = log_density(model, seq)
     total = -np.inf
     for path in product(range(k), repeat=t_len):
         lp = np.log(model.initial[path[0]]) + logb[0, path[0]]
@@ -186,6 +197,21 @@ class TestForward:
         got = forward_loglik_batch(m, seqs)
         assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 5), t_len=st.integers(1, 6), n=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_equals_per_sequence_and_log_space(self, k, t_len, n, seed):
+        # The state-major layout mixes no sequence into another: each row of
+        # a batch scores as it does alone, and as the log-space oracle does.
+        r = np.random.default_rng(seed)
+        m = random_model(r, k)
+        seqs = r.normal(scale=2.0, size=(n, t_len, 4))
+        got = forward_loglik_batch(m, seqs)
+        alone = np.array([loglik(m, s) for s in seqs])
+        assert got.shape == (n,)
+        assert np.allclose(got, alone, rtol=1e-12, atol=0.0)
+        assert np.allclose(got, log_forward(m, seqs)[1], rtol=1e-9, atol=0.0)
+
     def test_far_outlier_under_floor_variances(self):
         # Three states within 1 sigma of each other at the variance floor; one
         # observation 50 sigma from all of them. Unshifted emissions would
@@ -247,6 +273,50 @@ class TestForward:
         batch = forward_loglik_batch(m, seqs)
         for i in range(6):
             assert abs(batch[i] - loglik(m, seqs[i])) < 1e-12
+
+
+def reference_init(seqs, n_states, seed):
+    """The k-means initialisation as it was written over an (n_obs, K, D)
+    distance temporary; the state-major one must give the same bits."""
+    rng = seeded_rng(seed, HMM_INIT)
+    pooled = seqs.reshape(-1, seqs.shape[-1])
+    n_obs = pooled.shape[0]
+    idx = rng.choice(n_obs, size=n_states, replace=n_obs < n_states)
+    centers = pooled[idx].copy()
+    for _ in range(10):
+        dist = ((pooled[:, None, :] - centers[None]) ** 2).sum(axis=2)
+        assign = dist.argmin(axis=1)
+        for k in range(n_states):
+            members = pooled[assign == k]
+            if len(members):
+                centers[k] = members.mean(axis=0)
+    initial = 1.0 + rng.uniform(0.0, 0.05, size=n_states)
+    initial /= initial.sum()
+    transitions = 1.0 + rng.uniform(0.0, 0.05, size=(n_states, n_states))
+    transitions /= transitions.sum(axis=1, keepdims=True)
+    return centers, initial, transitions
+
+
+class TestInit:
+    @pytest.mark.parametrize("n, t_len, k, seed, edit", [
+        (1, 5, 7, 0, None),       # n_obs 5 < K: sampled with replacement
+        (1, 1, 3, 1, None),       # n_obs 1 < K
+        (2, 5, 7, 2, np.round),   # tied distances
+        (40, 5, 7, 3, None),
+        (40, 5, 3, 4, np.round),
+        (300, 5, 7, 6, lambda x: x + 1e8),  # distances far below the values
+        (921, 5, 7, 5, None),
+    ])
+    def test_centres_bit_identical_to_reference(self, n, t_len, k, seed, edit):
+        r = np.random.default_rng(seed)
+        seqs = r.normal(size=(n, t_len, 4)) + 2.0 * r.normal(size=(n, 1, 4))
+        if edit is not None:
+            seqs = edit(seqs)
+        got = _init_model(seqs, k, seed)
+        centers, initial, transitions = reference_init(seqs, k, seed)
+        assert np.array_equal(got.means, centers)
+        assert np.array_equal(got.initial, initial)
+        assert np.array_equal(got.transitions, transitions)
 
 
 class TestBaumWelch:
@@ -327,6 +397,20 @@ class TestBaumWelch:
 
 
 class TestClassifier:
+    def test_numerical_error_names_the_class(self, monkeypatch):
+        stuck = GaussianHMM(np.array([1.0, 0.0]), np.eye(2),
+                            np.array([[0.0] * 4, [0.1] * 4]),
+                            np.full((2, 4), VARIANCE_FLOOR))
+        monkeypatch.setattr(hmm, "_init_model", lambda seqs, k, seed: stuck)
+        states = np.zeros((6, 5, 4))
+        states[4, 3] = 0.1
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        with pytest.raises(NumericalError) as info:
+            fit_classifier(states, labels, ["SA", "USD"], n_states=2)
+        assert str(info.value).startswith(
+            "class 'USD': EM iteration 1: 1 sequences have zero likelihood")
+        assert info.value.exit_code == 4
+
     def test_well_separated_single_state_models(self, rng):
         m_a = GaussianHMM(np.array([1.0]), np.array([[1.0]]),
                           np.zeros((1, 4)), np.full((1, 4), 0.2))
