@@ -1,11 +1,15 @@
 """Reverse-mode gradient tape over dense numpy arrays.
 
-Only the primitives the classifiers need are implemented: dense matmul,
-broadcast add/mul, pointwise activations, valid 1-D cross-correlation
-(im2col + one GEMM), max-over-time pooling, a sequence-level LSTM (one tape
-node per layer and direction), concatenation, mean and index along an axis,
-reshape, and softmax cross-entropy. Everything is deterministic: identical
-inputs produce bit-identical outputs.
+The tape holds only the ops the three classifiers and their loss run:
+`lstm_sequence` (one node per layer and direction, stepping `lstm_cell`),
+`conv1d_valid` (valid 1-D cross-correlation as im2col + one GEMM),
+`max_over_time`, `relu`, `concat`, `mean` and `index` along an axis,
+`reshape`, the affine `dense` layer, and `softmax_cross_entropy`.
+Every op records a tape node, whatever its inputs: each model's first op
+takes a `Parameter`, so every later input needs a gradient anyway, and
+inference builds the same tape as training. A no-grad inference path would
+be a change to the models, not to these ops. Everything is deterministic:
+identical inputs produce bit-identical outputs.
 
 Two precision modes are supported by construction: build parameters in
 float64 ("verify", required for finite-difference checks) or float32
@@ -108,73 +112,12 @@ def _accum(t, g):
     t.grad += g
 
 
-def _needs_grad(*tensors):
-    return any(t.requires_grad for t in tensors)
-
-
-def _unbroadcast(g, shape):
-    """Reduce gradient `g` back to `shape` after numpy broadcasting."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a, b):
-    """2-D matrix product with backward dA = g Bᵀ, dB = Aᵀ g."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}"
-        )
-    out_data = a.data @ b.data
-    if not _needs_grad(a, b):
-        return Tensor(out_data)
-
-    def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return Tensor(out_data, requires_grad=True, parents=(a, b), backward=backward)
-
-
-def add(a, b):
-    """Elementwise sum; `b` may broadcast (e.g. a bias row)."""
-    out_data = a.data + b.data
-    if not _needs_grad(a, b):
-        return Tensor(out_data)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, requires_grad=True, parents=(a, b), backward=backward)
-
-
-def mul(a, b):
-    """Elementwise (broadcasting) product."""
-    out_data = a.data * b.data
-    if not _needs_grad(a, b):
-        return Tensor(out_data)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, requires_grad=True, parents=(a, b), backward=backward)
-
-
 def relu(x):
     out_data = np.maximum(x.data, 0)
-    if not x.requires_grad:
-        return Tensor(out_data)
-
     mask = x.data > 0
 
     def backward(g):
@@ -183,37 +126,8 @@ def relu(x):
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
-def _sigmoid(z):
-    # the tanh form needs no masks and cannot overflow for any finite z
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def sigmoid(x):
-    out_data = _sigmoid(x.data)
-    if not x.requires_grad:
-        return Tensor(out_data)
-
-    def backward(g):
-        _accum(x, g * out_data * (1.0 - out_data))
-
-    return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
-
-
-def tanh(x):
-    out_data = np.tanh(x.data)
-    if not x.requires_grad:
-        return Tensor(out_data)
-
-    def backward(g):
-        _accum(x, g * (1.0 - out_data * out_data))
-
-    return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
-
-
 def reshape(x, shape):
     out_data = x.data.reshape(shape)
-    if not x.requires_grad:
-        return Tensor(out_data)
 
     def backward(g):
         _accum(x, g.reshape(x.data.shape))
@@ -224,9 +138,6 @@ def reshape(x, shape):
 def concat(tensors, axis=1):
     """Concatenate along `axis`; backward splits the gradient."""
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _needs_grad(*tensors):
-        return Tensor(out_data)
-
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -243,8 +154,6 @@ def mean(x, axis):
     """Mean over one axis (e.g. the time-average readout of a sequence)."""
     n = x.data.shape[axis]
     out_data = x.data.mean(axis=axis)
-    if not x.requires_grad:
-        return Tensor(out_data)
 
     def backward(g):
         _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.data.shape))
@@ -255,8 +164,6 @@ def mean(x, axis):
 def index(x, i, axis):
     """The slice at position `i` along `axis` (e.g. the last time step)."""
     out_data = np.take(x.data, i, axis=axis)
-    if not x.requires_grad:
-        return Tensor(out_data)
 
     def backward(g):
         gx = np.zeros_like(x.data)
@@ -299,8 +206,6 @@ def conv1d_valid(x, w, b):
     wmat = w.data.reshape(c_out, c_in * k)
     out = (cols @ wmat.T + b.data).reshape(bsz, out_len, c_out)
     out_data = out.transpose(0, 2, 1)
-    if not _needs_grad(x, w, b):
-        return Tensor(out_data)
 
     def backward(g):
         g2 = g.transpose(0, 2, 1).reshape(bsz * out_len, c_out)
@@ -326,8 +231,6 @@ def max_over_time(x):
         raise DimensionError("max_over_time needs at least one time step")
     idx = np.argmax(x.data, axis=2)
     out_data = np.take_along_axis(x.data, idx[:, :, None], axis=2)[:, :, 0]
-    if not x.requires_grad:
-        return Tensor(out_data)
 
     def backward(g):
         gx = np.zeros_like(x.data)
@@ -336,6 +239,11 @@ def max_over_time(x):
         _accum(x, gx)
 
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
+
+
+def _sigmoid(z):
+    # the tanh form needs no masks and cannot overflow for any finite z
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def lstm_cell(xw, h, c, wh):
@@ -394,8 +302,6 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
         hs[s + 1], cs[s + 1], gates[s] = lstm_cell(xw[s], hs[s], cs[s], wh.data)
     out = hs[:0:-1] if reverse else hs[1:]
     out_data = out.transpose(1, 0, 2)
-    if not _needs_grad(x, wx, wh, b):
-        return Tensor(out_data)
 
     def backward(g):
         gs = g.transpose(1, 0, 2)
@@ -434,14 +340,6 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
     return Tensor(out_data, requires_grad=True, parents=(x, wx, wh, b), backward=backward)
 
 
-def softmax(logits):
-    """Row-stabilized softmax of a plain array."""
-    z = np.asarray(logits)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy(logits, labels, class_weights=None):
     """Weighted mean of -log softmax(logits)[label] over the batch.
 
@@ -472,8 +370,6 @@ def softmax_cross_entropy(logits, labels, class_weights=None):
     wsum = w.sum()
     loss = float((w * nll).sum() / wsum)
     out_data = np.asarray(loss, dtype=z.dtype)
-    if not logits.requires_grad:
-        return Tensor(out_data)
 
     def backward(g):
         probs = np.exp(shifted - lse[:, None])
@@ -484,5 +380,18 @@ def softmax_cross_entropy(logits, labels, class_weights=None):
 
 
 def dense(x, w, b):
-    """Affine layer x @ w + b."""
-    return add(matmul(x, w), b)
+    """Affine layer x @ w + b: x (B, D), w (D, C), b (C,) -> (B, C)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] \
+            or b.data.shape != w.data.shape[1:]:
+        raise DimensionError(
+            f"dense shapes incompatible: x {x.data.shape}, w {w.data.shape}, "
+            f"b {b.data.shape}"
+        )
+    out_data = x.data @ w.data + b.data
+
+    def backward(g):
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0))
+
+    return Tensor(out_data, requires_grad=True, parents=(x, w, b), backward=backward)

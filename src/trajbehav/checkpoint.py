@@ -7,8 +7,9 @@ reproduces predictions bit-identically. Each neural kind has one fixed
 architecture: a load rebuilds it from the class count (and, for fusion,
 whether the conv branch is on) and rejects a stored config that differs
 from it, as well as checksum, shape or dtype mismatches. An HMM checkpoint
-must hold finite float64 tensors: positive variances, and initial and
-transition rows that are probability distributions.
+must name at least two classes and hold exactly the four tensors of each,
+all finite float64: positive variances, and initial and transition rows
+that are probability distributions.
 """
 
 from __future__ import annotations
@@ -78,15 +79,24 @@ def load_checkpoint(path):
     if model_kind == "hmm":
         require_keys(path, meta, ("n_states",), "checkpoint metadata")
         k = require_int(path, meta["n_states"], "checkpoint 'n_states'", 1)
+        if len(class_names) < 2:
+            raise CheckpointError(
+                f"{path}: num_classes must be >= 2, got {len(class_names)}"
+            )
         shapes = {"initial": (k,), "transitions": (k, k),
                   "means": (k, STATE_FEATURES), "variances": (k, STATE_FEATURES)}
+        expected = {f"class{i}.{name}" for i in range(len(class_names)) for name in shapes}
+        if expected != arrays.keys():
+            raise CheckpointError(
+                f"{path}: tensor set mismatch for {len(class_names)} classes "
+                f"(missing {sorted(expected - arrays.keys())}, "
+                f"unexpected {sorted(arrays.keys() - expected)})"
+            )
         models = []
         for i in range(len(class_names)):
             tensors = {}
             for name, shape in shapes.items():
                 key = f"class{i}.{name}"
-                if key not in arrays:
-                    raise CheckpointError(f"{path}: missing tensor {key}")
                 tensors[name] = _hmm_tensor(path, key, arrays[key], shape)
             models.append(GaussianHMM(**tensors))
         clf = HMMClassifier(models=models, class_names=class_names)

@@ -53,7 +53,7 @@ _PAPER_SILENT = {"seed", "hmm_max_iters"}
 def parse_kv_file(path):
     """Parse `key = value` lines; '#' starts a comment."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with dmod.open_text(path, ConfigError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -67,12 +67,6 @@ def parse_kv_file(path):
 
 def _coerce(key, text, default):
     try:
-        if isinstance(default, bool):
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
@@ -111,20 +105,15 @@ def format_train_config(config):
 
 
 def load_synth_spec(path):
-    raw = parse_kv_file(path)
+    defaults = {f.name: f.default for f in dataclasses.fields(SynthSpec)
+                if f.name != "counts"}
     counts = {}
     kwargs = {}
-    for key, text in raw.items():
+    for key, text in parse_kv_file(path).items():
         if key.startswith("count."):
             counts[key[len("count."):]] = _coerce(key, text, 0)
-        elif key == "length":
-            kwargs["length"] = _coerce(key, text, 0)
-        elif key == "dt":
-            kwargs["dt"] = _coerce(key, text, 0.0)
-        elif key == "noise":
-            kwargs["noise"] = _coerce(key, text, 0.0)
-        elif key == "seed":
-            kwargs["seed"] = _coerce(key, text, 0)
+        elif key in defaults:
+            kwargs[key] = _coerce(key, text, defaults[key])
         else:
             raise ConfigError(f"{path}: unknown generator key {key!r}")
     if not counts:
@@ -142,11 +131,16 @@ def load_synth_spec(path):
 def atomic_out_dir(out):
     """Write into a temp dir; rename onto `out` only on success."""
     out = Path(out)
-    if out.exists():
-        if any(out.iterdir()):
-            raise ConfigError(f"output directory {out} already exists and is not empty")
-        out.rmdir()
-    out.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        if out.exists():
+            if any(out.iterdir()):
+                raise ConfigError(f"output directory {out} already exists and is not empty")
+            out.rmdir()
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot use {out} as an output directory ({exc.strerror or exc})"
+        ) from exc
     tmp = out.parent / f".{out.name}.tmp-{os.getpid()}"
     if tmp.exists():
         shutil.rmtree(tmp)
@@ -217,11 +211,7 @@ def cmd_gen(args, argv):
         dmod.save_label_map(class_names, tmp / "labels.csv")
         write_manifest(
             tmp, "gen", argv,
-            params={
-                "counts": spec.counts, "length": spec.length, "dt": spec.dt,
-                "noise": spec.noise, "seed": spec.seed,
-            },
-            inputs=[args.spec],
+            params=dataclasses.asdict(spec), inputs=[args.spec],
         )
     return 0
 

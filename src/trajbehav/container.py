@@ -124,8 +124,11 @@ def write_container(path, kind, meta, arrays):
 
 def read_container(path):
     """Read back (kind, meta, arrays). Verifies magic, version, checksum."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if len(raw) < len(MAGIC) + 6 + 32 or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a container file")
     body, digest = raw[:-32], raw[-32:]

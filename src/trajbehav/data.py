@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
@@ -144,10 +145,24 @@ def normalize_angle(d):
 # File I/O
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def open_text(path, error):
+    """`path` opened as UTF-8 text for reading. A file that cannot be opened
+    (missing, a directory, no permission) or is not UTF-8 raises `error`
+    naming the path."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
 def load_label_map(path):
     """Read `class_index,class_name` rows into an ordered name list."""
     entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, IngestError) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#"):
                 continue
@@ -182,7 +197,7 @@ def load_trajectories(path, class_names=None, degrees=False):
     """
     rows = []
     problems = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, IngestError) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != TRAJECTORY_COLUMNS:

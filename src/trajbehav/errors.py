@@ -35,10 +35,6 @@ class CheckpointError(DataError):
     """Unreadable, corrupt, or incompatible persisted artifact."""
 
 
-class StateError(TrajbehavError):
-    """Operation invoked on an object in the wrong state (e.g. untrained)."""
-
-
 class NumericalError(TrajbehavError):
     """Non-finite values encountered where finiteness is guaranteed."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, StateError
+from .errors import ConfigError, DataError, NumericalError
 from .rng import HMM_INIT, seeded_rng
 
 VARIANCE_FLOOR = 1e-6
@@ -260,8 +260,6 @@ def fit_classifier(states, labels, class_names, n_states=7, max_iters=100,
 
 def hmm_predict_batch(classifier, seqs):
     """Class with the highest sequence log-likelihood; ties to lowest index."""
-    if any(m is None for m in classifier.models):
-        raise StateError("classifier has untrained class models")
     obs = _state_major(_check_sequences(seqs))
     scores = np.stack(
         [_forward_batch(m, obs)[3] for m in classifier.models], axis=1

@@ -30,46 +30,48 @@ def fd_check_primitive(build_loss, params, step=1e-5, tol=1e-5):
     assert worst < tol, f"max relative error {worst}"
 
 
-def _sum_all(t):
-    flat = ad.reshape(t, (1, t.data.size))
-    ones = Tensor(np.ones((t.data.size, 1)))
-    return ad.matmul(flat, ones)
+def _weighted_sum(t, mix):
+    """Scalar node sum(t * mix): a loss that weights every output element."""
+    mix = np.asarray(mix, dtype=t.data.dtype)
+    return Tensor(np.sum(t.data * mix), requires_grad=True, parents=(t,),
+                  backward=lambda g: ad._accum(t, g * mix))
 
 
-class TestMatmul:
+class TestDense:
     def test_identity(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = ad.matmul(a, Tensor(np.eye(2)))
+        out = ad.dense(a, Tensor(np.eye(2)), Tensor(np.zeros(2)))
         assert np.array_equal(out.data, a.data)
 
-    def test_identity_times_column(self):
-        out = ad.matmul(Tensor(np.eye(2)), Tensor(np.array([[5.0], [7.0]])))
-        assert np.array_equal(out.data, [[5.0], [7.0]])
-
-    def test_matches_triple_loop(self, rng):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        out = ad.matmul(Tensor(a), Tensor(b)).data
+    def test_matches_triple_loop_plus_bias(self, rng):
+        x = rng.normal(size=(3, 4))
+        w = rng.normal(size=(4, 2))
+        b = rng.normal(size=2)
+        out = ad.dense(Tensor(x), Tensor(w), Tensor(b)).data
         expect = np.zeros((3, 2))
         for i in range(3):
             for j in range(2):
+                expect[i, j] = b[j]
                 for k in range(4):
-                    expect[i, j] += a[i, k] * b[k, j]
+                    expect[i, j] += x[i, k] * w[k, j]
         assert np.abs(out - expect).max() < 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            ad.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                     Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError, match=r"\(3, 2\).*\(3,\)"):
+            ad.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))),
+                     Tensor(np.zeros(3)))
 
-    def test_gradients(self, rng):
+    def test_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
-            a = Parameter(r.normal(size=(2, 3)), "a")
-            b = Parameter(r.normal(size=(3, 2)), "b")
-            w = r.normal(size=(2, 2))
-            fd_check_primitive(
-                lambda: _sum_all(ad.mul(ad.matmul(a, b), Tensor(w))), [a, b]
-            )
+            x = Parameter(r.normal(size=(2, 3)), "x")
+            w = Parameter(r.normal(size=(3, 2)), "w")
+            b = Parameter(r.normal(size=2), "b")
+            mix = r.normal(size=(2, 2))
+            fd_check_primitive(lambda: _weighted_sum(ad.dense(x, w, b), mix), [x, w, b])
 
 
 class TestConv1d:
@@ -142,7 +144,7 @@ class TestConv1d:
             mix = rng.normal(size=(3, 5, out_len))
             xp, wp, bp = Parameter(x.copy(), "x"), Parameter(w, "w"), Parameter(b, "b")
             out = ad.conv1d_valid(xp, wp, bp)
-            _sum_all(ad.mul(out, Tensor(mix))).backward()
+            _weighted_sum(out, mix).backward()
 
             windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
             expect = np.einsum("bclk,ock->bol", windows, w) + b[None, :, None]
@@ -163,7 +165,7 @@ class TestConv1d:
             b = Parameter(r.normal(size=2), "b")
             mix = r.normal(size=(2, 2, 3))
             fd_check_primitive(
-                lambda: _sum_all(ad.mul(ad.conv1d_valid(x, w, b), Tensor(mix))),
+                lambda: _weighted_sum(ad.conv1d_valid(x, w, b), mix),
                 [x, w, b],
             )
 
@@ -178,7 +180,7 @@ class TestMaxOverTime:
         x = Parameter(np.array([[[2.0, 2.0, 2.0]]]), "x")
         out = ad.max_over_time(x)
         assert out.data[0, 0] == 2.0
-        _sum_all(out).backward()
+        _weighted_sum(out, np.ones(out.shape)).backward()
         assert np.array_equal(x.grad, [[[1.0, 0.0, 0.0]]])
 
     def test_matches_scan(self, rng):
@@ -198,7 +200,7 @@ class TestMaxOverTime:
             x = Parameter(r.normal(size=(2, 3, 5)), "x")
             mix = r.normal(size=(2, 3))
             fd_check_primitive(
-                lambda: _sum_all(ad.mul(ad.max_over_time(x), Tensor(mix))), [x]
+                lambda: _weighted_sum(ad.max_over_time(x), mix), [x]
             )
 
 
@@ -297,9 +299,7 @@ class TestLSTMCell:
             mix = r.normal(size=(2, 3, 2))
             reverse = bool(trial % 2)
             fd_check_primitive(
-                lambda: _sum_all(
-                    ad.mul(ad.lstm_sequence(x, wx, wh, b, reverse=reverse), Tensor(mix))
-                ),
+                lambda: _weighted_sum(ad.lstm_sequence(x, wx, wh, b, reverse=reverse), mix),
                 [x, wx, wh, b],
             )
 
@@ -329,17 +329,15 @@ class TestLSTMCell:
         y = xp
         for wx, wh, b in params:
             y = ad.lstm_sequence(y, wx, wh, b, reverse=reverse)
-        _sum_all(ad.mul(y, Tensor(mix))).backward()
+        _weighted_sum(y, mix).backward()
 
         steps = [Parameter(x[:, t].copy(), f"x{t}") for t in range(t_len)]
         oparams = [[Parameter(w.copy(), "w") for w in ws] for ws in weights]
         hs = steps
         for wx, wh, b in oparams:
             hs = _oracle_lstm_direction(hs, wx, wh, b, reverse=reverse)
-        loss = _sum_all(ad.mul(hs[0], Tensor(mix[:, 0])))
-        for t in range(1, t_len):
-            loss = ad.add(loss, _sum_all(ad.mul(hs[t], Tensor(mix[:, t]))))
-        loss.backward()
+        # [h_0 | h_1 | ...] along axis 1 lines up with mix flattened over (t, h)
+        _weighted_sum(ad.concat(hs, axis=1), mix.reshape(bsz, t_len * hidden)).backward()
 
         assert np.abs(y.data - np.stack([h.data for h in hs], axis=1)).max() < 1e-10
         assert np.abs(xp.grad - np.stack([s.grad for s in steps], axis=1)).max() < 1e-10
@@ -392,13 +390,6 @@ class TestSoftmaxCrossEntropy:
             den += w[labels[i]]
         assert abs(loss - num / den) < 1e-12
 
-    def test_softmax_rows_sum_to_one(self, rng):
-        for trial in range(100):
-            r = np.random.default_rng(trial)
-            p = ad.softmax(r.normal(size=(3, 7)) * r.uniform(0.1, 50))
-            assert (p >= 0).all()
-            assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
-
     def test_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
@@ -418,13 +409,8 @@ class TestOtherPrimitives:
             b = Parameter(r.normal(size=(2, 3, 2)), "b")
             mix = r.normal(size=(2, 3, 5))
             mix2 = r.normal(size=(2, 3))
-
-            def loss():
-                cat = ad.mul(ad.concat([a, b], axis=2), Tensor(mix))
-                avg = ad.mul(ad.mean(a, axis=1), Tensor(mix2))
-                return ad.add(_sum_all(cat), _sum_all(avg))
-
-            fd_check_primitive(loss, [a, b])
+            fd_check_primitive(lambda: _weighted_sum(ad.concat([a, b], axis=2), mix), [a, b])
+            fd_check_primitive(lambda: _weighted_sum(ad.mean(a, axis=1), mix2), [a])
 
     def test_mean_and_index_match_numpy(self, rng):
         x = rng.normal(size=(2, 5, 3))
@@ -438,30 +424,25 @@ class TestOtherPrimitives:
             mix = r.normal(size=(2, 3))
             i = int(r.integers(-4, 4))
             fd_check_primitive(
-                lambda: _sum_all(ad.mul(ad.index(x, i, axis=1), Tensor(mix))), [x]
+                lambda: _weighted_sum(ad.index(x, i, axis=1), mix), [x]
             )
 
     def test_sigmoid_saturates_without_overflow(self):
         for dt in (np.float32, np.float64):
-            x = Parameter(np.array([-1e4, 0.0, 1e4], dtype=dt), "x")
+            z = np.array([-1e4, 0.0, 1e4], dtype=dt)
             with np.errstate(all="raise"):
-                y = ad.sigmoid(x)
-                _sum_all(ad.reshape(y, (1, 3))).backward()
-            assert y.data.dtype == dt
-            assert np.array_equal(y.data, [0.0, 0.5, 1.0])
-            assert np.array_equal(x.grad, [0.0, 0.25, 0.0])
+                y = ad._sigmoid(z)
+                slope = y * (1.0 - y)   # the gate derivative lstm_sequence uses
+            assert y.dtype == dt
+            assert np.array_equal(y, [0.0, 0.5, 1.0])
+            assert np.array_equal(slope, [0.0, 0.25, 0.0])
 
     def test_activations_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
             x = Parameter(r.normal(size=(3, 4)), "x")
             mix = r.normal(size=(3, 4))
-
-            def loss():
-                y = ad.add(ad.sigmoid(x), ad.add(ad.tanh(x), ad.relu(x)))
-                return _sum_all(ad.mul(y, Tensor(mix)))
-
-            fd_check_primitive(loss, [x])
+            fd_check_primitive(lambda: _weighted_sum(ad.relu(x), mix), [x])
 
     def test_determinism_bit_identical(self, rng):
         x = rng.normal(size=(2, 3, 5))
@@ -475,8 +456,20 @@ class TestOtherPrimitives:
         x = Parameter(rng.normal(size=(2, 5, 4)) * 100, "x")
         flat = ad.reshape(x, (2, 20))
         w = Parameter(rng.normal(size=(20, 3)) * 100, "w")
-        loss = ad.softmax_cross_entropy(ad.matmul(flat, w), np.array([0, 2]))
+        b = Parameter(np.zeros(3), "b")
+        loss = ad.softmax_cross_entropy(ad.dense(flat, w, b), np.array([0, 2]))
         loss.backward()
         assert np.isfinite(loss.data).all()
         assert np.isfinite(x.grad).all()
         assert np.isfinite(w.grad).all()
+
+
+def test_public_ops_are_the_ones_the_models_run():
+    """Pinned, so a generic op the models do not run cannot come back unnoticed."""
+    public = sorted(name for name, v in vars(ad).items()
+                    if callable(v) and not name.startswith("_")
+                    and getattr(v, "__module__", None) == ad.__name__)
+    assert public == [
+        "Parameter", "Tensor", "concat", "conv1d_valid", "dense", "index", "lstm_cell",
+        "lstm_sequence", "max_over_time", "mean", "relu", "reshape",
+        "softmax_cross_entropy"]

@@ -308,6 +308,28 @@ class TestHMMCheckpoint:
         save_checkpoint(HMMClassifier([model] * 2, ["A", "B"]), ["A", "B"], path)
         return read_container(path)
 
+    @pytest.mark.parametrize("names", [[], ["A"]])
+    def test_fewer_than_two_classes_rejected(self, tmp_path, names):
+        path = tmp_path / "hmm.ckpt"
+        kind, meta, arrays = self._saved(path)
+        write_container(path, kind, {**meta, "class_names": names}, arrays)
+        with pytest.raises(CheckpointError, match=f"num_classes must be >= 2, got {len(names)}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda a: a.update({"class2.means": a["class1.means"], "bias": np.zeros(3)}),
+         r"\(missing \[\], unexpected \['bias', 'class2.means'\]\)"),
+        (lambda a: a.pop("class1.variances"),
+         r"\(missing \['class1.variances'\], unexpected \[\]\)"),
+    ], ids=["outside-class-map", "missing"])
+    def test_tensor_set_mismatch_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "hmm.ckpt"
+        kind, meta, arrays = self._saved(path)
+        edit(arrays)
+        write_container(path, kind, meta, arrays)
+        with pytest.raises(CheckpointError, match="tensor set mismatch for 2 classes " + match):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("n_states", [0, -1, "3", 3.0, True, None, [3]])
     def test_n_states_not_a_positive_int_rejected(self, tmp_path, n_states):
         path = tmp_path / "hmm.ckpt"

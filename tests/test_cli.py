@@ -97,6 +97,38 @@ class TestGen:
         assert code == 2
         assert (out / "file.txt").exists()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_at_or_under_a_file_exit_2(self, workspace, capsys, under):
+        blocker = workspace / "blocker.txt"
+        blocker.write_text("x")
+        out = blocker / "sub" if under else blocker
+        assert run(["gen", "--spec", workspace / "spec.txt", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot use {out} as an output directory" in err
+        assert blocker.read_text() == "x"
+
+    def test_spec_keys_take_the_synth_spec_field_types(self, workspace):
+        spec = cli.load_synth_spec(workspace / "spec.txt")
+        assert dataclasses.asdict(spec) == {
+            "counts": {"USD": 16, "SA": 8, "S": 8}, "length": 12, "dt": 0.1,
+            "noise": 0.3, "seed": 7}
+        assert [type(getattr(spec, k)) for k in ("length", "dt", "noise", "seed")] == [
+            int, float, float, int]
+
+    @pytest.mark.parametrize("line, message", [
+        ("counts = 5", "unknown generator key 'counts'"),
+        ("speed = 2", "unknown generator key 'speed'"),
+        ("length = 12.5", "bad value for length: '12.5'"),
+        ("dt = fast", "bad value for dt: 'fast'"),
+        ("count.SA = many", "bad value for count.SA: 'many'"),
+    ])
+    def test_bad_spec_line_exit_2(self, workspace, capsys, line, message):
+        spec = workspace / "bad.txt"
+        spec.write_text(GEN_SPEC + line + "\n")
+        assert run(["gen", "--spec", spec, "--out", workspace / "g"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (workspace / "g").exists()
+
 
 class TestPrep:
     def test_counts_table_stages(self, workspace):
@@ -565,7 +597,12 @@ class TestMalformedContainers:
         ("class1.variances", lambda a: a.astype(np.int64),
          "tensor class1.variances stored as int64, not float64"),
         ("n_states", lambda k: 0, "checkpoint 'n_states' is 0, not an int >= 1"),
-    ], ids=["negated-variances", "nan-means", "int64-variances", "n-states-0"])
+        ("class_names", lambda names: names[:2],
+         "unexpected ['class2.initial', 'class2.means', 'class2.transitions', "
+         "'class2.variances']"),
+        ("class_names", lambda names: ["USD"], "num_classes must be >= 2, got 1"),
+    ], ids=["negated-variances", "nan-means", "int64-variances", "n-states-0",
+            "two-of-three-classes", "one-class"])
     def test_hmm_checkpoint_bad_values_exit_3(self, workspace, capsys, key, edit, message):
         prep = gen_and_prep(workspace)
         good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
@@ -695,6 +732,45 @@ class TestAblate:
         means = [(name, [float(np.mean(c)) for c in zip(*(columns(cell[s]) for s in seeds))])
                  for name, cell in results.items()]
         assert (out / "ablation_mean.txt").read_text() == table(means)
+
+
+class TestUnreadableInputs:
+    """An input path that is missing, a directory, or not UTF-8 text exits
+    with its error class's code and a message naming the path."""
+
+    @pytest.mark.parametrize("option, problem, code", [
+        (option, problem, code)
+        for option, code in [("gen --spec", 2), ("train --config", 2),
+                             ("ablate --config", 2), ("prep --data", 3),
+                             ("prep --labels", 3), ("eval --checkpoint", 3)]
+        for problem in ("missing", "directory", "not-utf8")
+        if (option, problem) != ("eval --checkpoint", "not-utf8")
+    ])
+    def test_exit_code_names_path(self, workspace, capsys, option, problem, code):
+        bad = workspace / "bad_input"
+        if problem == "directory":
+            bad.mkdir()
+        elif problem == "not-utf8":
+            bad.write_bytes(b"agent_id,kind,frame\xff\xfe\n")
+        if option == "gen --spec":
+            argv = ["gen", "--spec", bad]
+        else:
+            prep = gen_and_prep(workspace)
+            trajectories = workspace / "gen" / "trajectories.csv"
+            argv = {
+                "train --config": ["train", "--data", prep, "--model", "lstm",
+                                   "--config", bad],
+                "ablate --config": ["ablate", "--data", prep, "--config", bad],
+                "prep --data": ["prep", "--data", bad, "--kind", "vehicle"],
+                "prep --labels": ["prep", "--data", trajectories, "--labels", bad],
+                "eval --checkpoint": ["eval", "--checkpoint", bad, "--data", prep],
+            }[option]
+        out = workspace / "out"
+        capsys.readouterr()
+        assert run(argv + ["--out", out]) == code
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSeedAndSampleBounds:

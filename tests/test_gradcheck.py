@@ -16,7 +16,7 @@ def test_linear_model_exact_gradient(rng):
     w = Parameter(rng.normal(size=(4, 1)) * 0.1, "w")
 
     def forward():
-        return ad.matmul(Tensor(x), w)
+        return ad.dense(Tensor(x), w, Tensor(np.zeros(1)))
 
     # dL/dw = x exactly; agreement should be at roundoff level
     assert grad_check(forward, [w]) < 1e-10
@@ -27,7 +27,7 @@ def test_detects_a_wrong_gradient(rng):
     w = Parameter(rng.normal(size=(4, 1)), "w")
 
     def forward():
-        out = ad.matmul(Tensor(x), w)
+        out = ad.dense(Tensor(x), w, Tensor(np.zeros(1)))
         # sabotage: build a node whose backward doubles the gradient
         return Tensor(
             out.data, requires_grad=True, parents=(out,),
@@ -48,6 +48,6 @@ def test_subsampling_large_tensors(rng):
     w = Parameter(rng.normal(size=(500, 1)), "w")
 
     def forward():
-        return ad.matmul(Tensor(x), w)
+        return ad.dense(Tensor(x), w, Tensor(np.zeros(1)))
 
     assert grad_check(forward, [w], max_elements=50) < 1e-6

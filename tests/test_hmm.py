@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajbehav import hmm
-from trajbehav.errors import ConfigError, DataError, NumericalError, StateError
+from trajbehav.errors import ConfigError, DataError, NumericalError
 from trajbehav.rng import HMM_INIT, seeded_rng
 from trajbehav.hmm import (
     VARIANCE_FLOOR,
@@ -424,11 +424,6 @@ class TestClassifier:
         m = random_model(rng, 2)
         clf = HMMClassifier(models=[m, m, m], class_names=["A", "B", "C"])
         assert list(hmm_predict_batch(clf, rng.normal(size=(4, 5, 4)))) == [0] * 4
-
-    def test_untrained_model_raises(self, rng):
-        clf = HMMClassifier(models=[None, None], class_names=["A", "B"])
-        with pytest.raises(StateError):
-            hmm_predict_batch(clf, rng.normal(size=(5, 4)))
 
     def test_synthetic_three_class_accuracy(self):
         rng = np.random.default_rng(21)
