@@ -32,8 +32,7 @@ PROB_SUM_TOL = 1e-6
 
 @dataclass
 class Checkpoint:
-    model: object                # neural model or HMMClassifier
-    kind: str
+    model: object                # neural model or HMMClassifier; `.kind` names it
     class_names: list
     normalization: dict | None = None
 
@@ -100,10 +99,8 @@ def load_checkpoint(path):
                 tensors[name] = _hmm_tensor(path, key, arrays[key], shape)
             models.append(GaussianHMM(**tensors))
         clf = HMMClassifier(models=models, class_names=class_names)
-        return Checkpoint(
-            model=clf, kind="hmm", class_names=class_names,
-            normalization=meta.get("normalization"),
-        )
+        return Checkpoint(model=clf, class_names=class_names,
+                          normalization=meta.get("normalization"))
 
     require_keys(path, meta, ("config", "precision"), "checkpoint metadata")
     config = meta["config"]
@@ -147,10 +144,8 @@ def load_checkpoint(path):
             )
         p.data = np.ascontiguousarray(stored)
         p.zero_grad()
-    return Checkpoint(
-        model=model, kind=model_kind, class_names=class_names,
-        normalization=meta.get("normalization"),
-    )
+    return Checkpoint(model=model, class_names=class_names,
+                      normalization=meta.get("normalization"))
 
 
 def _hmm_tensor(path, key, value, shape):

@@ -36,10 +36,12 @@ from .hmm import HMMClassifier
 from .metrics import format_report, recall_per_class
 from .models import MODEL_KINDS, build_model
 from .svgfig import confusion_heatmap_svg, per_class_bar_svg
-from .synth import SynthSpec, gen_dataset
+from .synth import DT, SynthSpec, gen_dataset
 from .train import TrainConfig, evaluate, train
 
 RESAMPLE_MODES = ("none", "ros", "rus", "wl")
+# the gradient check's random classification problem
+GRADCHECK_CLASSES = 6
 
 # fields whose defaults are engineering choices, not stated by the source
 # experiment description; flagged in emitted config files
@@ -211,7 +213,7 @@ def cmd_gen(args, argv):
         dmod.save_label_map(class_names, tmp / "labels.csv")
         write_manifest(
             tmp, "gen", argv,
-            params=dataclasses.asdict(spec), inputs=[args.spec],
+            params={**dataclasses.asdict(spec), "dt": DT}, inputs=[args.spec],
         )
     return 0
 
@@ -228,6 +230,11 @@ def _write_counts_table(path, stages):
 
 
 def cmd_prep(args, argv):
+    if args.min_class_count < 2:
+        raise ConfigError(
+            f"--min-class-count must be >= 2, got {args.min_class_count}: "
+            "split needs at least 2 windows of every class"
+        )
     label_names = dmod.load_label_map(args.labels) if args.labels else None
     trajectories, class_names = dmod.load_trajectories(
         args.data, label_names, degrees=args.degrees
@@ -357,9 +364,14 @@ def cmd_eval(args, argv):
                 f"{ckpt_path}: checkpoint class map {ck.class_names} does not "
                 f"match dataset class map {class_names}"
             )
+        kind = ck.model.kind
+        tag = kind if kind not in artifacts else f"{kind}_{Path(ckpt_path).parent.name}"
+        if tag in artifacts:
+            raise ConfigError(
+                f"checkpoints {artifacts[tag][1]} and {ckpt_path} would both write "
+                f"the reports tagged {tag!r}; give them different parent directories"
+            )
         rep = evaluate(ck.model, dataset.split.test, class_names)
-        label = Path(ckpt_path).parent.name
-        tag = ck.kind if ck.kind not in artifacts else f"{ck.kind}_{label}"
         artifacts[tag] = (rep, ckpt_path)
         rows.append((tag, *_metric_row(rep)))
 
@@ -398,7 +410,7 @@ ABLATION_CELLS = (
 )
 
 
-def run_ablation(dataset, seeds, base_config=None):
+def run_ablation(dataset, seeds, base_config):
     """2x2 grid {ROS on/off} x {conv branch on/off} over shared seeds.
 
     Returns {cell name: {seed: EvalReport}}. The input dataset must not be
@@ -414,9 +426,7 @@ def run_ablation(dataset, seeds, base_config=None):
     results = {name: {} for name, _, _ in ABLATION_CELLS}
     for seed in seeds:
         for name, ros_on, mscnn_on in ABLATION_CELLS:
-            cfg_kwargs = dataclasses.asdict(base_config) if base_config else {}
-            cfg_kwargs["seed"] = seed
-            config = TrainConfig(**cfg_kwargs)
+            config = dataclasses.replace(base_config, seed=seed)
             train_windows = (dmod.ros(split.train, num_classes, seed=seed) if ros_on
                              else split.train)
             cell_split = dataclasses.replace(split, train=train_windows, seed=seed)
@@ -444,10 +454,10 @@ def cmd_ablate(args, argv):
     seeds = [_coerce("seed", s, 0) for s in args.seeds.split(",") if s.strip() != ""]
     if not seeds:
         raise ConfigError("no seeds given")
-    base = load_train_config(args.config) if args.config else TrainConfig()
+    base = load_train_config(args.config)
     hist = dmod.class_histogram(dataset.split.train, len(dataset.split.class_names))
     majority_idx = int(np.argmax(hist))
-    results = run_ablation(dataset, seeds, base_config=base)
+    results = run_ablation(dataset, seeds, base)
 
     names = [name for name, _, _ in ABLATION_CELLS]
     # table[s, c]: the metric columns of cell c at seed s
@@ -473,7 +483,7 @@ def cmd_ablate(args, argv):
     return 0
 
 
-def run_gradcheck(seed=0, num_samples=3, num_classes=6, max_elements=200):
+def run_gradcheck(seed, num_samples):
     """Finite-difference check of all three neural models; returns
     {kind: max relative error}."""
     if seed < 0:
@@ -482,23 +492,21 @@ def run_gradcheck(seed=0, num_samples=3, num_classes=6, max_elements=200):
         raise ConfigError(f"samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(num_samples, 5, 4))
-    labels = rng.integers(0, num_classes, size=num_samples)
+    labels = rng.integers(0, GRADCHECK_CLASSES, size=num_samples)
     results = {}
     for kind in ("fusion", "lstm", "conv1d"):
-        model = build_model(kind, num_classes, seed=seed, precision="verify")
+        model = build_model(kind, GRADCHECK_CLASSES, seed=seed, precision="verify")
 
         def forward(model=model):
             return ad.softmax_cross_entropy(model.forward(batch), labels)
 
-        results[kind] = grad_check(
-            forward, model.param_list(), max_elements=max_elements, seed=seed
-        )
+        results[kind] = grad_check(forward, model.param_list(), seed=seed)
     return results
 
 
 def cmd_gradcheck(args, argv):
     t0 = time.perf_counter()
-    results = run_gradcheck(seed=args.seed, num_samples=args.samples)
+    results = run_gradcheck(args.seed, args.samples)
     worst = 0.0
     for kind, err in results.items():
         print(f"{kind}\tmax_relative_error\t{err:.3e}")

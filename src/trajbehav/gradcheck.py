@@ -16,7 +16,7 @@ FD_STEP = 1e-5
 _DENOM_FLOOR = 1e-3
 
 
-def grad_check(forward, params, step=FD_STEP, max_elements=200, seed=0):
+def grad_check(forward, params, max_elements=200, seed=0):
     """Max relative error between reverse-mode and central-difference grads.
 
     `forward` is a closure rebuilding the loss (a scalar Tensor) from the
@@ -59,12 +59,12 @@ def grad_check(forward, params, step=FD_STEP, max_elements=200, seed=0):
             indices = np.arange(n)
         an = analytic[id(p)]
         for i in indices:
-            err = rel_err(central(flat, i, step), an[i])
+            err = rel_err(central(flat, i, FD_STEP), an[i])
             if err > 1e-6:
                 # a perturbation may straddle a ReLU/argmax kink, where the
                 # difference quotient is meaningless; a real gradient bug
                 # persists when the step shrinks, a kink straddle vanishes
-                for h in (step / 10.0, step / 100.0):
+                for h in (FD_STEP / 10.0, FD_STEP / 100.0):
                     err = min(err, rel_err(central(flat, i, h), an[i]))
             if err > worst:
                 worst = err

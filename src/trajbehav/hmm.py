@@ -18,6 +18,10 @@ states or D = 4 features, and each forward or backward step is one
 (K, K) @ (K, N) product. The M-step sums over (T, N) per state and
 builds the variances one dimension at a time, with no (N, T, K, D)
 temporary.
+
+`fit_classifier` fits HMM_STATES = 7 states per class. EM stops when an
+iteration raises the training log-likelihood by less than HMM_TOL = 1e-4,
+or after `max_iters` iterations (`TrainConfig.hmm_max_iters`).
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError
 from .rng import HMM_INIT, seeded_rng
 
+HMM_STATES = 7
+HMM_TOL = 1e-4
 VARIANCE_FLOOR = 1e-6
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -121,8 +127,6 @@ def _backward_batch(model, b, scale):
 
 def _check_sequences(seqs):
     seqs = np.asarray(seqs, dtype=np.float64)
-    if seqs.ndim == 2:
-        seqs = seqs[None]
     if seqs.ndim != 3:
         raise ConfigError(f"expected (N, T, D) observations, got shape {seqs.shape}")
     if not np.isfinite(seqs).all():
@@ -136,7 +140,7 @@ def _state_major(seqs):
 
 
 def forward_loglik_batch(model, seqs):
-    """Log-likelihood of each observation sequence; seqs (N, T, D) or (T, D)."""
+    """Log-likelihood of each observation sequence; seqs (N, T, D)."""
     return _forward_batch(model, _state_major(_check_sequences(seqs)))[3]
 
 
@@ -169,13 +173,13 @@ def _init_model(seqs, n_states, seed):
     return GaussianHMM(initial, transitions, centers, variances)
 
 
-def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
+def baum_welch_fit(sequences, max_iters, seed, n_states=HMM_STATES):
     """EM fit of a Gaussian-emission HMM on equal-length sequences.
 
     The training log-likelihood trace (one entry per iteration, evaluated
     before that iteration's M-step) is stored on the returned model as
     `fit_loglik`; EM guarantees it is non-decreasing up to the variance
-    floor. `fit_converged` is True when the tolerance stopped EM and False
+    floor. `fit_converged` is True when HMM_TOL stopped EM and False
     when `max_iters` did. `fit_seconds` is the wall time of the fit.
     """
     t0 = time.perf_counter()
@@ -196,7 +200,7 @@ def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
                 "sequences have zero likelihood at double precision"
             )
         trace.append(total_ll)
-        if total_ll - prev_ll < tol:
+        if total_ll - prev_ll < HMM_TOL:
             converged = True
             break
         prev_ll = total_ll
@@ -240,8 +244,7 @@ def baum_welch_fit(sequences, n_states=7, max_iters=100, tol=1e-4, seed=0):
     return model
 
 
-def fit_classifier(states, labels, class_names, n_states=7, max_iters=100,
-                   tol=1e-4, seed=0):
+def fit_classifier(states, labels, class_names, max_iters, seed):
     """One Baum-Welch fit per class over that class's window sequences."""
     labels = np.asarray(labels)
     models = []
@@ -250,8 +253,7 @@ def fit_classifier(states, labels, class_names, n_states=7, max_iters=100,
         if class_seqs.shape[0] == 0:
             raise ConfigError(f"no training sequences for class {name!r}")
         try:
-            model = baum_welch_fit(class_seqs, n_states=n_states, max_iters=max_iters,
-                                   tol=tol, seed=seed + idx)
+            model = baum_welch_fit(class_seqs, max_iters, seed + idx)
         except NumericalError as exc:
             raise NumericalError(f"class {name!r}: {exc}") from exc
         models.append(model)

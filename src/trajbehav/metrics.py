@@ -21,10 +21,6 @@ class ConfusionMatrix:
     counts: np.ndarray           # (C, C), rows = true class, cols = predicted
     class_names: list
 
-    @property
-    def num_classes(self):
-        return self.counts.shape[0]
-
     def total(self):
         return int(self.counts.sum())
 
@@ -56,22 +52,6 @@ class EvalReport:
             "confusion_counts": self.confusion.counts.tolist(),
             "never_predicted": self.never_predicted,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        cm = ConfusionMatrix(
-            counts=np.asarray(d["confusion_counts"], dtype=np.int64),
-            class_names=list(d["class_names"]),
-        )
-        return cls(
-            balanced_accuracy=d["balanced_accuracy"],
-            macro_f1=d["macro_f1"],
-            macro_recall=d["macro_recall"],
-            micro_recall=d["micro_recall"],
-            per_class=list(d["per_class"]),
-            confusion=cm,
-            never_predicted=list(d["never_predicted"]),
-        )
 
 
 def confusion(preds, labels, class_names):

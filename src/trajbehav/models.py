@@ -5,9 +5,11 @@ All three models share the gradient-tape primitives, expose an ordered
 STATE_FEATURES). Recurrent layers work on whole (B, T, H) sequences: each
 layer direction is one `lstm_sequence` tape node, not one node per time step.
 
-Each kind has one fixed architecture, given by the module constants below;
-a caller chooses only `num_classes` and, for the fusion ablation, whether
-the conv branch is built (`use_mscnn`).
+Each kind has one fixed architecture, given by the module constants below.
+A caller chooses the class count (`num_classes`), the initialisation seed,
+the precision ("fast" float32 for training, "verify" float64 for the
+gradient check) and, for the fusion ablation, whether the conv branch is
+built (`use_mscnn`).
 
 Architecture notes (choices the reference description leaves open):
   * Bi-LSTM branch: LSTM_LAYERS bidirectional layers of LSTM_HIDDEN units

@@ -10,6 +10,7 @@ Conventions (also asserted by the per-template predicates):
   * x is longitudinal ego-relative position (positive = ahead of ego),
     y lateral (negative = LEFT of ego), z height (flat road, ~0),
     d the heading angle vs. the road centerline in radians.
+  * Frames are DT = 0.1 s apart (BLVD's 10 Hz).
   * The ego drives at EGO_SPEED; an agent stopped in the world frame
     therefore has relative longitudinal speed -EGO_SPEED.
   * The overtaking templates include a mid-pass glide phase whose windows
@@ -30,7 +31,7 @@ from .errors import ConfigError
 from .rng import SYNTH, seeded_rng
 
 EGO_SPEED = 10.0        # m/s
-DEFAULT_DT = 0.1        # s
+DT = 0.1                # s, the frame period
 NOISE_SIGMA = (0.05, 0.05, 0.01, 0.02)   # per channel x,y,z,d
 
 
@@ -109,23 +110,18 @@ for _tpl in [
     TEMPLATES[_tpl.name] = _tpl
 
 VEHICLE_CLASSES = [n for n, t in TEMPLATES.items() if t.agent_kind == "vehicle"]
-PEDESTRIAN_CLASSES = [n for n, t in TEMPLATES.items() if t.agent_kind == "pedestrian"]
-RIDER_CLASSES = [n for n, t in TEMPLATES.items() if t.agent_kind == "rider"]
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     counts: dict                 # class name -> trajectory count
     length: int = 12
-    dt: float = DEFAULT_DT
     noise: float = 1.0           # global multiplier on template noise sigmas
     seed: int = 0
 
     def validate(self):
         if self.length < 7:
             raise ConfigError(f"trajectory length must be >= 7, got {self.length}")
-        if self.dt <= 0:
-            raise ConfigError(f"frame period must be positive, got {self.dt}")
         for name, count in self.counts.items():
             if name not in TEMPLATES:
                 raise ConfigError(f"unknown behavior class {name!r}")
@@ -153,9 +149,9 @@ def _draw_params(template, rng):
     return out
 
 
-def _path(profile, p, n, dt):
+def _path(profile, p, n):
     """Noiseless (x, y) position streams for one trajectory."""
-    t = np.arange(n) * dt
+    t = np.arange(n) * DT
     if profile == "uniform":
         return np.full(n, p["x0"]), np.full(n, p["y0"])
     if profile in ("accelerate", "decelerate"):
@@ -178,17 +174,17 @@ def _path(profile, p, n, dt):
                 glide_left -= 1
             else:
                 v = p["v_app"]
-            x[i] = x[i - 1] + v * dt
+            x[i] = x[i - 1] + v * DT
         return x, np.full(n, p["side"] * p["lane"])
     if profile == "lane_away":
         target = p["side"] * p["lane"]
-        mid = p["mid"] * (n - 1) * dt
+        mid = p["mid"] * (n - 1) * DT
         sig = 1.0 / (1.0 + np.exp(-p["rate"] * (t - mid)))
         y = p["y_from"] + (target - p["y_from"]) * sig
         return p["x0"] + p["vx"] * t, y
     if profile == "lane_in":
         start = p["side"] * p["lane"]
-        mid = p["mid"] * (n - 1) * dt
+        mid = p["mid"] * (n - 1) * DT
         sig = 1.0 / (1.0 + np.exp(-p["rate"] * (t - mid)))
         y = start + (p["y_to"] - start) * sig
         return p["x0"] + p["vx"] * t, y
@@ -202,13 +198,13 @@ def _path(profile, p, n, dt):
     raise ConfigError(f"unknown kinematic profile {profile!r}")
 
 
-def _heading(x, y, dt):
+def _heading(x, y):
     """Heading vs. road centerline from world-frame velocity components."""
     vx_rel = np.empty_like(x)
-    vx_rel[:-1] = np.diff(x) / dt
+    vx_rel[:-1] = np.diff(x) / DT
     vx_rel[-1] = vx_rel[-2]
     vy = np.empty_like(y)
-    vy[:-1] = np.diff(y) / dt
+    vy[:-1] = np.diff(y) / DT
     vy[-1] = vy[-2]
     v_world = EGO_SPEED + vx_rel
     speed = np.hypot(v_world, vy)
@@ -218,8 +214,8 @@ def _heading(x, y, dt):
 
 def _gen_trajectory(template, index, label, spec, rng):
     p = _draw_params(template, rng)
-    x, y = _path(template.profile, p, spec.length, spec.dt)
-    d = _heading(x, y, spec.dt)
+    x, y = _path(template.profile, p, spec.length)
+    d = _heading(x, y)
     z = np.zeros(spec.length)
     if spec.noise > 0:
         sx, sy, sz, sd = NOISE_SIGMA
@@ -258,19 +254,19 @@ def gen_dataset(spec):
 # Template self-check
 # ---------------------------------------------------------------------------
 
-def _predicate(template, x, y, dt):
+def _predicate(template, x, y):
     p = template.profile
     side = template.params.get("side", 0)
     if p == "uniform":
         return np.ptp(x) < 1e-9 and np.ptp(y) < 1e-9 and np.abs(y).max() < 0.5
     if p == "accelerate":
-        speeds = np.diff(x) / dt
+        speeds = np.diff(x) / DT
         return bool(np.all(np.diff(speeds) > 0)) and np.abs(y).max() < 0.5
     if p == "decelerate":
-        speeds = np.diff(x) / dt
+        speeds = np.diff(x) / DT
         return bool(np.all(np.diff(speeds) < 0)) and np.abs(y).max() < 0.5
     if p == "stop":
-        speeds = np.diff(x) / dt
+        speeds = np.diff(x) / DT
         return bool(np.all(np.abs(speeds + EGO_SPEED) < 1e-6))
     if p == "pass":
         crosses = x[0] < 0 < x[-1]
@@ -291,23 +287,22 @@ def _predicate(template, x, y, dt):
         vy_sign = math.copysign(1.0, sum(template.params["vy"]) / 2.0)
         return vy_sign * (y[-1] - y[0]) > 1.0
     if p == "drift":
-        speeds = np.diff(x) / dt
+        speeds = np.diff(x) / DT
         return np.ptp(y) < 1e-9 and np.ptp(speeds) < 1e-9
     raise ConfigError(f"unknown kinematic profile {p!r}")
 
 
-def verify_templates(names=None, length=20, dt=DEFAULT_DT, draws=3):
-    """Check every template's kinematic predicate on zero-noise output.
+def verify_templates():
+    """Check every template's kinematic predicate on three zero-noise
+    20-frame draws.
 
     Returns {class name: bool}; never raises on a failing template.
     """
     results = {}
-    for name in (names or TEMPLATES):
-        template = TEMPLATES[name]
-        spec = SynthSpec(counts={name: draws}, length=length, dt=dt, noise=0.0,
-                         seed=1234)
+    for name, template in TEMPLATES.items():
+        spec = SynthSpec(counts={name: 3}, length=20, noise=0.0, seed=1234)
         rng = seeded_rng(spec.seed, SYNTH)
-        trajs = (_gen_trajectory(template, i, 0, spec, rng) for i in range(draws))
-        results[name] = all(_predicate(template, t.states[:, 0], t.states[:, 1], dt)
+        trajs = (_gen_trajectory(template, i, 0, spec, rng) for i in range(3))
+        results[name] = all(_predicate(template, t.states[:, 0], t.states[:, 1])
                             for t in trajs)
     return results

@@ -9,7 +9,7 @@ epsilon are the `optim` constants, and neural models always train in
 (seed, epoch) so resampling and shuffling never interact; given the same
 (config, split) the final parameters are bit-identical across runs. The
 last partial batch is kept. Epoch loss is the batch-size-weighted mean of
-batch losses.
+batch losses. Inference runs in chunks of PREDICT_CHUNK = 1024 windows.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .rng import SHUFFLE, seeded_rng
 
 LR_INITIAL = 0.005
 LR_AFTER = 0.001
+PREDICT_CHUNK = 1024
 
 
 @dataclass
@@ -43,11 +44,10 @@ class TrainConfig:
     hmm_max_iters: int = 100
 
     def validate(self):
-        for name in ("batch_size", "hmm_max_iters"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name, low in (("batch_size", 1), ("hmm_max_iters", 1), ("epochs", 0),
+                          ("lr_switch_epoch", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.epochs > 0 and self.lr_switch_epoch >= self.epochs:
             raise ConfigError(
                 f"lr_switch_epoch ({self.lr_switch_epoch}) must be below "
@@ -98,8 +98,7 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
     if model_kind == "hmm":
         log = TrainLog()
         clf = fit_classifier(
-            states, labels, split.class_names,
-            max_iters=config.hmm_max_iters, seed=config.seed,
+            states, labels, split.class_names, config.hmm_max_iters, config.seed
         )
         for i, m in enumerate(clf.models):
             mean_ll = m.fit_loglik[-1] / max(int((labels == i).sum()), 1)
@@ -149,14 +148,14 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
     return model, log
 
 
-def predict_batch(model, states, batch_size=1024):
+def predict_batch(model, states):
     """Class predictions for stacked window states, any model kind."""
     if isinstance(model, HMMClassifier):
         return hmm_predict_batch(model, states)
     states = np.asarray(states).astype(model.dtype)
     chunks = [
-        predict(model, states[i:i + batch_size])
-        for i in range(0, states.shape[0], batch_size)
+        predict(model, states[i:i + PREDICT_CHUNK])
+        for i in range(0, states.shape[0], PREDICT_CHUNK)
     ]
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 

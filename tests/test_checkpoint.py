@@ -129,7 +129,7 @@ class TestModelCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, list("ABCDE"), path)
         ck = load_checkpoint(path)
-        assert ck.kind == kind
+        assert ck.model.kind == kind
         assert ck.class_names == list("ABCDE")
         after = ck.model.forward(batch).data
         assert np.array_equal(before, after)
@@ -296,8 +296,8 @@ class TestHMMCheckpoint:
         path = tmp_path / "hmm.ckpt"
         save_checkpoint(clf, clf.class_names, path)
         ck = load_checkpoint(path)
-        assert ck.kind == "hmm"
-        seq = rng.normal(size=(5, 4))
+        assert ck.model.kind == "hmm"
+        seq = rng.normal(size=(1, 5, 4))
         for orig, loaded in zip(clf.models, ck.model.models):
             assert forward_loglik_batch(orig, seq) == forward_loglik_batch(loaded, seq)
 

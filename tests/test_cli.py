@@ -10,20 +10,21 @@ import pytest
 from conftest import checksummed
 
 from trajbehav import cli
-from trajbehav.checkpoint import save_checkpoint
+from trajbehav.checkpoint import Checkpoint, save_checkpoint
 from trajbehav.cli import main
 from trajbehav.container import read_container, write_container
 from trajbehav.data import load_prepared
-from trajbehav.hmm import GaussianHMM, HMMClassifier
+from trajbehav.gradcheck import grad_check
+from trajbehav.hmm import GaussianHMM, HMMClassifier, baum_welch_fit, fit_classifier
 from trajbehav.metrics import recall_per_class, report
 from trajbehav.models import build_model
 from trajbehav.optim import Adam
-from trajbehav.train import TrainConfig
+from trajbehav.synth import SynthSpec, verify_templates
+from trajbehav.train import TrainConfig, predict_batch
 
 
 GEN_SPEC = """
 length = 12
-dt = 0.1
 noise = 0.3
 seed = 7
 count.USD = 16
@@ -110,16 +111,16 @@ class TestGen:
     def test_spec_keys_take_the_synth_spec_field_types(self, workspace):
         spec = cli.load_synth_spec(workspace / "spec.txt")
         assert dataclasses.asdict(spec) == {
-            "counts": {"USD": 16, "SA": 8, "S": 8}, "length": 12, "dt": 0.1,
-            "noise": 0.3, "seed": 7}
-        assert [type(getattr(spec, k)) for k in ("length", "dt", "noise", "seed")] == [
-            int, float, float, int]
+            "counts": {"USD": 16, "SA": 8, "S": 8}, "length": 12, "noise": 0.3,
+            "seed": 7}
+        assert [type(getattr(spec, k)) for k in ("length", "noise", "seed")] == [
+            int, float, int]
 
     @pytest.mark.parametrize("line, message", [
         ("counts = 5", "unknown generator key 'counts'"),
         ("speed = 2", "unknown generator key 'speed'"),
         ("length = 12.5", "bad value for length: '12.5'"),
-        ("dt = fast", "bad value for dt: 'fast'"),
+        ("dt = fast", "unknown generator key 'dt'"),
         ("count.SA = many", "bad value for count.SA: 'many'"),
     ])
     def test_bad_spec_line_exit_2(self, workspace, capsys, line, message):
@@ -152,7 +153,7 @@ class TestPrep:
         csv.write_text("\n".join(rows) + "\n")
         code = run([
             "prep", "--data", csv, "--out", tmp_path / "p",
-            "--min-class-count", 1, "--ratio", "0.5",
+            "--min-class-count", 2, "--ratio", "0.5",
         ])
         assert code == 0
         lines = dict(
@@ -169,7 +170,7 @@ class TestPrep:
         csv.write_text("\n".join(rows) + "\n")
         code = run([
             "prep", "--data", csv, "--out", tmp_path / "p",
-            "--min-class-count", 1, "--ratio", "0.5",
+            "--min-class-count", 2, "--ratio", "0.5",
         ])
         assert code == 0
         lines = dict(
@@ -186,10 +187,26 @@ class TestPrep:
         rows += [f"a,vehicle,{i},{float(i)},0.0,0.0,0.0,X" for i in range(9)]
         csv.write_text("\n".join(rows) + "\n")
         code = run(["prep", "--data", csv, "--out", tmp_path / "p",
-                    "--min-class-count", 1, "--ratio", ratio])
+                    "--min-class-count", 2, "--ratio", ratio])
         assert code == 2
         err = capsys.readouterr().err
         assert "ratio" in err and "Traceback" not in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("count", ["-5", "0", "1"])
+    def test_min_class_count_below_2_exit_2(self, tmp_path, capsys, count):
+        # a class of one window survives such a filter and then cannot be split
+        csv = tmp_path / "t.csv"
+        rows = ["agent_id,kind,frame,x,y,z,d,label"]
+        rows += [f"a,vehicle,{i},{float(i)},0.0,0.0,0.0,X" for i in range(9)]
+        rows += [f"b,vehicle,{i},{float(i)},1.0,0.0,0.0,Y" for i in range(5)]
+        csv.write_text("\n".join(rows) + "\n")
+        code = run(["prep", "--data", csv, "--out", tmp_path / "p",
+                    "--min-class-count", count])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--min-class-count must be >= 2, got {count}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "p").exists()
 
     def test_window_size_option_is_gone(self, tmp_path):
@@ -244,7 +261,7 @@ class TestPrep:
         rows.append(f"a,vehicle,{frame},0.0,0.0,0.0,0.0,X")
         csv.write_text("\n".join(rows) + "\n")
         code = run(["prep", "--data", csv, "--out", tmp_path / "p",
-                    "--min-class-count", 1, "--ratio", "0.5"])
+                    "--min-class-count", 2, "--ratio", "0.5"])
         assert code == 3
         err = capsys.readouterr().err
         assert "row 10" in err and "int64" in err and "Traceback" not in err
@@ -259,7 +276,7 @@ class TestPrep:
                                 ("c", 1.5e308, "Y"), ("d", -1.5e308, "Y")):
             rows += [f"{agent},vehicle,{i},{x!r},0.0,0.0,0.0,{label}" for i in range(7)]
         csv.write_text("\n".join(rows) + "\n")
-        code = run(["prep", "--data", csv, "--out", tmp_path / "p", "--min-class-count", 1,
+        code = run(["prep", "--data", csv, "--out", tmp_path / "p", "--min-class-count", 2,
                     "--ratio", "0.5", "--normalize"])
         assert code == 3
         err = capsys.readouterr().err
@@ -290,6 +307,7 @@ class TestTrainEvalCommands:
         ("lstm", "beta2 = nan"),
         ("lstm", "epsilon = 0"),
         ("lstm", "epsilon = -1e-8"),
+        ("lstm", "lr_switch_epoch = -3"),
     ])
     def test_bad_config_value_exit_2(self, workspace, capsys, model, line):
         prep = gen_and_prep(workspace)
@@ -338,7 +356,7 @@ class TestTrainEvalCommands:
                     "--config", workspace / "tiny.cfg"]) == 0
         from trajbehav.checkpoint import load_checkpoint
         ck = load_checkpoint(out / "model.ckpt")
-        assert ck.kind == "hmm"
+        assert ck.model.kind == "hmm"
         assert len(ck.model.models) == 3
 
     def test_hmm_em_log_per_class(self, workspace):
@@ -431,6 +449,22 @@ class TestTrainEvalCommands:
         t1 = json.loads((workspace / "r1" / "manifest.json").read_text())
         t2 = json.loads((workspace / "r2" / "manifest.json").read_text())
         assert t1["outputs"] == t2["outputs"]
+
+    def test_eval_tag_collision_exit_2_naming_both_paths(self, workspace, capsys):
+        # the second r1 checkpoint is tagged conv1d_r1, and so would a/r1's be
+        prep = gen_and_prep(workspace)
+        first, other = workspace / "r1" / "model.ckpt", workspace / "a" / "r1" / "model.ckpt"
+        for ckpt in (first, other):
+            assert run(["train", "--data", prep, "--model", "conv1d",
+                        "--out", ckpt.parent, "--config", workspace / "tiny.cfg"]) == 0
+        out = workspace / "ev"
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", first, "--checkpoint", first,
+                    "--checkpoint", other, "--data", prep, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoints {first} and {other} would both write" in err
+        assert "'conv1d_r1'" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def _drop_and_rewrite(src, dst, meta_key=None, array_key=None):
@@ -819,6 +853,27 @@ class TestSettableValues:
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
             "epochs", "batch_size", "lr_switch_epoch", "seed", "hmm_max_iters"]
         assert list(inspect.signature(Adam).parameters) == ["params", "lr"]
+
+    def test_library_signatures_and_spec_fields(self):
+        """Values no caller varies (the HMM's states and tolerance, the
+        inference chunk, the finite-difference step, the gradient check's
+        classes, the frame period) are module constants, not parameters."""
+        signatures = {fn.__name__: str(inspect.signature(fn)) for fn in (
+            fit_classifier, baum_welch_fit, predict_batch, grad_check,
+            cli.run_gradcheck, cli.run_ablation, verify_templates)}
+        assert signatures == {
+            "fit_classifier": "(states, labels, class_names, max_iters, seed)",
+            "baum_welch_fit": "(sequences, max_iters, seed, n_states=7)",
+            "predict_batch": "(model, states)",
+            "grad_check": "(forward, params, max_elements=200, seed=0)",
+            "run_gradcheck": "(seed, num_samples)",
+            "run_ablation": "(dataset, seeds, base_config)",
+            "verify_templates": "()",
+        }
+        assert [f.name for f in dataclasses.fields(SynthSpec)] == [
+            "counts", "length", "noise", "seed"]
+        assert [f.name for f in dataclasses.fields(Checkpoint)] == [
+            "model", "class_names", "normalization"]
 
     def test_subcommand_options(self):
         (subparsers,) = [a for a in cli.build_parser()._actions

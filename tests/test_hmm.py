@@ -11,6 +11,7 @@ from trajbehav import hmm
 from trajbehav.errors import ConfigError, DataError, NumericalError
 from trajbehav.rng import HMM_INIT, seeded_rng
 from trajbehav.hmm import (
+    HMM_TOL,
     VARIANCE_FLOOR,
     GaussianHMM,
     HMMClassifier,
@@ -70,7 +71,7 @@ def log_backward(model, logb):
     return log_beta
 
 
-def log_space_em(seqs, n_states, max_iters, tol=1e-4, seed=0):
+def log_space_em(seqs, n_states, max_iters, seed):
     """Baum-Welch with a log-space E-step and a per-step xi loop; returns the trace."""
     model = _init_model(seqs, n_states, seed)
     trace = []
@@ -80,7 +81,7 @@ def log_space_em(seqs, n_states, max_iters, tol=1e-4, seed=0):
         log_alpha, ll = log_forward(model, seqs)
         log_beta = log_backward(model, logb)
         trace.append(float(ll.sum()))
-        if trace[-1] - prev_ll < tol:
+        if trace[-1] - prev_ll < HMM_TOL:
             break
         prev_ll = trace[-1]
         gamma = np.exp(log_alpha + log_beta - ll[:, None, None])
@@ -115,7 +116,7 @@ def log_space_em(seqs, n_states, max_iters, tol=1e-4, seed=0):
 
 
 def loglik(model, seq):
-    return float(forward_loglik_batch(model, seq)[0])
+    return float(forward_loglik_batch(model, seq[None])[0])
 
 
 def random_model(rng, k, d=4):
@@ -267,6 +268,12 @@ class TestForward:
         with pytest.raises(DataError):
             loglik(m, seq)
 
+    def test_single_sequence_needs_a_batch_axis(self, rng):
+        m = random_model(rng, 2)
+        with pytest.raises(ConfigError, match=r"expected \(N, T, D\) observations, "
+                                              r"got shape \(5, 4\)"):
+            forward_loglik_batch(m, rng.normal(size=(5, 4)))
+
     def test_batch_matches_single(self, rng):
         m = random_model(rng, 3)
         seqs = rng.normal(size=(6, 5, 4))
@@ -344,7 +351,7 @@ class TestBaumWelch:
         )
         rng = np.random.default_rng(11)
         seqs = sample_sequences(rng, gen, 2000, 5)
-        fit = baum_welch_fit(seqs, n_states=2, seed=3)
+        fit = baum_welch_fit(seqs, max_iters=100, seed=3, n_states=2)
         best = min(
             np.abs(fit.transitions[np.ix_(p, p)] - gen.transitions).max()
             for p in ([0, 1], [1, 0])
@@ -366,7 +373,7 @@ class TestBaumWelch:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
-            baum_welch_fit(np.zeros((0, 5, 4)), n_states=2)
+            baum_welch_fit(np.zeros((0, 5, 4)), max_iters=10, seed=0, n_states=2)
 
     @pytest.mark.parametrize("n, seed", [(921, 1), (40, 2), (3, 3)])
     def test_trace_matches_log_space_em(self, n, seed):
@@ -393,7 +400,7 @@ class TestBaumWelch:
         seqs = np.zeros((3, 5, 4))
         seqs[2, 3] = 0.1
         with pytest.raises(NumericalError, match="1 sequences"):
-            baum_welch_fit(seqs, n_states=2)
+            baum_welch_fit(seqs, max_iters=10, seed=0, n_states=2)
 
 
 class TestClassifier:
@@ -406,7 +413,7 @@ class TestClassifier:
         states[4, 3] = 0.1
         labels = np.array([0, 0, 0, 1, 1, 1])
         with pytest.raises(NumericalError) as info:
-            fit_classifier(states, labels, ["SA", "USD"], n_states=2)
+            fit_classifier(states, labels, ["SA", "USD"], max_iters=10, seed=0)
         assert str(info.value).startswith(
             "class 'USD': EM iteration 1: 1 sequences have zero likelihood")
         assert info.value.exit_code == 4
@@ -435,8 +442,7 @@ class TestClassifier:
         train = [sample_sequences(rng, g, 120, 5) for g in gens]
         states = np.concatenate(train)
         labels = np.repeat(np.arange(3), 120)
-        clf = fit_classifier(states, labels, ["A", "B", "C"], n_states=2,
-                             max_iters=30, seed=0)
+        clf = fit_classifier(states, labels, ["A", "B", "C"], max_iters=30, seed=0)
         test = np.concatenate([sample_sequences(rng, g, 40, 5) for g in gens])
         test_labels = np.repeat(np.arange(3), 40)
         preds = hmm_predict_batch(clf, test)

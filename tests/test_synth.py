@@ -6,9 +6,8 @@ import pytest
 from trajbehav.data import save_trajectories, window_all
 from trajbehav.errors import ConfigError
 from trajbehav.synth import (
+    DT,
     EGO_SPEED,
-    PEDESTRIAN_CLASSES,
-    RIDER_CLASSES,
     TEMPLATES,
     VEHICLE_CLASSES,
     SynthSpec,
@@ -17,11 +16,14 @@ from trajbehav.synth import (
 )
 
 
+def classes_of(kind):
+    return [n for n, t in TEMPLATES.items() if t.agent_kind == kind]
+
+
 class TestTemplateRegistry:
     def test_class_counts_per_kind(self):
-        assert len(VEHICLE_CLASSES) == 13
-        assert len(PEDESTRIAN_CLASSES) == 6
-        assert len(RIDER_CLASSES) == 7
+        assert VEHICLE_CLASSES == classes_of("vehicle")
+        assert [len(classes_of(k)) for k in ("vehicle", "pedestrian", "rider")] == [13, 6, 7]
 
     def test_vehicle_taxonomy_names(self):
         assert set(VEHICLE_CLASSES) == {
@@ -32,7 +34,7 @@ class TestTemplateRegistry:
 
 class TestPredicates:
     def test_all_templates_pass_at_zero_noise(self):
-        results = verify_templates(length=20)
+        results = verify_templates()
         failing = [name for name, ok in results.items() if not ok]
         assert not failing, f"templates failing their predicate: {failing}"
 
@@ -40,14 +42,14 @@ class TestPredicates:
         spec = SynthSpec(counts={"SD": 2}, length=12, noise=0.0, seed=0)
         trajs, _ = gen_dataset(spec)
         for traj in trajs:
-            speeds = np.diff(traj.states[:, 0]) / spec.dt
+            speeds = np.diff(traj.states[:, 0]) / DT
             assert (np.diff(speeds) < 0).all()
 
     def test_stopping_relative_speed_is_minus_ego(self):
         spec = SynthSpec(counts={"S": 2}, length=12, noise=0.0, seed=0)
         trajs, _ = gen_dataset(spec)
         for traj in trajs:
-            speeds = np.diff(traj.states[:, 0]) / spec.dt
+            speeds = np.diff(traj.states[:, 0]) / DT
             assert np.abs(speeds + EGO_SPEED).max() < 1e-6
 
     def test_ofl_crosses_zero_on_the_left(self):
@@ -129,7 +131,7 @@ def pairwise_1nn_error(states, labels, a, b):
 
 class TestSeparability:
     @pytest.mark.parametrize(
-        "classes", [VEHICLE_CLASSES, PEDESTRIAN_CLASSES, RIDER_CLASSES]
+        "classes", [classes_of(k) for k in ("vehicle", "pedestrian", "rider")]
     )
     def test_zero_noise_knn_separability(self, classes):
         spec = SynthSpec(counts={c: 25 for c in classes}, length=12,
