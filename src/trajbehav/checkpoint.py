@@ -6,10 +6,10 @@ precision, so a save/load roundtrip restores parameters bit-exactly and
 reproduces predictions bit-identically. Each neural kind has one fixed
 architecture: a load rebuilds it from the class count (and, for fusion,
 whether the conv branch is on) and rejects a stored config that differs
-from it, as well as checksum, shape or dtype mismatches. An HMM checkpoint
-must name at least two classes and hold exactly the four tensors of each,
-all finite float64: positive variances, and initial and transition rows
-that are probability distributions.
+from it, as well as checksum, shape or dtype mismatches and non-finite
+parameters. An HMM checkpoint must name at least two classes and hold
+exactly the four tensors of each, all finite float64: positive variances,
+and initial and transition rows that are probability distributions.
 """
 
 from __future__ import annotations
@@ -142,6 +142,8 @@ def load_checkpoint(path):
                 f"{path}: tensor {name} stored as {stored.dtype}, "
                 f"precision {meta['precision']!r} implies {p.data.dtype}"
             )
+        if not np.isfinite(stored).all():
+            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
         p.data = np.ascontiguousarray(stored)
         p.zero_grad()
     return Checkpoint(model=model, class_names=class_names,

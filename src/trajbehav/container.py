@@ -4,13 +4,17 @@ Layout: magic | u16 version | u32 header length | canonical-JSON header |
 concatenated little-endian array bytes | sha256 of everything before it.
 Writes are atomic (temp file + rename) and byte-reproducible: the header
 JSON is canonical (sorted keys, no whitespace) and arrays are stored in the
-listed order, C-contiguous, little-endian, in their native width.
+listed order, C-contiguous, little-endian, in their native width. The
+header and each array buffer are hashed and written as they are, without
+joining them into one payload; a read hashes a memoryview of the file and
+copies each array out of it once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -23,6 +27,7 @@ MAGIC = b"TBHV"
 VERSION = 1
 
 _DTYPES = {"<f4", "<f8", "<i8"}
+_MAX_BYTES = np.iinfo(np.intp).max     # numpy's bound on an array's size in bytes
 
 
 def _canonical_dtype(arr):
@@ -78,6 +83,7 @@ def _check_header(path, header):
             and isinstance(dtype, str) and dtype in _DTYPES
             and isinstance(shape, list)
             and all(type(n) is int and n >= 0 for n in shape)
+            and math.prod(n for n in shape if n) * np.dtype(dtype).itemsize <= _MAX_BYTES
         ):
             raise CheckpointError(
                 f"{path}: array entry {i} has name {entry['name']!r}, "
@@ -88,33 +94,28 @@ def _check_header(path, header):
 def write_container(path, kind, meta, arrays):
     """Write `arrays` (ordered name -> ndarray) plus a JSON-able `meta`."""
     entries = []
-    blobs = []
+    buffers = []
     for name, arr in arrays.items():
         dt = _canonical_dtype(arr)
-        data = np.ascontiguousarray(arr, dtype=np.dtype(dt))
+        buffers.append(np.ascontiguousarray(arr, dtype=np.dtype(dt)))
         entries.append({"name": name, "dtype": dt, "shape": list(arr.shape)})
-        blobs.append(data.tobytes())
     header = json.dumps(
         {"kind": kind, "meta": meta, "arrays": entries},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-
-    payload = bytearray()
-    payload += MAGIC
-    payload += struct.pack("<H", VERSION)
-    payload += struct.pack("<I", len(header))
-    payload += header
-    for blob in blobs:
-        payload += blob
-    digest = hashlib.sha256(bytes(payload)).digest()
-    payload += digest
+    parts = [MAGIC + struct.pack("<HI", VERSION, len(header)) + header, *buffers]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
 
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(payload))
+            for part in parts:
+                fh.write(part)
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -131,18 +132,15 @@ def read_container(path):
         raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if len(raw) < len(MAGIC) + 6 + 32 or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a container file")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(raw)[:-32]
+    if hashlib.sha256(body).digest() != raw[-32:]:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt")
-    off = len(MAGIC)
-    (version,) = struct.unpack_from("<H", body, off)
-    off += 2
+    version, hlen = struct.unpack_from("<HI", body, len(MAGIC))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported container version {version}")
-    (hlen,) = struct.unpack_from("<I", body, off)
-    off += 4
+    off = len(MAGIC) + 6
     try:
-        header = json.loads(body[off:off + hlen].decode("utf-8"))
+        header = json.loads(bytes(body[off:off + hlen]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     off += hlen
@@ -151,7 +149,7 @@ def read_container(path):
     for entry in header["arrays"]:
         dt = np.dtype(entry["dtype"])
         shape = tuple(entry["shape"])
-        nbytes = dt.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dt.itemsize
+        nbytes = dt.itemsize * math.prod(shape)
         chunk = body[off:off + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError(f"{path}: truncated array {entry['name']}")

@@ -18,6 +18,17 @@ Trajectory file format: UTF-8 CSV with header
 class-name string; the companion label-map file holds `class_index,
 class_name` rows. Direction `d` is radians internally; ingestion can
 convert from degrees.
+
+Ingestion is columnar: one csv.reader pass, whole columns converted with
+Python `int` and `float`, agents grouped by one lexsort over (agent,
+frame), and each Trajectory a slice of the sorted arrays. Only when a
+check fails are the rows walked one by one, to word the report: first
+every row that fails a check of its own (field count, kind, numbers,
+negative frame, frame past int64, non-finite value), else every row with
+an unknown label, a repeated (agent, frame) or a changed agent kind. Each
+row reports its first failing check, in row order, and the report quotes
+the first 20. Writing formats each row from `repr` of the state floats,
+with the text fields quoted once by csv.writer.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -159,11 +170,22 @@ def open_text(path, error):
         raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
+def _csv_rows(path, fh):
+    """The rows csv.reader reads from `fh`; a row it rejects (such as a field
+    past its size limit) raises IngestError naming the row."""
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            yield row
+    except csv.Error as exc:
+        raise IngestError(f"{path}: row {lineno + 1}: {exc}") from exc
+
+
 def load_label_map(path):
     """Read `class_index,class_name` rows into an ordered name list."""
     entries = {}
     with open_text(path, IngestError) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(_csv_rows(path, fh), start=1):
             if not row or row[0].startswith("#"):
                 continue
             if len(row) != 2:
@@ -187,64 +209,44 @@ def save_label_map(class_names, path):
             writer.writerow([i, name])
 
 
-def load_trajectories(path, class_names=None, degrees=False):
-    """Parse a trajectory file into one Trajectory per agent.
+def _row_problem(row):
+    """The first check that a trajectory CSV row fails on its own, as
+    report text, or None if it passes them all."""
+    if len(row) != len(TRAJECTORY_COLUMNS):
+        return f"expected {len(TRAJECTORY_COLUMNS)} fields"
+    _, kind, frame, *coords, _ = row
+    if kind not in AGENT_KINDS:
+        return f"unknown agent kind {kind!r}"
+    try:
+        frame = int(frame)
+        coords = [float(v) for v in coords]
+    except ValueError:
+        return "non-numeric field"
+    if frame < 0:
+        return f"negative frame {frame}"
+    if frame > _MAX_FRAME:
+        return f"frame {frame} does not fit in int64"
+    if not all(map(math.isfinite, coords)):
+        return "non-finite coordinate"
+    return None
 
-    Returns (trajectories, class_names). With a label map the file's label
-    strings must resolve against it; otherwise names are collected and
-    ordered alphabetically. Malformed rows are collected and reported
-    together with their row numbers.
-    """
-    rows = []
+
+def _agent_problems(rows, name_to_idx):
+    """Report text for each non-blank row, in order, whose label is not in
+    `name_to_idx`, whose (agent, frame) an earlier row holds, or whose
+    agent an earlier row gave another kind (the first of these). Rows that
+    fail an earlier check are not seen by the later ones."""
     problems = []
-    with open_text(path, IngestError) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRAJECTORY_COLUMNS:
-            raise IngestError(
-                f"{path}: expected header {','.join(TRAJECTORY_COLUMNS)}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRAJECTORY_COLUMNS):
-                problems.append(f"row {lineno}: expected {len(TRAJECTORY_COLUMNS)} fields")
-                continue
-            agent_id, kind, frame_s, xs, ys, zs, ds, label = row
-            if kind not in AGENT_KINDS:
-                problems.append(f"row {lineno}: unknown agent kind {kind!r}")
-                continue
-            try:
-                frame = int(frame_s)
-                x, y, z, d = float(xs), float(ys), float(zs), float(ds)
-            except ValueError:
-                problems.append(f"row {lineno}: non-numeric field")
-                continue
-            if frame < 0:
-                problems.append(f"row {lineno}: negative frame {frame}")
-                continue
-            if frame > _MAX_FRAME:
-                problems.append(f"row {lineno}: frame {frame} does not fit in int64")
-                continue
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
-                    and math.isfinite(d)):
-                problems.append(f"row {lineno}: non-finite coordinate")
-                continue
-            rows.append((lineno, agent_id, kind, frame, x, y, z, d, label))
-    if problems:
-        raise IngestError(f"{path}: {len(problems)} malformed rows: " + "; ".join(problems[:20]))
-
-    if class_names is None:
-        class_names = sorted({r[8] for r in rows})
-    name_to_idx = {name: i for i, name in enumerate(class_names)}
-
-    by_agent = {}
     seen_frames = {}
-    for lineno, agent_id, kind, frame, x, y, z, d, label in rows:
+    agent_kind = {}
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        agent_id, kind, frame, *_, label = row
         if label not in name_to_idx:
             problems.append(f"row {lineno}: label {label!r} not in label map")
             continue
-        key = (agent_id, frame)
+        key = (agent_id, int(frame))
         if key in seen_frames:
             problems.append(
                 f"row {lineno}: duplicate (agent_id, frame) "
@@ -252,37 +254,114 @@ def load_trajectories(path, class_names=None, degrees=False):
             )
             continue
         seen_frames[key] = lineno
-        if degrees:
-            d = math.radians(d)
-        entry = by_agent.setdefault(agent_id, {"kind": kind, "rows": []})
-        if entry["kind"] != kind:
-            problems.append(
-                f"row {lineno}: agent {agent_id!r} changes kind "
-                f"{entry['kind']!r} -> {kind!r}"
+        first = agent_kind.setdefault(agent_id, kind)
+        if first != kind:
+            problems.append(f"row {lineno}: agent {agent_id!r} changes kind {first!r} -> {kind!r}")
+    return problems
+
+
+def _columns(rows):
+    """The rows as columns (agent ids, kinds, labels: tuples of strings;
+    frames (n,) int64; x,y,z,d (n, 4) float64), or None if a row fails
+    `_row_problem`."""
+    if not set(map(len, rows)) <= {len(TRAJECTORY_COLUMNS)}:
+        return None
+    agents, kinds, frames, *coords, labels = zip(*rows) if rows else [()] * 8
+    if not set(kinds).issubset(AGENT_KINDS):
+        return None
+    try:
+        frames = list(map(int, frames))
+        coords = np.fromiter(map(float, chain(*coords)), np.float64,
+                             4 * len(rows)).reshape(4, -1).T
+    except ValueError:
+        return None
+    if frames and not (min(frames) >= 0 and max(frames) <= _MAX_FRAME):
+        return None
+    if not np.isfinite(coords).all():
+        return None
+    return agents, kinds, labels, np.array(frames, np.int64), coords
+
+
+def load_trajectories(path, class_names=None, degrees=False):
+    """Parse a trajectory file into one Trajectory per agent.
+
+    Returns (trajectories, class_names). With a label map the file's label
+    strings must resolve against it; otherwise names are collected and
+    ordered alphabetically. Malformed rows are reported together with their
+    row numbers: first every row that fails a check on its own, else every
+    row with an unknown label, a repeated (agent, frame) or a kind change.
+    """
+    with open_text(path, IngestError) as fh:
+        reader = _csv_rows(path, fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != TRAJECTORY_COLUMNS:
+            raise IngestError(
+                f"{path}: expected header {','.join(TRAJECTORY_COLUMNS)}, got {header}"
             )
-            continue
-        entry["rows"].append((frame, x, y, z, normalize_angle(d), name_to_idx[label]))
-    if problems:
+        rows = list(reader)
+    columns = _columns(rows if all(rows) else [row for row in rows if row])
+    if columns is None:
+        problems = [f"row {lineno}: {p}" for lineno, row in enumerate(rows, start=2)
+                    if row and (p := _row_problem(row)) is not None]
+        raise IngestError(f"{path}: {len(problems)} malformed rows: " + "; ".join(problems[:20]))
+    agents, kinds, labels, frames, states = columns
+
+    if class_names is None:
+        class_names = sorted(set(labels))
+    name_to_idx = {name: i for i, name in enumerate(class_names)}
+    ids = sorted(set(agents))
+    code = np.fromiter(map(dict(zip(ids, range(len(ids)))).__getitem__, agents),
+                       np.int64, len(agents))
+    kind = np.fromiter(map(AGENT_KINDS.index, kinds), np.int64, len(kinds))
+    label = np.fromiter(map(name_to_idx.get, labels, repeat(-1)), np.int64, len(labels))
+    order = np.lexsort((frames, code))
+    code, kind, label, frames = code[order], kind[order], label[order], frames[order]
+    same_agent = code[1:] == code[:-1]
+    if (label < 0).any() or (same_agent & ((frames[1:] == frames[:-1])
+                                           | (kind[1:] != kind[:-1]))).any():
+        problems = _agent_problems(rows, name_to_idx)
         raise IngestError(f"{path}: {len(problems)} bad rows: " + "; ".join(problems[:20]))
 
-    trajectories = []
-    for agent_id, entry in sorted(by_agent.items()):
-        frames, x, y, z, d, labels = zip(*sorted(entry["rows"], key=itemgetter(0)))
-        trajectories.append(Trajectory(agent_id, entry["kind"], np.column_stack((x, y, z, d)),
-                                       np.array(labels, np.int64), np.array(frames, np.int64)))
-    return trajectories, list(class_names)
+    states = states[order]
+    if degrees:
+        states[:, 3] = np.radians(states[:, 3])
+    wrap = np.flatnonzero((states[:, 3] < -math.pi) | (states[:, 3] >= math.pi))
+    states[wrap, 3] = [normalize_angle(d) for d in states[wrap, 3].tolist()]
+    bounds = np.searchsorted(code, np.arange(len(ids) + 1)).tolist()
+    return [Trajectory(agent_id, AGENT_KINDS[kind[lo]], states[lo:hi], label[lo:hi], frames[lo:hi])
+            for agent_id, lo, hi in zip(ids, bounds, bounds[1:])], list(class_names)
 
 
 def save_trajectories(trajectories, class_names, path):
-    """Write the documented trajectory CSV; floats use shortest-roundtrip repr."""
+    """Write the documented trajectory CSV, as csv.writer does; floats use
+    shortest-roundtrip repr."""
+    quoted = [_csv_field(name) for name in class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for t in trajectories:
-            writer.writerows(
-                [t.agent_id, t.agent_kind, frame, *map(repr, state), class_names[label]]
-                for frame, state, label in zip(t.frames.tolist(), t.states.tolist(),
-                                               t.labels.tolist()))
+            head = f"{_csv_field(t.agent_id)},{_csv_field(t.agent_kind)},"
+            fh.write("".join([
+                f"{head}{frame},{x!r},{y!r},{z!r},{d!r},{quoted[label]}\r\n"
+                for frame, (x, y, z, d), label in zip(t.frames.tolist(), t.states.tolist(),
+                                                      t.labels.tolist())]))
+
+
+class _Echo:
+    """A file whose write returns the text it is given, which
+    csv.writer.writerow passes on as its own return value."""
+
+    @staticmethod
+    def write(text):
+        return text
+
+
+_ECHO_WRITER = csv.writer(_Echo())
+
+
+def _csv_field(value):
+    """`value` as csv.writer writes it as one field of a row: the row
+    `value,` less the `,` of its empty last field and the line end."""
+    return _ECHO_WRITER.writerow((value, ""))[:-3]
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +540,13 @@ _SPLIT_ARRAYS = tuple(f"{part}_{key}" for part in ("train", "test") for key in _
 
 
 def _number_agents(train, test):
-    """(agent ids, train indices, test indices), numbered by first appearance, train first."""
-    ids = np.concatenate([np.asarray(w.agents, dtype=str)[w.agent_idx] for w in (train, test)])
-    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    """(agent ids, train indices, test indices), numbered by first appearance,
+    train first. Both splits must index the one `agents` list of their windowing."""
+    idx = np.concatenate([train.agent_idx, test.agent_idx])
+    used, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
     order = np.argsort(first)
     renumbered = np.argsort(order)[inverse]
-    return unique[order].tolist(), renumbered[:len(train)], renumbered[len(train):]
+    return [train.agents[i] for i in used[order]], renumbered[:len(train)], renumbered[len(train):]
 
 
 def save_prepared(dataset, path):

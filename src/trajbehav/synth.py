@@ -122,6 +122,8 @@ class SynthSpec:
     def validate(self):
         if self.length < 7:
             raise ConfigError(f"trajectory length must be >= 7, got {self.length}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise must be a finite number >= 0, got {self.noise}")
         for name, count in self.counts.items():
             if name not in TEMPLATES:
                 raise ConfigError(f"unknown behavior class {name!r}")

@@ -76,6 +76,16 @@ class TestContainer:
         with pytest.raises(CheckpointError, match=match):
             read_container(path)
 
+    @pytest.mark.parametrize("shape", [[2**62, 4], [2**32, 2**32], [0, 2**62], [2**40, 4]])
+    def test_shape_whose_byte_count_overflows_int64_rejected(self, tmp_path, shape):
+        # 2**62 * 4 and 2**32 * 2**32 elements wrap to 0 in int64 arithmetic
+        header = {"kind": "model", "meta": {}, "arrays": [
+            {"name": "w", "dtype": "<f8", "shape": shape}]}
+        path = tmp_path / "x.tbh"
+        path.write_bytes(checksummed(header, bytes(64)))
+        with pytest.raises(CheckpointError, match="entry 0|truncated array w"):
+            read_container(path)
+
 
 container_meta = st.dictionaries(st.text(max_size=4), st.one_of(
     st.none(), st.booleans(), st.integers(-2**62, 2**62), st.text(max_size=6),
@@ -172,6 +182,18 @@ class TestModelCheckpoint:
         arrays["head.w"] = arrays["head.w"][:, :3]
         write_container(path, kind, meta, arrays)
         with pytest.raises(CheckpointError, match="head.w"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, kind, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(kind, num_classes=3, seed=0), list("ABC"), path)
+        ck_kind, meta, arrays = read_container(path)
+        name = sorted(arrays)[len(arrays) // 2]
+        arrays[name].flat[-1] = value
+        write_container(path, ck_kind, meta, arrays)
+        with pytest.raises(CheckpointError, match=f"tensor {name} has non-finite values"):
             load_checkpoint(path)
 
     def test_normalization_stats_persisted(self, tmp_path):

@@ -122,6 +122,8 @@ class TestGen:
         ("length = 12.5", "bad value for length: '12.5'"),
         ("dt = fast", "unknown generator key 'dt'"),
         ("count.SA = many", "bad value for count.SA: 'many'"),
+        ("noise = -1", "noise must be a finite number >= 0, got -1.0"),
+        ("noise = nan", "noise must be a finite number >= 0, got nan"),
     ])
     def test_bad_spec_line_exit_2(self, workspace, capsys, line, message):
         spec = workspace / "bad.txt"

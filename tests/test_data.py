@@ -1,5 +1,6 @@
 """Data pipeline: ingestion, windowing, filtering, splitting, resampling."""
 
+import csv
 import math
 import random
 from dataclasses import replace
@@ -175,19 +176,34 @@ class TestLoadSave:
         save_label_map(["OFL", "USD", "S"], path)
         assert load_label_map(path) == ["OFL", "USD", "S"]
 
+    def test_field_past_the_csv_size_limit_names_the_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "agent_id,kind,frame,x,y,z,d,label\n"
+            "a1,vehicle,0,1,0,0,0,USD\n"
+            "a1,vehicle,1,1,0,0,0," + "U" * (csv.field_size_limit() + 1) + "\n"
+        )
+        with pytest.raises(IngestError, match=r"t\.csv: row 3: field larger than field limit"):
+            load_trajectories(path)
+
+    def test_label_map_field_past_the_csv_size_limit_names_the_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("0,USD\n1," + "S" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(IngestError, match=r"labels\.csv: row 2: field larger than field limit"):
+            load_label_map(path)
+
 
 CLASS_NAMES = ["A", "B", "C"]
 _BIG = 1.7976931348623157e308   # largest finite float64
 
 
 @st.composite
-def trajectory_sets(draw):
+def trajectory_sets(draw, id_text=st.text("ab09-_.", min_size=1, max_size=5)):
     """Trajectories of random agents and kinds, with gaps between frames,
     any finite x/y/z and any d in [-pi, pi) (where ingestion leaves d as is)."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     angle = st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True)
-    ids = draw(st.lists(st.text("ab09-_.", min_size=1, max_size=5),
-                        min_size=1, max_size=5, unique=True))
+    ids = draw(st.lists(id_text, min_size=1, max_size=5, unique=True))
     trajs = []
     for agent_id in ids:
         n = draw(st.integers(1, 8))
@@ -228,6 +244,194 @@ class TestTrajectoryCSVProperties:
         assert [t.agent_id for t in back] == sorted(by_id)
         for t in back:
             assert_same_trajectory(t, by_id[t.agent_id])
+
+
+# ---------------------------------------------------------------------------
+# The row-by-row trajectory CSV reader and csv.writer writer of earlier
+# versions, kept as the reference of the columnar ones: same trajectories,
+# same error text, same bytes.
+# ---------------------------------------------------------------------------
+
+def reference_load_trajectories(path, class_names=None, degrees=False):
+    rows = []
+    problems = []
+    with dmod.open_text(path, IngestError) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != dmod.TRAJECTORY_COLUMNS:
+            raise IngestError(
+                f"{path}: expected header {','.join(dmod.TRAJECTORY_COLUMNS)}, got {header}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(dmod.TRAJECTORY_COLUMNS):
+                problems.append(f"row {lineno}: expected {len(dmod.TRAJECTORY_COLUMNS)} fields")
+                continue
+            agent_id, kind, frame_s, xs, ys, zs, ds, label = row
+            if kind not in AGENT_KINDS:
+                problems.append(f"row {lineno}: unknown agent kind {kind!r}")
+                continue
+            try:
+                frame = int(frame_s)
+                x, y, z, d = float(xs), float(ys), float(zs), float(ds)
+            except ValueError:
+                problems.append(f"row {lineno}: non-numeric field")
+                continue
+            if frame < 0:
+                problems.append(f"row {lineno}: negative frame {frame}")
+                continue
+            if frame > 2**63 - 1:
+                problems.append(f"row {lineno}: frame {frame} does not fit in int64")
+                continue
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+                    and math.isfinite(d)):
+                problems.append(f"row {lineno}: non-finite coordinate")
+                continue
+            rows.append((lineno, agent_id, kind, frame, x, y, z, d, label))
+    if problems:
+        raise IngestError(f"{path}: {len(problems)} malformed rows: " + "; ".join(problems[:20]))
+
+    if class_names is None:
+        class_names = sorted({r[8] for r in rows})
+    name_to_idx = {name: i for i, name in enumerate(class_names)}
+
+    by_agent = {}
+    seen_frames = {}
+    for lineno, agent_id, kind, frame, x, y, z, d, label in rows:
+        if label not in name_to_idx:
+            problems.append(f"row {lineno}: label {label!r} not in label map")
+            continue
+        key = (agent_id, frame)
+        if key in seen_frames:
+            problems.append(
+                f"row {lineno}: duplicate (agent_id, frame) "
+                f"{key} first seen at row {seen_frames[key]}"
+            )
+            continue
+        seen_frames[key] = lineno
+        if degrees:
+            d = math.radians(d)
+        entry = by_agent.setdefault(agent_id, {"kind": kind, "rows": []})
+        if entry["kind"] != kind:
+            problems.append(
+                f"row {lineno}: agent {agent_id!r} changes kind "
+                f"{entry['kind']!r} -> {kind!r}"
+            )
+            continue
+        entry["rows"].append((frame, x, y, z, normalize_angle(d), name_to_idx[label]))
+    if problems:
+        raise IngestError(f"{path}: {len(problems)} bad rows: " + "; ".join(problems[:20]))
+
+    trajectories = []
+    for agent_id, entry in sorted(by_agent.items()):
+        frames, x, y, z, d, labels = zip(*sorted(entry["rows"], key=lambda r: r[0]))
+        trajectories.append(Trajectory(agent_id, entry["kind"], np.column_stack((x, y, z, d)),
+                                       np.array(labels, np.int64), np.array(frames, np.int64)))
+    return trajectories, list(class_names)
+
+
+def reference_save_trajectories(trajectories, class_names, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dmod.TRAJECTORY_COLUMNS)
+        for t in trajectories:
+            writer.writerows(
+                [t.agent_id, t.agent_kind, frame, *map(repr, state), class_names[label]]
+                for frame, state, label in zip(t.frames.tolist(), t.states.tolist(),
+                                               t.labels.tolist()))
+
+
+def load_outcome(load, path, class_names, degrees):
+    """("ok", class names, each trajectory's fields and array bytes) or
+    ("error", message) of an IngestError."""
+    try:
+        trajs, names = load(path, class_names, degrees)
+    except IngestError as exc:
+        return "error", str(exc)
+    return "ok", names, [
+        (t.agent_id, t.agent_kind,
+         *((a.dtype.str, a.shape, a.tobytes()) for a in (t.states, t.labels, t.frames)))
+        for t in trajs]
+
+
+# Text that csv.writer must quote; frames and coordinates that int() and
+# float() reject, accept in unusual spellings, or read as out of range.
+_CSV_TEXT = st.text(st.sampled_from('ab ,"\r\n\x00\u00e9_-'), max_size=4)
+_FRAME_TEXT = st.sampled_from(["-1", "-0", " 7 ", "1_0", "1__0", "1.0", "x", "", "\u0663",
+                               str(2**63 - 1), str(2**63), "9" * 30])
+_COORDINATE_TEXT = st.sampled_from([" 1.5 ", "1_0", "1__0", "1e400", "-inf", "nan", "inf", "abc",
+                                    "", "0x1", "\u0663", "4.5e1", "1e-400"])
+_DEFECTS = ("fields", "unknown kind", "kind change", "frame", "coordinate", "label")
+
+
+@st.composite
+def trajectory_files(draw):
+    """(header, rows) of a trajectory CSV: well-formed rows of a few agents
+    (so frames can repeat) and blank rows, then up to three defects, each
+    in a random row: a wrong field count, an unknown or changed kind, or an
+    odd frame, coordinate or label."""
+    agents = draw(st.lists(_CSV_TEXT, min_size=1, max_size=3, unique=True))
+    agent_kind = {a: draw(st.sampled_from(AGENT_KINDS)) for a in agents}
+    header = list(dmod.TRAJECTORY_COLUMNS)
+    if draw(st.integers(0, 4)) == 4:
+        header[draw(st.integers(0, 7))] = draw(st.sampled_from([" x ", "frames", ""]))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        agent = draw(st.sampled_from(agents))
+        rows.append([] if draw(st.integers(0, 9)) == 9 else [
+            agent, agent_kind[agent], str(draw(st.integers(0, 40))),
+            *(repr(draw(st.floats(-1e3, 1e3))) for _ in range(4)),
+            draw(st.sampled_from(CLASS_NAMES))])
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=3)) if rows else ():
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i] if len(rows[i]) == 8 else [agents[0], agent_kind[agents[0]], "0", "0",
+                                                 "0", "0", "0", "A"]
+        if defect == "fields":
+            row = row[:draw(st.integers(1, 7))] if draw(st.booleans()) else row + [""]
+        elif defect == "unknown kind":
+            row[1] = draw(st.sampled_from(["car", "", "Vehicle", " rider"]))
+        elif defect == "kind change":
+            row[1] = draw(st.sampled_from([k for k in AGENT_KINDS if k != row[1]]))
+        elif defect == "frame":
+            row[2] = draw(_FRAME_TEXT)
+        elif defect == "coordinate":
+            row[draw(st.integers(3, 6))] = draw(_COORDINATE_TEXT)
+        else:
+            row[7] = draw(st.sampled_from(["D", "", "a,b"]))
+        rows[i] = row
+    return header, rows
+
+
+class TestTrajectoryCSVAgainstReference:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(file=trajectory_files(), class_names=st.sampled_from([None, CLASS_NAMES]),
+           degrees=st.booleans())
+    def test_load_matches_reference(self, tmp_path, file, class_names, degrees):
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([file[0], *file[1]])
+        assert (load_outcome(load_trajectories, path, class_names, degrees)
+                == load_outcome(reference_load_trajectories, path, class_names, degrees))
+
+    def test_error_report_keeps_the_first_twenty_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("agent_id,kind,frame,x,y,z,d,label\n"
+                        + "".join(f"a,vehicle,{i},0,0,0,0,{'AB'[i % 2]}\n" for i in range(50)))
+        got = load_outcome(load_trajectories, path, ["A"], False)
+        assert got == load_outcome(reference_load_trajectories, path, ["A"], False)
+        assert got[1].startswith(f"{path}: 25 bad rows: row 3: label 'B' not in label map; ")
+        assert got[1].count("; ") == 19
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trajs=trajectory_sets(id_text=_CSV_TEXT),
+           names=st.lists(_CSV_TEXT, min_size=len(CLASS_NAMES), max_size=len(CLASS_NAMES)))
+    def test_save_bytes_match_reference(self, tmp_path, trajs, names):
+        save_trajectories(trajs, names, tmp_path / "new.csv")
+        reference_save_trajectories(trajs, names, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestFilterWindow:
@@ -552,6 +756,15 @@ class TestPreparedDump:
         save_prepared(ds, p1)
         save_prepared(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_agents_differing_by_a_trailing_nul_stay_apart(self, tmp_path):
+        w = Windows(np.zeros((4, 5, 4)), np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]),
+                    np.array([4, 5, 4, 5]), ["a", "a\x00"])
+        path = tmp_path / "prep.tbh"
+        save_prepared(PreparedDataset(DatasetSplit(w[[0, 2]], w[[1, 3]], ["A", "B"], 0)), path)
+        back = load_prepared(path).split
+        assert [s.source for s in back.train] == [("a", 4), ("a\x00", 4)]
+        assert [s.source for s in back.test] == [("a", 5), ("a\x00", 5)]
 
     def test_split_from_dump_is_disjoint(self, tmp_path, rng):
         ds = self._dataset(rng)

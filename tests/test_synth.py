@@ -87,6 +87,11 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             gen_dataset(SynthSpec(counts={"USD": 1}, length=6))
 
+    @pytest.mark.parametrize("noise", [-1.0, -5e-324, float("nan"), float("inf")])
+    def test_negative_or_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise must be a finite number >= 0"):
+            gen_dataset(SynthSpec(counts={"USD": 1}, noise=noise))
+
     def test_deterministic_given_seed(self, tmp_path):
         spec = SynthSpec(counts={"USD": 5, "O": 5}, length=9, seed=42)
         a, names = gen_dataset(spec)
