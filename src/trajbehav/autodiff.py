@@ -4,7 +4,8 @@ The tape holds only the ops the three classifiers and their loss run:
 `lstm_sequence` (one node per layer and direction, stepping `lstm_cell`),
 `conv1d_valid` (valid 1-D cross-correlation as im2col + one GEMM),
 `max_over_time`, `relu`, `concat`, `mean` and `index` along an axis,
-`reshape`, the affine `dense` layer, and `softmax_cross_entropy`.
+`reshape`, a 2-D `transpose`, the affine `dense` layer, and
+`softmax_cross_entropy`.
 Every op records a tape node, whatever its inputs: each model's first op
 takes a `Parameter`, so every later input needs a gradient anyway, and
 inference builds the same tape as training. A no-grad inference path would
@@ -14,6 +15,18 @@ identical inputs produce bit-identical outputs.
 Two precision modes are supported by construction: build parameters in
 float64 ("verify", required for finite-difference checks) or float32
 ("fast", for training); all ops propagate the input dtype.
+
+Layout. The recurrent ops are time-major and feature-major: `lstm_sequence`
+takes (T, d, B) and returns (T, H, B), and its gates, their backward
+coefficients and `dpre` are (T, 4H, B), with the batch axis B contiguous
+and innermost. Each of the i/f/g/o blocks of a step is then one contiguous
+(H, B) slab, so the activations run in place over whole blocks and each
+step's recurrent product is one (4H, H) @ (H, B) GEMM written straight into
+the gate array. In a batch-major (B, 4H) layout each block would be a
+strided H-wide slice of every row, which numpy's elementwise loops walk
+several times slower. The weights keep their (d, 4H), (H, 4H) and (4H,)
+shapes; the ops use their transposes as views. Conv ops stay (B, C, T),
+and dense ops (B, D).
 """
 
 from __future__ import annotations
@@ -135,6 +148,17 @@ def reshape(x, shape):
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
+def transpose(x):
+    """The transpose of a 2-D tensor (e.g. a (F, B) readout to (B, F))."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"transpose expects a 2-D tensor, got {x.data.shape}")
+
+    def backward(g):
+        _accum(x, g.T)
+
+    return Tensor(x.data.T, requires_grad=True, parents=(x,), backward=backward)
+
+
 def concat(tensors, axis=1):
     """Concatenate along `axis`; backward splits the gradient."""
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -241,45 +265,55 @@ def max_over_time(x):
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     # the tanh form needs no masks and cannot overflow for any finite z
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
-def lstm_cell(xw, h, c, wh):
-    """One LSTM time step on plain arrays.
+def lstm_cell(xw, h, c, wht, gates, c_new, tc, h_new):
+    """One LSTM time step, written into preallocated feature-major arrays.
 
-    `xw` is the step's input projection x·Wx + b, (B, 4H); `h` and `c` are
-    the previous state, (B, H). Gate layout in the 4H pre-activation is
-    [input, forget, candidate, output]; c' = f⊙c + i⊙g, h' = o⊙tanh(c').
-    Returns (h', c', gates) with `gates` the four activations, (B, 4H).
+    `xw` is the step's input projection Wxᵀ·x + b, (4H, B); `h` and `c` are
+    the previous state, (H, B); `wht` is Whᵀ, (4H, H). Gate layout in the
+    4H pre-activation is [input, forget, candidate, output], each block a
+    contiguous (H, B) slab; c' = f⊙c + i⊙g, h' = o⊙tanh(c'). Writes the four
+    activations into `gates` (4H, B) and c', tanh(c') and h' into `c_new`,
+    `tc` and `h_new` (H, B); `tc` is the scratch for i⊙g before that.
     """
-    hid = h.shape[1]
-    gates = xw + h @ wh
-    gates[:, :2 * hid] = _sigmoid(gates[:, :2 * hid])
-    gates[:, 2 * hid:3 * hid] = np.tanh(gates[:, 2 * hid:3 * hid])
-    gates[:, 3 * hid:] = _sigmoid(gates[:, 3 * hid:])
-    c_new = gates[:, hid:2 * hid] * c + gates[:, :hid] * gates[:, 2 * hid:3 * hid]
-    h_new = gates[:, 3 * hid:] * np.tanh(c_new)
-    return h_new, c_new, gates
+    hid = h.shape[0]
+    np.matmul(wht, h, out=gates)
+    gates += xw
+    _sigmoid(gates[:2 * hid], out=gates[:2 * hid])
+    np.tanh(gates[2 * hid:3 * hid], out=gates[2 * hid:3 * hid])
+    _sigmoid(gates[3 * hid:], out=gates[3 * hid:])
+    np.multiply(gates[hid:2 * hid], c, out=c_new)
+    np.multiply(gates[:hid], gates[2 * hid:3 * hid], out=tc)
+    c_new += tc
+    np.tanh(c_new, out=tc)
+    np.multiply(gates[3 * hid:], tc, out=h_new)
 
 
 def lstm_sequence(x, wx, wh, b, reverse=False):
     """One LSTM direction over a whole sequence, as a single tape node.
 
-    x: (B, T, d), wx: (d, 4H), wh: (H, 4H), b: (4H,) -> (B, T, H), the
+    x: (T, d, B), wx: (d, 4H), wh: (H, 4H), b: (4H,) -> (T, H, B), the
     hidden state after every step in forward time order. The state starts
     at zero; `reverse` runs the recurrence from the last step to the first.
-    Forward projects all T inputs in one GEMM and then runs `lstm_cell`
-    once per step. Backward is BPTT with one `dpre·Whᵀ` GEMM per step; the
-    gradients of x, Wx, Wh and b are then one GEMM (or sum) each over the
-    stacked steps.
+    Forward projects all T inputs in one batched matmul and then runs
+    `lstm_cell` once per step. Backward is BPTT with one `Wh·dpre` GEMM per
+    step; the gradients of x, Wx and Wh are then one batched matmul each
+    over the stacked steps (summed over T for the weights), and b's is one
+    sum.
     """
-    if x.data.ndim != 3 or x.data.shape[1] < 1:
+    if x.data.ndim != 3 or x.data.shape[0] < 1:
         raise DimensionError(
-            f"lstm_sequence expects a (B, T>=1, d) input, got {x.data.shape}"
+            f"lstm_sequence expects a (T>=1, d, B) input, got {x.data.shape}"
         )
-    bsz, t_len, d_in = x.data.shape
+    t_len, d_in, bsz = x.data.shape
     hid = wh.data.shape[0]
     if wx.data.shape != (d_in, 4 * hid) or wh.data.shape != (hid, 4 * hid) \
             or b.data.shape != (4 * hid,):
@@ -289,53 +323,59 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
             f"for d_in={d_in}, hidden={hid}"
         )
 
-    # time-major, in the order the recurrence visits the steps
-    xs = x.data.transpose(1, 0, 2)
-    if reverse:
-        xs = xs[::-1]
-    xs = np.ascontiguousarray(xs).reshape(t_len * bsz, d_in)
-    xw = (xs @ wx.data + b.data).reshape(t_len, bsz, 4 * hid)
-    hs = np.zeros((t_len + 1, bsz, hid), dtype=xw.dtype)   # hs[0]: initial state
-    cs = np.zeros_like(hs)
+    # step arrays in the order the recurrence visits the steps
+    xs = x.data[::-1] if reverse else x.data
+    xw = np.matmul(wx.data.T, xs)
+    xw += b.data[:, None]
     gates = np.empty_like(xw)
+    hs = np.zeros((t_len + 1, hid, bsz), dtype=xw.dtype)   # hs[0]: initial state
+    cs = np.zeros_like(hs)
+    tcs = np.empty_like(hs[1:])
     for s in range(t_len):
-        hs[s + 1], cs[s + 1], gates[s] = lstm_cell(xw[s], hs[s], cs[s], wh.data)
-    out = hs[:0:-1] if reverse else hs[1:]
-    out_data = out.transpose(1, 0, 2)
+        lstm_cell(xw[s], hs[s], cs[s], wh.data.T, gates[s], cs[s + 1], tcs[s], hs[s + 1])
+    out_data = hs[:0:-1] if reverse else hs[1:]
 
     def backward(g):
-        gs = g.transpose(1, 0, 2)
-        if reverse:
-            gs = gs[::-1]
-        i, f, gg, o = (gates[..., k * hid:(k + 1) * hid] for k in range(4))
-        tc = np.tanh(cs[1:])
-        # dpre = coef ⊙ [dc, dc, dc, dh] block by block, dc = dh·dc_dh + carry
-        coef = np.empty_like(gates).reshape(t_len, bsz, 4, hid)
-        coef[:, :, 0] = gg * i * (1.0 - i)
-        coef[:, :, 1] = cs[:-1] * f * (1.0 - f)
-        coef[:, :, 2] = i * (1.0 - gg * gg)
-        coef[:, :, 3] = tc * o * (1.0 - o)
-        dc_dh = o * (1.0 - tc * tc)
-        dpre = np.empty_like(coef)
-        dh = np.zeros((bsz, hid), dtype=gates.dtype)
+        gs = g[::-1] if reverse else g
+        blocks = gates.reshape(t_len, 4, hid, bsz)
+        i, f, gg, o = (blocks[:, k] for k in range(4))
+        # dpre = coef ⊙ [dc, dc, dc, dh] block by block, dc = dh·dc_dh + carry;
+        # each step scales its own coef slab in place, so coef becomes dpre
+        coef = np.empty_like(blocks)
+        np.subtract(1.0, i, out=coef[:, 0])
+        coef[:, 0] *= i
+        coef[:, 0] *= gg
+        np.subtract(1.0, f, out=coef[:, 1])
+        coef[:, 1] *= f
+        coef[:, 1] *= cs[:-1]
+        np.multiply(gg, gg, out=coef[:, 2])
+        np.subtract(1.0, coef[:, 2], out=coef[:, 2])
+        coef[:, 2] *= i
+        np.subtract(1.0, o, out=coef[:, 3])
+        coef[:, 3] *= o
+        coef[:, 3] *= tcs
+        dc_dh = np.multiply(tcs, tcs)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        dpre = coef.reshape(t_len, 4 * hid, bsz)
+        dh = np.zeros((hid, bsz), dtype=gates.dtype)
         dc = np.zeros_like(dh)
         for s in range(t_len - 1, -1, -1):
-            dh = gs[s] + dh
-            dc = dh * dc_dh[s] + dc
-            dpre[s, :, :3] = dc[:, None, :] * coef[s, :, :3]
-            dpre[s, :, 3] = dh * coef[s, :, 3]
+            dh += gs[s]
+            dc_dh[s] *= dh
+            dc += dc_dh[s]
+            coef[s, :3] *= dc
+            coef[s, 3] *= dh
             if s:
-                dh = dpre[s].reshape(bsz, 4 * hid) @ wh.data.T
-                dc = dc * f[s]
-        flat = dpre.reshape(t_len * bsz, 4 * hid)
+                np.matmul(wh.data, dpre[s], out=dh)
+                dc *= f[s]
         if x.requires_grad:
-            dxs = (flat @ wx.data.T).reshape(t_len, bsz, d_in)
-            if reverse:
-                dxs = dxs[::-1]
-            _accum(x, dxs.transpose(1, 0, 2))
-        _accum(wx, xs.T @ flat)
-        _accum(wh, hs[:-1].reshape(t_len * bsz, hid).T @ flat)
-        _accum(b, flat.sum(axis=0))
+            dxs = np.matmul(wx.data, dpre)
+            _accum(x, dxs[::-1] if reverse else dxs)
+        dpre_t = dpre.transpose(0, 2, 1)
+        _accum(wx, np.matmul(xs, dpre_t).sum(axis=0))
+        _accum(wh, np.matmul(hs[:-1], dpre_t).sum(axis=0))
+        _accum(b, dpre.sum(axis=(0, 2)))
 
     return Tensor(out_data, requires_grad=True, parents=(x, wx, wh, b), backward=backward)
 

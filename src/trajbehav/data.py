@@ -526,7 +526,8 @@ def apply_standardization(windows, stats):
     mean = np.asarray(stats["mean"])
     std = np.asarray(stats["std"])
     with np.errstate(over="ignore", invalid="ignore"):
-        states = (windows.states - mean) / std
+        states = windows.states - mean
+        states /= std   # in place: one state-sized array, not two
     _require_finite(states, "standardized states")
     return replace(windows, states=states)
 

@@ -2,8 +2,18 @@
 
 All three models share the gradient-tape primitives, expose an ordered
 `parameters` dict, and accept input batches shaped (B, WINDOW_SIZE,
-STATE_FEATURES). Recurrent layers work on whole (B, T, H) sequences: each
-layer direction is one `lstm_sequence` tape node, not one node per time step.
+STATE_FEATURES). Each recurrent layer direction is one `lstm_sequence`
+tape node over the whole sequence, not one node per time step.
+
+Layout. The recurrent layers run on (T, F, B) arrays, the layout the
+`autodiff` module docstring explains: the batch axis innermost, so each
+gate block is one contiguous slab. `_feature_major` transposes the
+(B, T, F) window batch once on the way in. The Bi-LSTM branch concatenates
+the two directions on the feature axis and averages over time, giving
+(2H, B); the LSTM baseline takes the last step, (H, B). Either readout
+then passes one 2-D `transpose` tape node to become the (B, F) rows the
+dense head and the conv branch use. The conv layers take (B, C, T)
+batches from `_channels_first`.
 
 Each kind has one fixed architecture, given by the module constants below.
 A caller chooses the class count (`num_classes`), the initialisation seed,
@@ -46,6 +56,7 @@ CHANNELS_PER_KERNEL = 32
 FC1_OUT = 32
 CONV_CHANNELS = (32, 32, 64, 64)
 CONV_KERNEL = 2
+MIN_BATCH = 32
 
 
 def _xavier(rng, shape, fan_in, fan_out, dtype):
@@ -117,6 +128,10 @@ class _ModelBase:
         """(B, T, C) window batch as a (B, C, T) tensor for the conv layers."""
         return Tensor(np.ascontiguousarray(self._check_batch(batch).transpose(0, 2, 1)))
 
+    def _feature_major(self, batch):
+        """(B, T, C) window batch as a (T, C, B) tensor for the LSTM layers."""
+        return Tensor(np.ascontiguousarray(self._check_batch(batch).transpose(1, 2, 0)))
+
 
 class FusionModel(_ModelBase):
     """Bi-LSTM branch + multi-scale conv branch, fused into a linear head."""
@@ -145,14 +160,14 @@ class FusionModel(_ModelBase):
 
     def bilstm_features(self, batch):
         """(B, 5, 4) -> (B, 128): time-averaged bidirectional hidden states."""
-        x = Tensor(self._check_batch(batch))
+        x = self._feature_major(batch)
         for layer in range(LSTM_LAYERS):
             fw = ad.lstm_sequence(x, *self._lstm_weights(f"bilstm.l{layer}.fw"))
             bw = ad.lstm_sequence(
                 x, *self._lstm_weights(f"bilstm.l{layer}.bw"), reverse=True
             )
-            x = ad.concat([fw, bw], axis=2)
-        return ad.mean(x, axis=1)
+            x = ad.concat([fw, bw], axis=1)
+        return ad.transpose(ad.mean(x, axis=0))
 
     def mscnn_features(self, batch):
         """(B, 5, 4) -> (B, 32): multi-scale conv banks, pooled and bottlenecked."""
@@ -190,10 +205,10 @@ class LSTMBaseline(_ModelBase):
         return {**super().config(), "hidden": LSTM_HIDDEN, "layers": LSTM_LAYERS}
 
     def forward(self, batch):
-        x = Tensor(self._check_batch(batch))
+        x = self._feature_major(batch)
         for layer in range(LSTM_LAYERS):
             x = ad.lstm_sequence(x, *self._lstm_weights(f"lstm.l{layer}"))
-        return ad.dense(ad.index(x, -1, axis=1), *self._wb("head"))
+        return ad.dense(ad.transpose(ad.index(x, -1, axis=0)), *self._wb("head"))
 
 
 class Conv1DBaseline(_ModelBase):
@@ -222,10 +237,26 @@ class Conv1DBaseline(_ModelBase):
         return ad.dense(ad.reshape(x, (b, c * t)), *self._wb("head"))
 
 
+def logits(model, batch):
+    """Logits per row, bit-equal whatever batch the row sits in.
+
+    BLAS takes other kernels for small matrices, so a batch of fewer than
+    MIN_BATCH rows runs padded with zero windows, whose logits are dropped.
+    With OpenBLAS 0.3.31 on AVX-512, a sweep of every batch size from 1 to
+    256 rows found the conv1d baseline's GEMMs the last to agree with a
+    256-row batch, from 19 rows on; MIN_BATCH leaves a margin above that.
+    """
+    batch = model._check_batch(batch)
+    rows = batch.shape[0]
+    if rows < MIN_BATCH:
+        pad = np.zeros((MIN_BATCH - rows,) + batch.shape[1:], dtype=batch.dtype)
+        batch = np.concatenate([batch, pad])
+    return model.forward(batch).data[:rows]
+
+
 def predict(model, batch):
     """Argmax class per row; exact ties resolve to the lowest class index."""
-    logits = model.forward(batch).data
-    return np.argmax(logits, axis=1)
+    return np.argmax(logits(model, batch), axis=1)
 
 
 MODEL_KINDS = ("fusion", "lstm", "conv1d", "hmm")

@@ -9,10 +9,12 @@ epsilon are the `optim` constants, and neural models always train in
 (seed, epoch) so resampling and shuffling never interact; given the same
 (config, split) the final parameters are bit-identical across runs. The
 last partial batch is kept. Epoch loss is the batch-size-weighted mean of
-batch losses. Inference runs in chunks of PREDICT_CHUNK = 256 windows:
-their logits are bit-equal to those of 1,024-window chunks, and their
-temporaries stay small enough to reuse heap pages instead of faulting in
-fresh ones on every call.
+batch losses. Inference runs in chunks of PREDICT_CHUNK = 256 windows,
+whose temporaries stay small enough to reuse heap pages instead of faulting
+in fresh ones on every call. `models.logits` pads a last chunk of fewer
+than `models.MIN_BATCH` rows, so a window's logits are the bits it gets
+inside a full chunk (on the BLAS `models.logits` names): a set predicts
+as the concatenation of its parts.
 """
 
 from __future__ import annotations

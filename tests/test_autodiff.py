@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajbehav import autodiff as ad
 from trajbehav.autodiff import Parameter, Tensor
@@ -272,13 +274,26 @@ def _lstm_weights(d_in, hidden, rng=None, zero=False):
     return Parameter(wx, "wx"), Parameter(wh, "wh"), Parameter(b, "b")
 
 
+def _oracle_lstm_sequence(x, weights, mix, reverse):
+    """Per-cell oracle over a (T, d, B) input: the (T, H, B) hidden states and
+    the gradients of x and of (wx, wh, b) under the loss sum(hidden ⊙ mix)."""
+    steps = [Parameter(x[t].T.copy(), f"x{t}") for t in range(x.shape[0])]
+    params = [Parameter(w.copy(), "w") for w in weights]
+    hs = _oracle_lstm_direction(steps, *params, reverse=reverse)
+    # [h_0 | h_1 | ...] along axis 1 lines up with mix as (B, T·H)
+    flat = mix.transpose(2, 0, 1).reshape(x.shape[2], -1)
+    _weighted_sum(ad.concat(hs, axis=1), flat).backward()
+    return (np.stack([h.data.T for h in hs]), np.stack([s.grad.T for s in steps]),
+            [p.grad for p in params])
+
+
 class TestLSTMCell:
     """`lstm_cell` steps, run as one `lstm_sequence` tape node per direction."""
 
     def test_zero_weights_zero_output(self, rng):
         wx, wh, b = _lstm_weights(4, 3, zero=True)
-        out = ad.lstm_sequence(Tensor(rng.normal(size=(2, 5, 4))), wx, wh, b)
-        assert out.data.shape == (2, 5, 3)
+        out = ad.lstm_sequence(Tensor(rng.normal(size=(5, 4, 2))), wx, wh, b)
+        assert out.data.shape == (5, 3, 2)
         assert np.allclose(out.data, 0.0)
 
     def test_forget_gate_saturation_preserves_cell(self, rng):
@@ -286,17 +301,20 @@ class TestLSTMCell:
         wx, wh, b = _lstm_weights(4, hidden, zero=True)
         b.data[hidden:2 * hidden] = 100.0   # forget gate ~ 1
         b.data[:hidden] = -100.0            # input gate ~ 0
-        x = rng.normal(size=(2, 4))
-        c = rng.normal(size=(2, hidden))
-        _, c2, _ = ad.lstm_cell(x @ wx.data + b.data, np.zeros((2, hidden)), c, wh.data)
+        x = rng.normal(size=(4, 2))
+        c = rng.normal(size=(hidden, 2))
+        gates, c2, tc, h2 = np.empty((4 * hidden, 2)), *np.empty((3, hidden, 2))
+        ad.lstm_cell(wx.data.T @ x + b.data[:, None], np.zeros((hidden, 2)), c,
+                     wh.data.T, gates, c2, tc, h2)
         assert np.abs(c2 - c).max() < 1e-6
+        assert np.array_equal(tc, np.tanh(c2))
 
     def test_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
             wx, wh, b = _lstm_weights(3, 2, rng=r)
-            x = Parameter(r.normal(size=(2, 3, 3)), "x")
-            mix = r.normal(size=(2, 3, 2))
+            x = Parameter(r.normal(size=(3, 3, 2)), "x")
+            mix = r.normal(size=(3, 2, 2))
             reverse = bool(trial % 2)
             fd_check_primitive(
                 lambda: _weighted_sum(ad.lstm_sequence(x, wx, wh, b, reverse=reverse), mix),
@@ -306,11 +324,38 @@ class TestLSTMCell:
     def test_shape_mismatch(self):
         wx, wh, b = _lstm_weights(4, 3, zero=True)
         with pytest.raises(DimensionError):
-            ad.lstm_sequence(Tensor(np.zeros((2, 5, 5))), wx, wh, b)
+            ad.lstm_sequence(Tensor(np.zeros((5, 5, 2))), wx, wh, b)
         with pytest.raises(DimensionError):
-            ad.lstm_sequence(Tensor(np.zeros((2, 4))), wx, wh, b)
+            ad.lstm_sequence(Tensor(np.zeros((4, 2))), wx, wh, b)
         with pytest.raises(DimensionError):
-            ad.lstm_sequence(Tensor(np.zeros((2, 5, 4))), wx, wh, Parameter(np.zeros(4), "b"))
+            ad.lstm_sequence(Tensor(np.zeros((0, 4, 2))), wx, wh, b)
+        with pytest.raises(DimensionError):
+            ad.lstm_sequence(Tensor(np.zeros((5, 4, 2))), wx, wh, Parameter(np.zeros(4), "b"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bsz=st.integers(1, 5), t_len=st.integers(1, 6), d_in=st.integers(1, 5),
+           hidden=st.integers(1, 4), reverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_oracle_and_finite_differences(self, bsz, t_len, d_in, hidden,
+                                                   reverse, seed):
+        r = np.random.default_rng(seed)
+        x = r.normal(size=(t_len, d_in, bsz))
+        mix = r.normal(size=(t_len, hidden, bsz))
+        weights = [w.data for w in _lstm_weights(d_in, hidden, rng=r)]
+        xp = Parameter(x.copy(), "x")
+        params = [Parameter(w.copy(), "w") for w in weights]
+        y = ad.lstm_sequence(xp, *params, reverse=reverse)
+        _weighted_sum(y, mix).backward()
+
+        expect, gx, gws = _oracle_lstm_sequence(x, weights, mix, reverse)
+        assert y.data.shape == (t_len, hidden, bsz)
+        assert np.abs(y.data - expect).max() < 1e-12
+        assert np.abs(xp.grad - gx).max() < 1e-12
+        for p, gw in zip(params, gws):
+            assert np.abs(p.grad - gw).max() < 1e-12
+        fd_check_primitive(
+            lambda: _weighted_sum(ad.lstm_sequence(xp, *params, reverse=reverse), mix),
+            [xp, *params],
+        )
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -324,12 +369,12 @@ class TestLSTMCell:
             for l in range(layers)
         ]
 
-        xp = Parameter(x.copy(), "x")
+        xp = Parameter(x.transpose(1, 2, 0).copy(), "x")
         params = [[Parameter(w.copy(), "w") for w in ws] for ws in weights]
         y = xp
         for wx, wh, b in params:
             y = ad.lstm_sequence(y, wx, wh, b, reverse=reverse)
-        _weighted_sum(y, mix).backward()
+        _weighted_sum(y, mix.transpose(1, 2, 0)).backward()
 
         steps = [Parameter(x[:, t].copy(), f"x{t}") for t in range(t_len)]
         oparams = [[Parameter(w.copy(), "w") for w in ws] for ws in weights]
@@ -339,8 +384,10 @@ class TestLSTMCell:
         # [h_0 | h_1 | ...] along axis 1 lines up with mix flattened over (t, h)
         _weighted_sum(ad.concat(hs, axis=1), mix.reshape(bsz, t_len * hidden)).backward()
 
-        assert np.abs(y.data - np.stack([h.data for h in hs], axis=1)).max() < 1e-10
-        assert np.abs(xp.grad - np.stack([s.grad for s in steps], axis=1)).max() < 1e-10
+        assert np.abs(y.data.transpose(2, 0, 1)
+                      - np.stack([h.data for h in hs], axis=1)).max() < 1e-10
+        assert np.abs(xp.grad.transpose(2, 0, 1)
+                      - np.stack([s.grad for s in steps], axis=1)).max() < 1e-10
         for mine, theirs in zip(params, oparams):
             for p, q in zip(mine, theirs):
                 assert np.abs(p.grad - q.grad).max() < 1e-10
@@ -411,10 +458,15 @@ class TestOtherPrimitives:
             mix2 = r.normal(size=(2, 3))
             fd_check_primitive(lambda: _weighted_sum(ad.concat([a, b], axis=2), mix), [a, b])
             fd_check_primitive(lambda: _weighted_sum(ad.mean(a, axis=1), mix2), [a])
+            fd_check_primitive(lambda: _weighted_sum(ad.transpose(ad.mean(a, axis=1)),
+                                                     mix2.T), [a])
 
     def test_mean_and_index_match_numpy(self, rng):
         x = rng.normal(size=(2, 5, 3))
         assert np.array_equal(ad.index(Tensor(x), -1, axis=1).data, x[:, -1])
+        assert np.array_equal(ad.transpose(Tensor(x[0])).data, x[0].T)
+        with pytest.raises(DimensionError):
+            ad.transpose(Tensor(x))
         assert np.abs(ad.mean(Tensor(x), axis=1).data - x.sum(axis=1) / 5).max() < 1e-12
 
     def test_index_gradients(self):
@@ -472,4 +524,4 @@ def test_public_ops_are_the_ones_the_models_run():
     assert public == [
         "Parameter", "Tensor", "concat", "conv1d_valid", "dense", "index", "lstm_cell",
         "lstm_sequence", "max_over_time", "mean", "relu", "reshape",
-        "softmax_cross_entropy"]
+        "softmax_cross_entropy", "transpose"]

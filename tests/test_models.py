@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trajbehav import autodiff as ad
 from trajbehav.autodiff import Tensor
@@ -17,6 +19,7 @@ from trajbehav.models import (
     FusionModel,
     LSTMBaseline,
     build_model,
+    logits,
     predict,
 )
 
@@ -283,3 +286,27 @@ class TestPredict:
         base = np.argmax(logits, axis=1)
         for f in (lambda z: 3 * z + 2, np.exp, lambda z: z ** 3):
             assert np.array_equal(np.argmax(f(logits), axis=1), base)
+
+
+_INVARIANCE_MODELS = {kind: build_model(kind, 13, seed=5) for kind in ("fusion", "lstm", "conv1d")}
+
+
+class TestBatchInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(_INVARIANCE_MODELS)),
+           sizes=st.lists(st.integers(1, 120), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="fusion", sizes=[1, 3, 40], seed=0)
+    @example(kind="lstm", sizes=[1, 3, 40], seed=0)
+    @example(kind="conv1d", sizes=[4, 7, 18, 1], seed=0)
+    def test_logits_of_a_set_are_the_logits_of_its_parts(self, kind, sizes, seed):
+        model = _INVARIANCE_MODELS[kind]
+        batch = np.random.default_rng(seed).normal(size=(sum(sizes), 5, 4))
+        whole = logits(model, batch)
+        bounds = np.cumsum([0] + sizes)
+        parts = [logits(model, batch[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert whole.shape == (sum(sizes), 13)
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_empty_batch_gives_no_rows(self):
+        assert logits(_INVARIANCE_MODELS["conv1d"], np.zeros((0, 5, 4))).shape == (0, 13)

@@ -74,3 +74,30 @@ def test_set_lr_controls_update_scale():
     p.grad[...] = 1.0
     opt.step()
     assert abs(p.data[0] + 0.001) < 1e-9
+
+
+def test_fifty_steps_bit_equal_to_textbook_formula(rng):
+    """The in-place step rounds exactly as the textbook expressions do."""
+    shapes = [(6, 8), (8,), (3, 2, 4)]
+    params = [Parameter(rng.normal(size=s).astype(np.float32), "p") for s in shapes]
+    expect = [p.data.copy() for p in params]
+    m = [np.zeros_like(x) for x in expect]
+    v = [np.zeros_like(x) for x in expect]
+    opt = Adam(params, lr=0.005)
+    for t in range(1, 51):
+        if t == 30:
+            opt.lr = 0.001
+        for k, p in enumerate(params):
+            g = (rng.normal(size=p.data.shape) * 10.0 ** rng.uniform(-6, 2)).astype(np.float32)
+            p.grad[...] = g
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+            m_hat = m[k] / (1.0 - 0.9 ** t)
+            v_hat = v[k] / (1.0 - 0.999 ** t)
+            expect[k] -= opt.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        opt.step()
+        for p, x in zip(params, expect):
+            assert p.data.dtype == np.float32
+            assert np.array_equal(p.data, x)
+    for mine, theirs in zip(opt.m + opt.v, m + v):
+        assert np.array_equal(mine, theirs)
