@@ -6,10 +6,10 @@ precision, so a save/load roundtrip restores parameters bit-exactly and
 reproduces predictions bit-identically. Each neural kind has one fixed
 architecture: a load rebuilds it from the class count (and, for fusion,
 whether the conv branch is on) and rejects a stored config that differs
-from it, as well as checksum, shape or dtype mismatches and non-finite
-parameters. An HMM checkpoint must name at least two classes and hold
-exactly the four tensors of each, all finite float64: positive variances,
-and initial and transition rows that are probability distributions.
+from it. An HMM checkpoint must name at least two classes. The tensors of
+either kind must pass `container.require_arrays` (the names, shapes and
+dtypes the model implies, all finite), and HMM tensors must hold positive
+variances, and initial and transition rows that are probability rows.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import (read_container, require_int, require_keys, require_str_list,
-                         write_container)
+from .container import (read_container, require_arrays, require_int, require_keys,
+                         require_str_list, write_container)
 from .data import STATE_FEATURES
 from .errors import CheckpointError, ConfigError
 from .hmm import GaussianHMM, HMMClassifier
@@ -84,20 +84,13 @@ def load_checkpoint(path):
             )
         shapes = {"initial": (k,), "transitions": (k, k),
                   "means": (k, STATE_FEATURES), "variances": (k, STATE_FEATURES)}
-        expected = {f"class{i}.{name}" for i in range(len(class_names)) for name in shapes}
-        if expected != arrays.keys():
-            raise CheckpointError(
-                f"{path}: tensor set mismatch for {len(class_names)} classes "
-                f"(missing {sorted(expected - arrays.keys())}, "
-                f"unexpected {sorted(arrays.keys() - expected)})"
-            )
-        models = []
-        for i in range(len(class_names)):
-            tensors = {}
-            for name, shape in shapes.items():
-                key = f"class{i}.{name}"
-                tensors[name] = _hmm_tensor(path, key, arrays[key], shape)
-            models.append(GaussianHMM(**tensors))
+        require_arrays(path, arrays, {f"class{i}.{name}": (shape, np.float64)
+                                      for i in range(len(class_names))
+                                      for name, shape in shapes.items()}, "tensor")
+        for key, value in arrays.items():
+            _check_hmm_values(path, key, value)
+        models = [GaussianHMM(**{name: arrays[f"class{i}.{name}"] for name in shapes})
+                  for i in range(len(class_names))]
         clf = HMMClassifier(models=models, class_names=class_names)
         return Checkpoint(model=clf, class_names=class_names,
                           normalization=meta.get("normalization"))
@@ -122,56 +115,27 @@ def load_checkpoint(path):
             f"{path}: stored config differs from the {model_kind} architecture at "
             f"{differ}: stored {_pick(config, differ)}, expected {_pick(arch, differ)}"
         )
-    expected = set(model.parameters)
-    found = set(arrays)
-    if expected != found:
-        missing = sorted(expected - found)
-        extra = sorted(found - expected)
-        raise CheckpointError(
-            f"{path}: parameter set mismatch (missing {missing}, unexpected {extra})"
-        )
+    require_arrays(path, arrays, {name: (p.data.shape, p.data.dtype)
+                                  for name, p in model.parameters.items()}, "tensor")
     for name, p in model.parameters.items():
-        stored = arrays[name]
-        if stored.shape != p.data.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {stored.shape}, "
-                f"the architecture implies {p.data.shape}"
-            )
-        if stored.dtype != p.data.dtype:
-            raise CheckpointError(
-                f"{path}: tensor {name} stored as {stored.dtype}, "
-                f"precision {meta['precision']!r} implies {p.data.dtype}"
-            )
-        if not np.isfinite(stored).all():
-            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-        p.data = np.ascontiguousarray(stored)
-        p.zero_grad()
+        p.data = arrays[name]
     return Checkpoint(model=model, class_names=class_names,
                       normalization=meta.get("normalization"))
 
 
-def _hmm_tensor(path, key, value, shape):
-    """`value` if it is a finite float64 array of `shape` that holds what its
-    name says: positive variances, probability rows for initial and
-    transitions; otherwise CheckpointError naming `key`."""
-    if value.shape != shape:
-        raise CheckpointError(
-            f"{path}: tensor {key} has shape {value.shape}, n_states {shape[0]} implies {shape}"
-        )
-    if value.dtype != np.float64:
-        raise CheckpointError(f"{path}: tensor {key} stored as {value.dtype}, not float64")
-    if not np.isfinite(value).all():
-        raise CheckpointError(f"{path}: tensor {key} has non-finite values")
+def _check_hmm_values(path, key, value):
+    """Raise CheckpointError naming `key` unless the HMM tensor holds what
+    its name says: positive variances, probability rows for initial and
+    transitions."""
     if key.endswith(".variances") and not (value > 0).all():
-        raise CheckpointError(f"{path}: tensor {key} has variances <= 0")
+        raise CheckpointError(f"{path}: tensor {key!r} has variances <= 0")
     if key.endswith((".initial", ".transitions")) and (
         (value < 0).any() or np.abs(value.sum(axis=-1) - 1.0).max() > PROB_SUM_TOL
     ):
         raise CheckpointError(
-            f"{path}: tensor {key} is not made of probability rows "
+            f"{path}: tensor {key!r} is not made of probability rows "
             f"(entries >= 0 summing to 1 within {PROB_SUM_TOL:g})"
         )
-    return value
 
 
 def _pick(d, keys):

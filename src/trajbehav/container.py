@@ -7,7 +7,8 @@ JSON is canonical (sorted keys, no whitespace) and arrays are stored in the
 listed order, C-contiguous, little-endian, in their native width. The
 header and each array buffer are hashed and written as they are, without
 joining them into one payload; a read hashes a memoryview of the file and
-copies each array out of it once.
+copies each array out of it once. Loaders check what they read with the
+`require_*` functions; `require_arrays` is the one rule for stored arrays.
 """
 
 from __future__ import annotations
@@ -64,6 +65,34 @@ def require_int(path, value, what, minimum):
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise CheckpointError(f"{path}: {what} is {value!r}, not an int >= {minimum}")
     return value
+
+
+def require_arrays(path, arrays, expected, what):
+    """Raise CheckpointError unless `arrays` holds exactly the names in
+    `expected` (name -> (shape, dtype)), each of that shape and dtype and,
+    if float, finite. A shape may start with a named length, such as
+    "train": every array whose shape starts with it has the length of the
+    first such array on that axis."""
+    missing = sorted(expected.keys() - arrays.keys())
+    extra = sorted(arrays.keys() - expected.keys())
+    if missing or extra:
+        raise CheckpointError(
+            f"{path}: {what} set mismatch (missing {missing}, unexpected {extra})"
+        )
+    lengths = {}
+    for name, (shape, dtype) in expected.items():
+        value = arrays[name]
+        if shape and isinstance(shape[0], str):
+            shape = (lengths.setdefault(shape[0], len(value) if value.ndim else 0), *shape[1:])
+        if value.shape != shape:
+            problem = f"has shape {value.shape}, expected {shape}"
+        elif value.dtype != dtype:
+            problem = f"stored as {value.dtype}, not {np.dtype(dtype)}"
+        elif value.dtype.kind == "f" and not np.isfinite(value).all():
+            problem = "has non-finite values"
+        else:
+            continue
+        raise CheckpointError(f"{path}: {what} {name!r} {problem}")
 
 
 def _check_header(path, header):

@@ -4,7 +4,8 @@ An agent's track is one `Trajectory` of per-frame arrays and a set of
 windows is one `Windows` of parallel arrays. `window_all` gathers every
 window with one index array; every later step selects, reorders or
 rescales them with index arrays and masks, and the prepared-dataset dump
-stores them as they are.
+stores them as they are. Loading a dump checks its arrays by the one rule
+for stored arrays, `container.require_arrays`, then their index ranges.
 
 All operations are pure: inputs are never mutated, so every function can be
 called concurrently. The split is stratified per class (with heavy
@@ -41,8 +42,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .container import (read_container, require_int, require_keys, require_str_list,
-                         write_container)
+from .container import (read_container, require_arrays, require_int, require_keys,
+                         require_str_list, write_container)
 from .errors import CheckpointError, ConfigError, DataError, IngestError
 from .rng import ROS, RUS, SPLIT, seeded_rng
 
@@ -536,8 +537,9 @@ def apply_standardization(windows, stats):
 # Prepared-dataset dump
 # ---------------------------------------------------------------------------
 
-_SPLIT_KEYS = ("states", "labels", "agents", "frames")
-_SPLIT_ARRAYS = tuple(f"{part}_{key}" for part in ("train", "test") for key in _SPLIT_KEYS)
+# (shape past the window axis, dtype) of each array a dump stores per split
+_SPLIT_FIELDS = {"states": ((WINDOW_SIZE, STATE_FEATURES), np.float64),
+                 "labels": ((), np.int64), "agents": ((), np.int64), "frames": ((), np.int64)}
 
 
 def _number_agents(train, test):
@@ -572,21 +574,14 @@ def save_prepared(dataset, path):
 
 def _split_windows(path, arrays, part, agents, num_classes):
     """The `part` split of a dataset dump as Windows, after checking that its
-    arrays agree in length and hold valid labels and agent indices."""
-    w = Windows(*(arrays[f"{part}_{key}"] for key in _SPLIT_KEYS), agents)
-    n = len(w.states) if w.states.ndim else 0
-    for name, values, shape, upper in (
-            ("states", w.states, (n, WINDOW_SIZE, STATE_FEATURES), None),
-            ("labels", w.labels, (n,), num_classes),
-            ("agents", w.agent_idx, (n,), len(agents)),
-            ("frames", w.end_frame, (n,), None)):
-        if values.shape != shape or (name != "states" and values.dtype != np.int64):
-            problem = f"has shape {values.shape} and dtype {values.dtype}, expected {shape}"
-        elif upper is not None and n and not 0 <= values.min() <= values.max() < upper:
-            problem = f"holds values outside [0, {upper})"
-        else:
-            continue
-        raise CheckpointError(f"{path}: dataset array '{part}_{name}' {problem}")
+    labels and agent indices are in range."""
+    w = Windows(*(arrays[f"{part}_{key}"] for key in _SPLIT_FIELDS), agents)
+    for name, values, upper in (("labels", w.labels, num_classes),
+                                ("agents", w.agent_idx, len(agents))):
+        if len(values) and not 0 <= values.min() <= values.max() < upper:
+            raise CheckpointError(
+                f"{path}: dataset array '{part}_{name}' holds values outside [0, {upper})"
+            )
     return w
 
 
@@ -595,19 +590,14 @@ def load_prepared(path):
     if kind != "dataset":
         raise DataError(f"{path}: expected a prepared dataset, found {kind!r}")
     require_keys(path, meta, ("agents", "class_names", "seed"), "dataset metadata")
-    require_keys(path, arrays, _SPLIT_ARRAYS, "dataset")
     class_names = require_str_list(path, meta["class_names"], "dataset 'class_names'")
     agents = require_str_list(path, meta["agents"], "dataset 'agents'")
     num_classes = len(class_names)
-    weights = None
+    expected = {f"{part}_{key}": ((part, *dims), dtype)
+                for part in ("train", "test") for key, (dims, dtype) in _SPLIT_FIELDS.items()}
     if meta.get("has_loss_weights"):
-        require_keys(path, arrays, ("loss_weights",), "dataset")
-        weights = arrays["loss_weights"]
-        if weights.shape != (num_classes,):
-            raise CheckpointError(
-                f"{path}: dataset array 'loss_weights' has shape {weights.shape}, "
-                f"expected ({num_classes},)"
-            )
+        expected["loss_weights"] = ((num_classes,), np.float64)
+    require_arrays(path, arrays, expected, "dataset array")
     seed = require_int(path, meta["seed"], "dataset 'seed'", 0)
     config = meta.get("config", {})
     if not isinstance(config, dict):
@@ -621,6 +611,6 @@ def load_prepared(path):
     return PreparedDataset(
         split=split_,
         config=dict(config),
-        loss_weights=weights,
+        loss_weights=arrays.get("loss_weights"),
         normalization=meta.get("normalization"),
     )

@@ -139,11 +139,6 @@ def _state_major(seqs):
     return np.ascontiguousarray(seqs.transpose(1, 2, 0))
 
 
-def forward_loglik_batch(model, seqs):
-    """Log-likelihood of each observation sequence; seqs (N, T, D)."""
-    return _forward_batch(model, _state_major(_check_sequences(seqs)))[3]
-
-
 def _init_model(seqs, n_states, seed):
     """Seeded k-means-style means over pooled (N, T, D) observations;
     near-uniform initial/transition rows with jitter to break symmetry."""
@@ -261,9 +256,12 @@ def fit_classifier(states, labels, class_names, max_iters, seed):
 
 
 def hmm_predict_batch(classifier, seqs):
-    """Class with the highest sequence log-likelihood; ties to lowest index."""
+    """Class with the highest sequence log-likelihood; ties to lowest index.
+    DataError names the first window whose emissions overflow to a NaN score."""
     obs = _state_major(_check_sequences(seqs))
-    scores = np.stack(
-        [_forward_batch(m, obs)[3] for m in classifier.models], axis=1
-    )
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        scores = np.stack([_forward_batch(m, obs)[3] for m in classifier.models], axis=1)
+    bad = np.isnan(scores).any(axis=1)
+    if bad.any():
+        raise DataError(f"window {int(bad.argmax())} has a NaN class score")
     return np.argmax(scores, axis=1)

@@ -46,7 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTYPES, Parameter, Tensor
 from .data import STATE_FEATURES, WINDOW_SIZE
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 from .rng import INIT, seeded_rng
 
 LSTM_LAYERS = 2
@@ -245,13 +245,21 @@ def logits(model, batch):
     With OpenBLAS 0.3.31 on AVX-512, a sweep of every batch size from 1 to
     256 rows found the conv1d baseline's GEMMs the last to agree with a
     256-row batch, from 19 rows on; MIN_BATCH leaves a margin above that.
+    A row whose states or logits are not finite in the model's dtype (a
+    coordinate past float32's range, say) raises DataError naming it.
     """
-    batch = model._check_batch(batch)
-    rows = batch.shape[0]
-    if rows < MIN_BATCH:
-        pad = np.zeros((MIN_BATCH - rows,) + batch.shape[1:], dtype=batch.dtype)
-        batch = np.concatenate([batch, pad])
-    return model.forward(batch).data[:rows]
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        batch = model._check_batch(batch)
+        rows = batch.shape[0]
+        if rows < MIN_BATCH:
+            pad = np.zeros((MIN_BATCH - rows,) + batch.shape[1:], dtype=batch.dtype)
+            batch = np.concatenate([batch, pad])
+        out = model.forward(batch).data[:rows]
+    if not (np.isfinite(batch).all() and np.isfinite(out).all()):
+        bad = ~(np.isfinite(batch[:rows]).all(axis=(1, 2)) & np.isfinite(out).all(axis=1))
+        raise DataError(f"row {int(bad.argmax())} of the batch has non-finite "
+                        f"{batch.dtype} states or logits")
+    return out
 
 
 def predict(model, batch):

@@ -133,6 +133,11 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
         for bi, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             model.zero_grad()
+            # The previous step's whole tape stays alive until this line
+            # rebinds `loss`. Freeing it first (`del loss` after `opt.step()`)
+            # made the batch-256 fusion step 36-38 ms instead of 30-31 ms on a
+            # 2-core Xeon VM: glibc returned the freed pages to the OS and
+            # faulted them back in on every step.
             loss = ad.softmax_cross_entropy(
                 model.forward(states[idx]), labels[idx], weights
             )
@@ -157,7 +162,8 @@ def predict_batch(model, states):
     """Class predictions for stacked window states, any model kind."""
     if isinstance(model, HMMClassifier):
         return hmm_predict_batch(model, states)
-    states = np.asarray(states).astype(model.dtype)
+    with np.errstate(over="ignore"):   # out-of-range rows get inf, which logits reports
+        states = np.asarray(states).astype(model.dtype)
     chunks = [
         predict(model, states[i:i + PREDICT_CHUNK])
         for i in range(0, states.shape[0], PREDICT_CHUNK)

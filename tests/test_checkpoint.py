@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trajbehav.checkpoint import load_checkpoint, save_checkpoint
-from trajbehav.container import read_container, write_container
+from trajbehav.container import read_container, require_arrays, write_container
 from trajbehav.errors import CheckpointError
-from trajbehav.hmm import GaussianHMM, HMMClassifier, forward_loglik_batch
+from trajbehav.hmm import GaussianHMM, HMMClassifier, _forward_batch, _state_major
 from trajbehav.models import build_model, predict
 
 
@@ -130,6 +130,53 @@ class TestContainerProperties:
                 read_container(bad)
 
 
+_EXPECTED = {"a_x": (("a", 2), np.float64), "a_y": (("a",), np.int64),
+             "b_x": (("b", 2), np.float32), "w": ((3,), np.float64)}
+
+
+def _arrays(a=4, b=1):
+    return {"a_x": np.zeros((a, 2)), "a_y": np.zeros(a, np.int64),
+            "b_x": np.zeros((b, 2), np.float32), "w": np.ones(3)}
+
+
+class TestRequireArrays:
+    @pytest.mark.parametrize("a, b", [(4, 1), (0, 0), (1, 7)])
+    def test_conforming_arrays_pass(self, a, b):
+        require_arrays("p", _arrays(a, b), _EXPECTED, "array")
+
+    def test_missing_and_unexpected_reported_together(self):
+        arrays = _arrays()
+        del arrays["w"], arrays["a_y"]
+        arrays["z"] = np.zeros(1)
+        with pytest.raises(CheckpointError, match=r"^p: array set mismatch "
+                           r"\(missing \['a_y', 'w'\], unexpected \['z'\]\)$"):
+            require_arrays("p", arrays, _EXPECTED, "array")
+
+    @pytest.mark.parametrize("name, value, problem", [
+        ("a_y", np.zeros(3, np.int64), "has shape (3,), expected (4,)"),
+        ("b_x", np.zeros((1, 3), np.float32), "has shape (1, 3), expected (1, 2)"),
+        ("w", np.ones(()), "has shape (), expected (3,)"),
+        ("w", np.ones(3, np.float32), "stored as float32, not float64"),
+        ("a_y", np.zeros(4), "stored as float64, not int64"),
+        ("w", np.array([1.0, np.nan, 1.0]), "has non-finite values"),
+        ("b_x", np.full((1, 2), -np.inf, np.float32), "has non-finite values"),
+    ], ids=["short", "width", "scalar", "float32", "float-ints",
+            "nan", "float32-inf"])
+    def test_each_rule_names_the_array(self, name, value, problem):
+        arrays = {**_arrays(), name: value}
+        with pytest.raises(CheckpointError) as info:
+            require_arrays("p", arrays, _EXPECTED, "array")
+        assert str(info.value) == f"p: array {name!r} {problem}"
+
+    def test_first_array_sets_a_named_length(self):
+        with pytest.raises(CheckpointError, match=r"'a_y' has shape \(4,\), expected \(5,\)"):
+            require_arrays("p", {**_arrays(), "a_x": np.zeros((5, 2))}, _EXPECTED, "array")
+
+    def test_scalar_array_cannot_set_a_named_length(self):
+        with pytest.raises(CheckpointError, match=r"'a_x' has shape \(\), expected \(0, 2\)"):
+            require_arrays("p", {**_arrays(), "a_x": np.zeros(())}, _EXPECTED, "array")
+
+
 class TestModelCheckpoint:
     @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])
     def test_neural_roundtrip_bit_identical_predictions(self, kind, tmp_path, rng):
@@ -193,7 +240,7 @@ class TestModelCheckpoint:
         name = sorted(arrays)[len(arrays) // 2]
         arrays[name].flat[-1] = value
         write_container(path, ck_kind, meta, arrays)
-        with pytest.raises(CheckpointError, match=f"tensor {name} has non-finite values"):
+        with pytest.raises(CheckpointError, match=f"tensor '{name}' has non-finite values"):
             load_checkpoint(path)
 
     def test_normalization_stats_persisted(self, tmp_path):
@@ -319,9 +366,9 @@ class TestHMMCheckpoint:
         save_checkpoint(clf, clf.class_names, path)
         ck = load_checkpoint(path)
         assert ck.model.kind == "hmm"
-        seq = rng.normal(size=(1, 5, 4))
+        obs = _state_major(rng.normal(size=(1, 5, 4)))
         for orig, loaded in zip(clf.models, ck.model.models):
-            assert forward_loglik_batch(orig, seq) == forward_loglik_batch(loaded, seq)
+            assert _forward_batch(orig, obs)[3] == _forward_batch(loaded, obs)[3]
 
     @staticmethod
     def _saved(path, k=3):
@@ -349,7 +396,7 @@ class TestHMMCheckpoint:
         kind, meta, arrays = self._saved(path)
         edit(arrays)
         write_container(path, kind, meta, arrays)
-        with pytest.raises(CheckpointError, match="tensor set mismatch for 2 classes " + match):
+        with pytest.raises(CheckpointError, match="tensor set mismatch " + match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("n_states", [0, -1, "3", 3.0, True, None, [3]])
@@ -384,7 +431,7 @@ class TestHMMCheckpoint:
         write_container(path, kind, meta, arrays)
         with pytest.raises(CheckpointError, match=match) as info:
             load_checkpoint(path)
-        assert f"tensor {key} " in str(info.value)
+        assert f"tensor {key!r} " in str(info.value)
 
     def test_probability_rows_within_tolerance_accepted(self, tmp_path):
         path = tmp_path / "hmm.ckpt"

@@ -19,7 +19,7 @@ from trajbehav.hmm import GaussianHMM, HMMClassifier, baum_welch_fit, fit_classi
 from trajbehav.metrics import recall_per_class, report
 from trajbehav.models import build_model
 from trajbehav.optim import Adam
-from trajbehav.synth import SynthSpec, verify_templates
+from trajbehav.synth import SynthSpec
 from trajbehav.train import TrainConfig, predict_batch
 
 
@@ -514,12 +514,18 @@ class TestMalformedContainers:
         ("test_states", lambda a: np.concatenate([a, a[:, :2]], axis=1)),
         ("test_frames", lambda a: a.astype(np.float64)),
         ("loss_weights", lambda a: np.append(a, 1.0)),
+        ("test_states", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 7, np.nan, a)),
+        ("test_states", lambda a: a + np.inf),
+        ("test_states", lambda a: a.astype(np.float32)),
+        ("loss_weights", lambda a: a * np.inf),
+        ("extra", lambda a: np.zeros(3)),
     ], ids=["agent-1e6", "labels-short", "label-99", "label-minus-1",
-            "states-7-frames", "float-frames", "weights-too-long"])
+            "states-7-frames", "float-frames", "weights-too-long", "nan-state",
+            "inf-states", "float32-states", "inf-weights", "extra-array"])
     def test_dataset_malformed_array_exit_3(self, workspace, capsys, array_key, edit):
         prep = gen_and_prep(workspace, resample="wl", prep_name="prep_wl")
         kind, meta, arrays = read_container(prep / "prepared.tbh")
-        arrays[array_key] = edit(arrays[array_key])
+        arrays[array_key] = edit(arrays.get(array_key))
         bad = workspace / "bad.tbh"
         write_container(bad, kind, meta, arrays)
         code = run(["train", "--data", bad, "--model", "hmm", "--out", workspace / "t",
@@ -537,6 +543,39 @@ class TestMalformedContainers:
                     "--config", workspace / "tiny.cfg"])
         assert code == 3
         assert "'loss_weights'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model_kind", ["conv1d", "hmm"])
+    def test_coordinate_too_large_to_score_exit_3(self, workspace, capsys, model_kind):
+        """1e300 is finite, so prep keeps it; no model can score its windows."""
+        clean = gen_and_prep(workspace)
+        test = load_prepared(clean / "prepared.tbh").split.test
+        agent, frame = test.agents[test.agent_idx[0]], str(test.end_frame[0])
+        rows = (workspace / "gen" / "trajectories.csv").read_text().splitlines()
+        edited = [r.split(",") for r in rows]
+        for r in edited:
+            if r[0] == agent and r[2] == frame:
+                r[3] = "1e300"
+        big = workspace / "big.csv"
+        big.write_text("".join(",".join(r) + "\r\n" for r in edited))
+        prep = workspace / "prep_big"
+        assert run(["prep", "--data", big, "--labels", workspace / "gen" / "labels.csv",
+                    "--kind", "vehicle", "--out", prep, "--seed", 3,
+                    "--min-class-count", 20]) == 0
+        assert (load_prepared(prep / "prepared.tbh").split.test.states[0] == 1e300).any()
+        ckpt = workspace / "m.ckpt"
+        names = ["SA", "USD", "S"]
+        if model_kind == "hmm":
+            k = 3
+            model = GaussianHMM(np.full(k, 1 / k), np.full((k, k), 1 / k),
+                                np.zeros((k, 4)), np.ones((k, 4)))
+            save_checkpoint(HMMClassifier([model] * 3, names), names, ckpt)
+        else:
+            save_checkpoint(build_model(model_kind, 3, seed=0), names, ckpt)
+        code = run(["eval", "--checkpoint", ckpt, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("NaN class score" if model_kind == "hmm" else "non-finite float32") in err
+        assert not (workspace / "ev").exists()
 
     def test_checkpoint_class_names_not_a_list_exit_3(self, workspace, capsys):
         prep = gen_and_prep(workspace)
@@ -627,11 +666,11 @@ class TestMalformedContainers:
         assert not (workspace / "ev").exists()
 
     @pytest.mark.parametrize("key, edit, message", [
-        ("class0.variances", lambda a: -a, "tensor class0.variances has variances <= 0"),
+        ("class0.variances", lambda a: -a, "tensor 'class0.variances' has variances <= 0"),
         ("class2.means", lambda a: np.where(np.eye(3, 4) > 0, np.nan, a),
-         "tensor class2.means has non-finite values"),
+         "tensor 'class2.means' has non-finite values"),
         ("class1.variances", lambda a: a.astype(np.int64),
-         "tensor class1.variances stored as int64, not float64"),
+         "tensor 'class1.variances' stored as int64, not float64"),
         ("n_states", lambda k: 0, "checkpoint 'n_states' is 0, not an int >= 1"),
         ("class_names", lambda names: names[:2],
          "unexpected ['class2.initial', 'class2.means', 'class2.transitions', "
@@ -862,7 +901,7 @@ class TestSettableValues:
         classes, the frame period) are module constants, not parameters."""
         signatures = {fn.__name__: str(inspect.signature(fn)) for fn in (
             fit_classifier, baum_welch_fit, predict_batch, grad_check,
-            cli.run_gradcheck, cli.run_ablation, verify_templates)}
+            cli.run_gradcheck, cli.run_ablation)}
         assert signatures == {
             "fit_classifier": "(states, labels, class_names, max_iters, seed)",
             "baum_welch_fit": "(sequences, max_iters, seed, n_states=7)",
@@ -870,7 +909,6 @@ class TestSettableValues:
             "grad_check": "(forward, params, max_elements=200, seed=0)",
             "run_gradcheck": "(seed, num_samples)",
             "run_ablation": "(dataset, seeds, base_config)",
-            "verify_templates": "()",
         }
         assert [f.name for f in dataclasses.fields(SynthSpec)] == [
             "counts", "length", "noise", "seed"]

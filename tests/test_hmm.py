@@ -16,12 +16,20 @@ from trajbehav.hmm import (
     GaussianHMM,
     HMMClassifier,
     LOG_2PI,
+    _check_sequences,
+    _forward_batch,
     _init_model,
+    _state_major,
     baum_welch_fit,
     fit_classifier,
-    forward_loglik_batch,
     hmm_predict_batch,
 )
+
+
+def forward_loglik_batch(model, seqs):
+    """Log-likelihood of each (N, T, D) observation sequence, as
+    hmm_predict_batch scores it."""
+    return _forward_batch(model, _state_major(_check_sequences(seqs)))[3]
 
 
 def _logsumexp(a, axis):
@@ -426,6 +434,17 @@ class TestClassifier:
         clf = HMMClassifier(models=[m_a, m_b], class_names=["A", "B"])
         seq = rng.normal(size=(5, 4)) * 0.3
         assert list(hmm_predict_batch(clf, np.stack([seq, seq + 5.0]))) == [0, 1]
+
+    def test_overflowing_window_raises_naming_it(self, rng):
+        # A finite coordinate of 1e300 overflows every state's emission, so
+        # its score is NaN: an error (exit 3), not a silent class 0.
+        clf = HMMClassifier(models=[random_model(rng, 2), random_model(rng, 3)],
+                            class_names=["A", "B"])
+        seqs = rng.normal(size=(4, 5, 4))
+        seqs[2, 1, 0] = 1e300
+        with pytest.raises(DataError, match="window 2 has a NaN class score") as info:
+            hmm_predict_batch(clf, seqs)
+        assert info.value.exit_code == 3
 
     def test_equal_models_tie_to_class_zero(self, rng):
         m = random_model(rng, 2)

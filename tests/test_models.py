@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trajbehav import autodiff as ad
 from trajbehav.autodiff import Tensor
-from trajbehav.errors import ConfigError, DimensionError
+from trajbehav.errors import ConfigError, DataError, DimensionError
 from trajbehav.gradcheck import grad_check
 from trajbehav.models import (
     CHANNELS_PER_KERNEL,
@@ -280,6 +280,27 @@ class TestPredict:
                 if logits[i, c] > logits[i, best]:
                     best = c
             assert preds[i] == best
+
+    @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])
+    def test_non_finite_logits_raise_naming_the_row(self, kind, rng):
+        # 1e300 is finite in float64 and inf in the float32 model, whose
+        # LSTM gates saturate on it to finite logits: the row still cannot
+        # be scored, and no overflow warning escapes.
+        batch = rng.normal(size=(40, 5, 4))
+        batch[37, 2, 0] = 1e300
+        with pytest.raises(DataError,
+                           match="row 37 of the batch has non-finite float32 states or logits"):
+            predict(build_model(kind, 3, seed=0), batch)
+
+    def test_overflow_inside_the_network_raises(self, rng):
+        # States finite in float32 whose logits overflow it.
+        model = build_model("conv1d", 3, seed=0)
+        model.parameters["head.w"].data[...] = 1e30
+        batch = rng.normal(size=(3, 5, 4))
+        assert np.isfinite(logits(model, batch)).all()
+        batch[1] *= 1e20
+        with pytest.raises(DataError, match="row 1 of the batch"):
+            predict(model, batch)
 
     def test_argmax_invariant_under_increasing_transform(self, rng):
         logits = rng.normal(size=(10, 5))

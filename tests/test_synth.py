@@ -1,18 +1,21 @@
 """Generator self-checks: predicates, determinism, separability."""
 
+import math
+
 import numpy as np
 import pytest
 
 from trajbehav.data import save_trajectories, window_all
 from trajbehav.errors import ConfigError
+from trajbehav.rng import SYNTH, seeded_rng
 from trajbehav.synth import (
     DT,
     EGO_SPEED,
     TEMPLATES,
     VEHICLE_CLASSES,
     SynthSpec,
+    _gen_trajectory,
     gen_dataset,
-    verify_templates,
 )
 
 
@@ -30,6 +33,60 @@ class TestTemplateRegistry:
             "OFL", "OFR", "SD", "DATL", "DATR", "DIFL", "DIFR", "SA",
             "USD", "PDIL", "PDIR", "S", "O",
         }
+
+
+def _predicate(template, x, y):
+    p = template.profile
+    side = template.params.get("side", 0)
+    if p == "uniform":
+        return np.ptp(x) < 1e-9 and np.ptp(y) < 1e-9 and np.abs(y).max() < 0.5
+    if p == "accelerate":
+        speeds = np.diff(x) / DT
+        return bool(np.all(np.diff(speeds) > 0)) and np.abs(y).max() < 0.5
+    if p == "decelerate":
+        speeds = np.diff(x) / DT
+        return bool(np.all(np.diff(speeds) < 0)) and np.abs(y).max() < 0.5
+    if p == "stop":
+        speeds = np.diff(x) / DT
+        return bool(np.all(np.abs(speeds + EGO_SPEED) < 1e-6))
+    if p == "pass":
+        crosses = x[0] < 0 < x[-1]
+        return crosses and bool(np.all(side * y > 1.0))
+    if p == "parallel":
+        return np.ptp(x) < 0.5 and bool(np.all(side * y > 1.0))
+    if p == "lane_away":
+        monotone = bool(np.all(side * np.diff(y) >= -1e-9))
+        return monotone and side * (y[-1] - y[0]) > 1.5
+    if p == "lane_in":
+        monotone = bool(np.all(side * np.diff(y) <= 1e-9))
+        return monotone and side * y[0] > 1.5 and abs(y[-1]) < 1.0
+    if p == "weave":
+        signs = np.sign(np.diff(y))
+        changes = int(np.count_nonzero(np.diff(signs[signs != 0])))
+        return changes >= 2
+    if p == "cross":
+        vy_sign = math.copysign(1.0, sum(template.params["vy"]) / 2.0)
+        return vy_sign * (y[-1] - y[0]) > 1.0
+    if p == "drift":
+        speeds = np.diff(x) / DT
+        return np.ptp(y) < 1e-9 and np.ptp(speeds) < 1e-9
+    raise ConfigError(f"unknown kinematic profile {p!r}")
+
+
+def verify_templates():
+    """Check every template's kinematic predicate on three zero-noise
+    20-frame draws.
+
+    Returns {class name: bool}; never raises on a failing template.
+    """
+    results = {}
+    for name, template in TEMPLATES.items():
+        spec = SynthSpec(counts={name: 3}, length=20, noise=0.0, seed=1234)
+        rng = seeded_rng(spec.seed, SYNTH)
+        trajs = (_gen_trajectory(template, i, 0, spec, rng) for i in range(3))
+        results[name] = all(_predicate(template, t.states[:, 0], t.states[:, 1])
+                            for t in trajs)
+    return results
 
 
 class TestPredicates:
