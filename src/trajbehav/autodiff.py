@@ -25,8 +25,11 @@ step's recurrent product is one (4H, H) @ (H, B) GEMM written straight into
 the gate array. In a batch-major (B, 4H) layout each block would be a
 strided H-wide slice of every row, which numpy's elementwise loops walk
 several times slower. The weights keep their (d, 4H), (H, 4H) and (4H,)
-shapes; the ops use their transposes as views. Conv ops stay (B, C, T),
-and dense ops (B, D).
+shapes; the forward takes transposed views of copies whose i, f and o
+columns are halved, so that one `np.tanh` covers the whole gate block
+(sigmoid(z) = (tanh(z/2) + 1) / 2, with z/2 exact), and its first step
+skips the product with the zero initial state. The backward uses the
+weights as stored. Conv ops stay (B, C, T), and dense ops (B, D).
 """
 
 from __future__ import annotations
@@ -248,48 +251,61 @@ def conv1d_valid(x, w, b):
 
 def max_over_time(x):
     """Per-channel max over the last axis; ties route the gradient to the
-    first occurrence."""
+    first occurrence.
+
+    The max is a running `np.maximum` over the L time slices and the
+    backward routes through equality masks, one (B, C) slice at a time: on
+    the short axes the models pool over (L <= 4), numpy's `argmax` and
+    fancy-index scatter would walk the output one element at a time.
+    """
     if x.data.ndim != 3:
         raise DimensionError(f"max_over_time expects (B, C, L), got {x.data.shape}")
-    if x.data.shape[2] < 1:
+    t_len = x.data.shape[2]
+    if t_len < 1:
         raise DimensionError("max_over_time needs at least one time step")
-    idx = np.argmax(x.data, axis=2)
-    out_data = np.take_along_axis(x.data, idx[:, :, None], axis=2)[:, :, 0]
+    out_data = x.data[:, :, 0].copy()
+    for t in range(1, t_len):
+        np.maximum(out_data, x.data[:, :, t], out=out_data)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        bsz, chans = idx.shape
-        gx[np.arange(bsz)[:, None], np.arange(chans)[None, :], idx] = g
+        free = np.ones(out_data.shape, dtype=bool)   # channels whose max is unrouted
+        for t in range(t_len):
+            hit = x.data[:, :, t] == out_data
+            hit &= free
+            np.copyto(gx[:, :, t], g, where=hit)
+            free ^= hit
         _accum(x, gx)
 
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
-
-
-def _sigmoid(z, out=None):
-    # the tanh form needs no masks and cannot overflow for any finite z
-    out = np.multiply(z, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
 
 
 def lstm_cell(xw, h, c, wht, gates, c_new, tc, h_new):
     """One LSTM time step, written into preallocated feature-major arrays.
 
     `xw` is the step's input projection Wxᵀ·x + b, (4H, B); `h` and `c` are
-    the previous state, (H, B); `wht` is Whᵀ, (4H, H). Gate layout in the
-    4H pre-activation is [input, forget, candidate, output], each block a
-    contiguous (H, B) slab; c' = f⊙c + i⊙g, h' = o⊙tanh(c'). Writes the four
-    activations into `gates` (4H, B) and c', tanh(c') and h' into `c_new`,
-    `tc` and `h_new` (H, B); `tc` is the scratch for i⊙g before that.
+    the previous state, (H, B), with `h` None for the zero initial state,
+    whose recurrent product is all zeros and is skipped; `wht` is Whᵀ,
+    (4H, H). Gate layout in the 4H pre-activation is [input, forget,
+    candidate, output], each block a contiguous (H, B) slab; c' = f⊙c + i⊙g,
+    h' = o⊙tanh(c'). The i, f and o rows of `xw` and `wht` come pre-halved
+    (see `lstm_sequence`), so one `np.tanh` over the whole block gives g and
+    tanh(z/2) for the sigmoid gates, and sigmoid(z) = (tanh(z/2) + 1) / 2
+    needs only +1 and ×0.5 on those blocks; the tanh form needs no masks and
+    cannot overflow for any finite z. Writes the four activations into
+    `gates` (4H, B) and c', tanh(c') and h' into `c_new`, `tc` and `h_new`
+    (H, B); `tc` is the scratch for i⊙g before that.
     """
-    hid = h.shape[0]
-    np.matmul(wht, h, out=gates)
-    gates += xw
-    _sigmoid(gates[:2 * hid], out=gates[:2 * hid])
-    np.tanh(gates[2 * hid:3 * hid], out=gates[2 * hid:3 * hid])
-    _sigmoid(gates[3 * hid:], out=gates[3 * hid:])
+    hid = c.shape[0]
+    if h is None:
+        np.add(xw, 0.0, out=gates)   # 0 + xw, the bits the zero state's product gives
+    else:
+        np.matmul(wht, h, out=gates)
+        gates += xw
+    np.tanh(gates, out=gates)
+    for sig in (gates[:2 * hid], gates[3 * hid:]):
+        sig += 1.0
+        sig *= 0.5
     np.multiply(gates[hid:2 * hid], c, out=c_new)
     np.multiply(gates[:hid], gates[2 * hid:3 * hid], out=tc)
     c_new += tc
@@ -303,10 +319,15 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
     x: (T, d, B), wx: (d, 4H), wh: (H, 4H), b: (4H,) -> (T, H, B), the
     hidden state after every step in forward time order. The state starts
     at zero; `reverse` runs the recurrence from the last step to the first.
-    Forward projects all T inputs in one batched matmul and then runs
-    `lstm_cell` once per step. Backward is BPTT with one `Wh·dpre` GEMM per
-    step; the gradients of x, Wx and Wh are then one batched matmul each
-    over the stacked steps (summed over T for the weights), and b's is one
+    Forward halves the i, f and o rows of Wxᵀ, Whᵀ and b once, projects all
+    T inputs in one batched matmul and then runs `lstm_cell` once per step,
+    the first without a recurrent product. Halving is exact (barring
+    subnormal weights), so a sigmoid gate's pre-activation is the bits of
+    z/2 and the gate the bits of (tanh(z/2) + 1) / 2 computed from z.
+    Backward is BPTT with one `Wh·dpre` GEMM per step, with the weights as
+    stored; the gradients of x, Wx and Wh are then one batched matmul each
+    over the stacked steps (summed over T for the weights, and for Wh over
+    steps 1…T−1, whose previous state is not the zero one), and b's is one
     sum.
     """
     if x.data.ndim != 3 or x.data.shape[0] < 1:
@@ -325,14 +346,21 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
 
     # step arrays in the order the recurrence visits the steps
     xs = x.data[::-1] if reverse else x.data
-    xw = np.matmul(wx.data.T, xs)
-    xw += b.data[:, None]
+    half = np.full(4 * hid, 0.5, dtype=wx.data.dtype)   # 0.5 on the sigmoid gates' rows
+    half[2 * hid:3 * hid] = 1.0
+    xw = np.matmul((wx.data * half).T, xs)
+    xw += (b.data * half)[:, None]
+    wht = (wh.data * half).T
     gates = np.empty_like(xw)
-    hs = np.zeros((t_len + 1, hid, bsz), dtype=xw.dtype)   # hs[0]: initial state
+    # hs[0] is the zero initial state, which step 0 does not read. Dropping it
+    # keeps the bits but changes how glibc places the temporaries: inference
+    # after training then faulted in about 1,000 fresh pages per 256-window call.
+    hs = np.zeros((t_len + 1, hid, bsz), dtype=xw.dtype)
     cs = np.zeros_like(hs)
     tcs = np.empty_like(hs[1:])
     for s in range(t_len):
-        lstm_cell(xw[s], hs[s], cs[s], wh.data.T, gates[s], cs[s + 1], tcs[s], hs[s + 1])
+        lstm_cell(xw[s], hs[s] if s else None, cs[s], wht, gates[s], cs[s + 1], tcs[s],
+                  hs[s + 1])
     out_data = hs[:0:-1] if reverse else hs[1:]
 
     def backward(g):
@@ -374,7 +402,7 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
             _accum(x, dxs[::-1] if reverse else dxs)
         dpre_t = dpre.transpose(0, 2, 1)
         _accum(wx, np.matmul(xs, dpre_t).sum(axis=0))
-        _accum(wh, np.matmul(hs[:-1], dpre_t).sum(axis=0))
+        _accum(wh, np.matmul(hs[1:-1], dpre_t[1:]).sum(axis=0))
         _accum(b, dpre.sum(axis=(0, 2)))
 
     return Tensor(out_data, requires_grad=True, parents=(x, wx, wh, b), backward=backward)

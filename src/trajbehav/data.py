@@ -589,13 +589,18 @@ def load_prepared(path):
     kind, meta, arrays = read_container(path)
     if kind != "dataset":
         raise DataError(f"{path}: expected a prepared dataset, found {kind!r}")
-    require_keys(path, meta, ("agents", "class_names", "seed"), "dataset metadata")
+    require_keys(path, meta, ("agents", "class_names", "has_loss_weights", "seed"),
+                 "dataset metadata")
     class_names = require_str_list(path, meta["class_names"], "dataset 'class_names'")
     agents = require_str_list(path, meta["agents"], "dataset 'agents'")
     num_classes = len(class_names)
     expected = {f"{part}_{key}": ((part, *dims), dtype)
                 for part in ("train", "test") for key, (dims, dtype) in _SPLIT_FIELDS.items()}
-    if meta.get("has_loss_weights"):
+    has_weights = meta["has_loss_weights"]
+    if not isinstance(has_weights, bool):
+        raise CheckpointError(f"{path}: dataset 'has_loss_weights' is {has_weights!r}, "
+                              "not a bool")
+    if has_weights:
         expected["loss_weights"] = ((num_classes,), np.float64)
     require_arrays(path, arrays, expected, "dataset array")
     seed = require_int(path, meta["seed"], "dataset 'seed'", 0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import as_windows
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .hmm import HMMClassifier, fit_classifier, hmm_predict_batch
 from .metrics import report
 from .models import build_model, predict
@@ -91,7 +91,9 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
     Returns (model, TrainLog). For the HMM baseline the log carries one row
     per class (its final mean log-likelihood as the loss column and the
     seconds of that class's Baum-Welch fit) since the fit is per-class EM,
-    not epoch-based.
+    not epoch-based. Raises DataError naming the first training window whose
+    states are not finite once cast to float32 (a coordinate past float32's
+    range, say), whatever the kind.
     """
     config.validate()
     windows = as_windows(split.train)
@@ -99,6 +101,11 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
         raise ConfigError("training split is empty")
     num_classes = len(split.class_names)
     states, labels = windows.states, windows.labels
+    with np.errstate(over="ignore"):   # out-of-range coordinates become inf, reported below
+        states32 = states.astype(np.float32)
+    if not np.isfinite(states32).all():
+        bad = int(np.argmax(~np.isfinite(states32).all(axis=(1, 2))))
+        raise DataError(f"training window {bad} has states that are not finite in float32")
 
     if model_kind == "hmm":
         log = TrainLog()
@@ -113,7 +120,7 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
         return clf, log
 
     model = build_model(model_kind, num_classes, seed=config.seed, use_mscnn=use_mscnn)
-    states = states.astype(model.dtype)
+    states = states32.astype(model.dtype, copy=False)
     weights = None
     if loss_weights is not None:
         weights = np.asarray(loss_weights, dtype=model.dtype)

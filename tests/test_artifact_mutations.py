@@ -31,8 +31,6 @@ ALLOWED_EXIT_0 = {
     ("dataset", "normalization"): _NOT_COMPARED,
     ("dataset", "config"): "a record of the prep options, which train and eval do not "
                            "read; only a value that is not an object is rejected",
-    ("dataset", "has_loss_weights"): "any truthy value reads as true, and this dump "
-                                     "holds loss weights",
     **{(kind, "normalization"): _NOT_COMPARED for kind in MODEL_KINDS},
 }
 
@@ -68,7 +66,8 @@ def _array_edits(value):
 
 
 def _cases(meta, arrays):
-    """(label, meta key or None, meta, arrays) for every single change."""
+    """(label, meta key or None, meta, arrays) for every single change; a
+    JSON value equal to the stored one, type included, is no change."""
     for name, value in arrays.items():
         for edit, changed in _array_edits(value).items():
             yield f"{name} {edit}", None, meta, {**arrays, name: changed}
@@ -76,6 +75,8 @@ def _cases(meta, arrays):
     for key in meta:
         yield f"{key} deleted", key, {k: v for k, v in meta.items() if k != key}, arrays
         for value in JSON_VALUES:
+            if type(value) is type(meta[key]) and value == meta[key]:
+                continue   # the stored value: no change
             yield f"{key} = {json.dumps(value)}", key, {**meta, key: value}, arrays
 
 

@@ -205,6 +205,29 @@ class TestMaxOverTime:
                 lambda: _weighted_sum(ad.max_over_time(x), mix), [x]
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+           values=st.sampled_from(["small-int", "all-equal", "all-negative"]),
+           dtype=st.sampled_from([np.float32, np.float64]), time_inner=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ties_match_max_and_first_argmax(self, shape, values, dtype, time_inner, seed):
+        r = np.random.default_rng(seed)
+        x = r.integers(-2, 3, size=shape).astype(dtype)   # small integers: many ties
+        if values == "all-equal":
+            x[...] = x[:, :, :1]
+        elif values == "all-negative":
+            x = -np.abs(x) - 1
+        if not time_inner:   # time outside channels in memory, as a conv bank lays it out
+            x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        g = r.normal(size=shape[:2]).astype(dtype)
+        xp = Parameter(x, "x")
+        out = ad.max_over_time(xp)
+        _weighted_sum(out, g).backward()
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, x.max(axis=2))
+        first = np.arange(shape[2]) == np.argmax(x, axis=2)[:, :, None]
+        assert np.array_equal(xp.grad, g[:, :, None] * first)
+
 
 def _oracle_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
@@ -287,6 +310,78 @@ def _oracle_lstm_sequence(x, weights, mix, reverse):
             [p.grad for p in params])
 
 
+def _sigmoid_4_ops(z, out):
+    np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+
+
+def _reference_lstm_sequence(x, wx, wh, b, g, reverse):
+    """`lstm_sequence` as first written, on plain arrays: a product with the
+    zero initial state at step 0 and a 4-op sigmoid per gate block. Returns
+    the (T, H, B) output and the gradients of x, wx, wh and b under the
+    upstream gradient `g`, for a bit-for-bit comparison."""
+    t_len, _, bsz = x.shape
+    hid = wh.shape[0]
+    xs = x[::-1] if reverse else x
+    xw = np.matmul(wx.T, xs)
+    xw += b[:, None]
+    gates = np.empty_like(xw)
+    hs = np.zeros((t_len + 1, hid, bsz), dtype=xw.dtype)
+    cs = np.zeros_like(hs)
+    tcs = np.empty_like(hs[1:])
+    for s in range(t_len):
+        gt = gates[s]
+        np.matmul(wh.T, hs[s], out=gt)
+        gt += xw[s]
+        _sigmoid_4_ops(gt[:2 * hid], gt[:2 * hid])
+        np.tanh(gt[2 * hid:3 * hid], out=gt[2 * hid:3 * hid])
+        _sigmoid_4_ops(gt[3 * hid:], gt[3 * hid:])
+        np.multiply(gt[hid:2 * hid], cs[s], out=cs[s + 1])
+        np.multiply(gt[:hid], gt[2 * hid:3 * hid], out=tcs[s])
+        cs[s + 1] += tcs[s]
+        np.tanh(cs[s + 1], out=tcs[s])
+        np.multiply(gt[3 * hid:], tcs[s], out=hs[s + 1])
+    out = hs[:0:-1] if reverse else hs[1:]
+
+    gs = g[::-1] if reverse else g
+    blocks = gates.reshape(t_len, 4, hid, bsz)
+    i, f, gg, o = (blocks[:, k] for k in range(4))
+    coef = np.empty_like(blocks)
+    np.subtract(1.0, i, out=coef[:, 0])
+    coef[:, 0] *= i
+    coef[:, 0] *= gg
+    np.subtract(1.0, f, out=coef[:, 1])
+    coef[:, 1] *= f
+    coef[:, 1] *= cs[:-1]
+    np.multiply(gg, gg, out=coef[:, 2])
+    np.subtract(1.0, coef[:, 2], out=coef[:, 2])
+    coef[:, 2] *= i
+    np.subtract(1.0, o, out=coef[:, 3])
+    coef[:, 3] *= o
+    coef[:, 3] *= tcs
+    dc_dh = np.multiply(tcs, tcs)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dpre = coef.reshape(t_len, 4 * hid, bsz)
+    dh = np.zeros((hid, bsz), dtype=gates.dtype)
+    dc = np.zeros_like(dh)
+    for s in range(t_len - 1, -1, -1):
+        dh += gs[s]
+        dc_dh[s] *= dh
+        dc += dc_dh[s]
+        coef[s, :3] *= dc
+        coef[s, 3] *= dh
+        if s:
+            np.matmul(wh, dpre[s], out=dh)
+            dc *= f[s]
+    dxs = np.matmul(wx, dpre)
+    dpre_t = dpre.transpose(0, 2, 1)
+    return (out, dxs[::-1] if reverse else dxs, np.matmul(xs, dpre_t).sum(axis=0),
+            np.matmul(hs[:-1], dpre_t).sum(axis=0), dpre.sum(axis=(0, 2)))
+
+
 class TestLSTMCell:
     """`lstm_cell` steps, run as one `lstm_sequence` tape node per direction."""
 
@@ -320,6 +415,51 @@ class TestLSTMCell:
                 lambda: _weighted_sum(ad.lstm_sequence(x, wx, wh, b, reverse=reverse), mix),
                 [x, wx, wh, b],
             )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 2, 5])
+    def test_bit_equal_to_reference(self, dtype, reverse, t_len):
+        """Pre-halved gate rows, one tanh per gate block and no product with
+        the zero state give the bits of the formulation written out."""
+        r = np.random.default_rng(100 * t_len + reverse)
+        d_in, hidden, bsz = 5, 16, 64
+        x = r.normal(size=(t_len, d_in, bsz)).astype(dtype)
+        g = r.normal(size=(t_len, hidden, bsz)).astype(dtype)
+        weights = [w.data.astype(dtype) for w in _lstm_weights(d_in, hidden, rng=r)]
+        xp = Parameter(x.copy(), "x")
+        params = [Parameter(w.copy(), "w") for w in weights]
+        y = ad.lstm_sequence(xp, *params, reverse=reverse)
+        _weighted_sum(y, g).backward()
+        expect = _reference_lstm_sequence(x, *weights, g, reverse)
+        for got, want in zip([y.data, xp.grad] + [p.grad for p in params], expect):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_sigmoid_gates_saturate_without_overflow(self):
+        """Pre-activations of ±1e4 put the i, f and o gates at exactly 0 and 1,
+        and their slopes y(1 - y) at exactly 0, with no overflow forward or
+        backward."""
+        hid = 3
+        z = np.array([-1e4, 0.0, 1e4])
+        bias = np.concatenate([z, z, np.full(hid, 1e4), z])   # i, f, g = 1, o
+        for dt in (np.float32, np.float64):
+            x = Parameter(np.zeros((1, 1, 1), dt), "x")
+            wx = Parameter(np.zeros((1, 4 * hid), dt), "wx")
+            wh = Parameter(np.zeros((hid, 4 * hid), dt), "wh")
+            b = Parameter(bias.astype(dt), "b")
+            with np.errstate(all="raise"):
+                y = ad.lstm_sequence(x, wx, wh, b)
+                _weighted_sum(y, np.ones(y.shape)).backward()
+            # h = o·tanh(f·0 + i·g) with g = 1, so i = o = 0, 1/2, 1 by unit
+            h = y.data[0, :, 0]
+            assert h.dtype == dt
+            assert h[0] == 0.0
+            assert np.abs(h[1:] - [0.5 * np.tanh(0.5), np.tanh(1.0)]).max() < 1e-6
+            gi, gf, gg, go = b.grad.reshape(4, hid)
+            assert gi[0] == gi[2] == go[0] == go[2] == 0.0
+            assert gi[1] > 0.0 and go[1] > 0.0
+            assert np.array_equal(gf, np.zeros(hid)) and np.array_equal(gg, np.zeros(hid))
 
     def test_shape_mismatch(self):
         wx, wh, b = _lstm_weights(4, 3, zero=True)
@@ -478,16 +618,6 @@ class TestOtherPrimitives:
             fd_check_primitive(
                 lambda: _weighted_sum(ad.index(x, i, axis=1), mix), [x]
             )
-
-    def test_sigmoid_saturates_without_overflow(self):
-        for dt in (np.float32, np.float64):
-            z = np.array([-1e4, 0.0, 1e4], dtype=dt)
-            with np.errstate(all="raise"):
-                y = ad._sigmoid(z)
-                slope = y * (1.0 - y)   # the gate derivative lstm_sequence uses
-            assert y.dtype == dt
-            assert np.array_equal(y, [0.0, 0.5, 1.0])
-            assert np.array_equal(slope, [0.0, 0.25, 0.0])
 
     def test_activations_gradients(self):
         for trial in range(100):

@@ -492,7 +492,7 @@ class TestMalformedContainers:
         assert not (workspace / "ev").exists()
 
     @pytest.mark.parametrize("meta_key, array_key", [
-        ("agents", None), ("class_names", None), ("seed", None),
+        ("agents", None), ("class_names", None), ("seed", None), ("has_loss_weights", None),
         (None, "train_states"), (None, "test_labels"),
     ])
     def test_dataset_missing_key_exit_3(self, workspace, capsys, meta_key, array_key):
@@ -543,6 +543,22 @@ class TestMalformedContainers:
                     "--config", workspace / "tiny.cfg"])
         assert code == 3
         assert "'loss_weights'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model_kind", ["fusion", "lstm", "conv1d", "hmm"])
+    def test_coordinate_too_large_to_train_exit_3(self, workspace, capsys, model_kind):
+        """1e300 is a finite float64, so the dump holds it; it is inf in float32."""
+        prep = gen_and_prep(workspace)
+        kind, meta, arrays = read_container(prep / "prepared.tbh")
+        arrays["train_states"][2, 1, 0] = 1e300
+        bad = workspace / "big.tbh"
+        write_container(bad, kind, meta, arrays)
+        code = run(["train", "--data", bad, "--model", model_kind, "--out", workspace / "t",
+                    "--config", workspace / "tiny.cfg"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "training window 2 " in err and "not finite in float32" in err
+        assert "Traceback" not in err
+        assert not (workspace / "t").exists()
 
     @pytest.mark.parametrize("model_kind", ["conv1d", "hmm"])
     def test_coordinate_too_large_to_score_exit_3(self, workspace, capsys, model_kind):
