@@ -29,7 +29,16 @@ shapes; the forward takes transposed views of copies whose i, f and o
 columns are halved, so that one `np.tanh` covers the whole gate block
 (sigmoid(z) = (tanh(z/2) + 1) / 2, with z/2 exact), and its first step
 skips the product with the zero initial state. The backward uses the
-weights as stored. Conv ops stay (B, C, T), and dense ops (B, D).
+weights as stored. Conv ops take and return (B, C, T) arrays whose memory
+is (B, T, C): the window batch is passed as a transposed view, and each conv
+writes its GEMM result as (B, T', C) and returns the transposed view, which
+`relu` keeps. So `conv1d_valid` builds its im2col matrix from k slab copies of
+contiguous (T', C) rows, one per tap, and the GEMM, not the copy, is most of a
+conv layer. Dense ops are (B, D).
+
+A tensor's first gradient is one pass, `g + 0.0` written into an array laid
+out like the tensor's data: the bits of accumulating onto zeros (-0.0 becomes
++0.0) without first filling the zeros.
 """
 
 from __future__ import annotations
@@ -124,8 +133,11 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one pass with the bits of zeros + g (so -0.0 becomes +0.0), laid out
+        # like `np.zeros_like(t.data)` and broadcast to its shape
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +145,12 @@ def _accum(t, g):
 # ---------------------------------------------------------------------------
 
 def relu(x):
+    """max(x, 0). Backward takes its mask from the output: out > 0 exactly
+    where x > 0, NaN and -0.0 included, so the forward makes one pass."""
     out_data = np.maximum(x.data, 0)
-    mask = x.data > 0
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(x, g * (out_data > 0))
 
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
@@ -206,6 +219,13 @@ def conv1d_valid(x, w, b):
     """Valid (no-padding) cross-correlation over the last axis.
 
     x: (B, C_in, T), w: (C_out, C_in, k), b: (C_out,) -> (B, C_out, T-k+1).
+    im2col fills cols[b, t, c, j] = x[b, c, t + j] with one slab copy per
+    tap j, read from the (B, T, C_in) view of x, so that column c·k + j of
+    the flattened cols lines up with w's flattened (C_in, k) and one GEMM
+    gives the output, bias added in place. The output is laid out
+    (B, T-k+1, C_out) in memory and returned as its transposed view. Backward
+    reuses `cols` for w's gradient and scatter-adds the column gradients onto
+    zeros for x's, tap by tap.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError(
@@ -227,12 +247,15 @@ def conv1d_valid(x, w, b):
         )
     bsz = x.data.shape[0]
     out_len = t_len - k + 1
-    # im2col: one row per (sample, output step), one column per (channel, tap)
-    cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
-    cols = cols.transpose(0, 2, 1, 3).reshape(bsz * out_len, c_in * k)
+    xt = x.data.transpose(0, 2, 1)
+    cols = np.empty((bsz, out_len, c_in, k), dtype=x.data.dtype)
+    for j in range(k):
+        cols[:, :, :, j] = xt[:, j:j + out_len]
+    cols = cols.reshape(bsz * out_len, c_in * k)
     wmat = w.data.reshape(c_out, c_in * k)
-    out = (cols @ wmat.T + b.data).reshape(bsz, out_len, c_out)
-    out_data = out.transpose(0, 2, 1)
+    out = cols @ wmat.T
+    out += b.data
+    out_data = out.reshape(bsz, out_len, c_out).transpose(0, 2, 1)
 
     def backward(g):
         g2 = g.transpose(0, 2, 1).reshape(bsz * out_len, c_out)

@@ -56,6 +56,7 @@ MIN_TRAJECTORY_LEN = 7
 MIN_CLASS_COUNT = 100
 SPLIT_RATIO = 0.8
 _MAX_FRAME = np.iinfo(np.int64).max
+_STATS_BLOCK_ROWS = 16384          # rows per block of the normalization statistics
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,15 +510,43 @@ def _require_finite(values, what):
         )
 
 
+def _column_mean_std(rows):
+    """Per-column mean and std of `rows` (N, F), with the bits of
+    `rows.mean(axis=0)` and `rows.std(axis=0)`.
+
+    Both sums run _STATS_BLOCK_ROWS rows at a time through one buffer, so no
+    temporary is the size of `rows`. Each block is reduced together with the
+    running total in the buffer's first row, row after row from a zero
+    start: the order numpy's axis-0 reduction of the whole array uses. No
+    rows give NaN statistics."""
+    n = rows.shape[0]
+    buf = np.empty((min(n, _STATS_BLOCK_ROWS) + 1, rows.shape[1]))
+
+    def column_sum(center=None):   # Σ rows, or Σ (rows - center)²
+        buf[0] = 0.0
+        for lo in range(0, n, _STATS_BLOCK_ROWS):
+            part = rows[lo:lo + _STATS_BLOCK_ROWS]
+            block = buf[1:1 + len(part)]
+            if center is None:
+                block[...] = part
+            else:
+                np.subtract(part, center, out=block)
+                block *= block
+            buf[0] = np.add.reduce(buf[:1 + len(part)], axis=0)
+        return buf[0].copy()
+
+    mean = column_sum() / n
+    return mean, np.sqrt(column_sum(mean) / n)
+
+
 def standardize_stats(windows):
     """Per-feature mean/std computed on the given (training) windows.
 
     Finite coordinates can still overflow float64 when summed or squared;
-    non-finite statistics raise DataError naming the feature."""
-    rows = windows.states.reshape(-1, STATE_FEATURES)
+    non-finite statistics, and those of no windows, raise DataError naming
+    the feature."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = rows.mean(axis=0)
-        std = rows.std(axis=0)
+        mean, std = _column_mean_std(windows.states.reshape(-1, STATE_FEATURES))
     _require_finite(np.stack([mean, std]), "normalization statistics")
     std = np.where(std > 1e-12, std, 1.0)
     return {"mean": mean.tolist(), "std": std.tolist()}

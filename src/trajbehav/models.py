@@ -125,8 +125,9 @@ class _ModelBase:
         return batch.astype(self.dtype, copy=False)
 
     def _channels_first(self, batch):
-        """(B, T, C) window batch as a (B, C, T) tensor for the conv layers."""
-        return Tensor(np.ascontiguousarray(self._check_batch(batch).transpose(0, 2, 1)))
+        """(B, T, C) window batch as a (B, C, T) tensor for the conv layers: a
+        transposed view, which `conv1d_valid` reads as contiguous (T, C) rows."""
+        return Tensor(self._check_batch(batch).transpose(0, 2, 1))
 
     def _feature_major(self, batch):
         """(B, T, C) window batch as a (T, C, B) tensor for the LSTM layers."""

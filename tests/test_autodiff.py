@@ -76,6 +76,31 @@ class TestDense:
             fd_check_primitive(lambda: _weighted_sum(ad.dense(x, w, b), mix), [x, w, b])
 
 
+def _reference_conv1d_valid(x, w, b, g):
+    """`conv1d_valid` as first written, on plain arrays: a `sliding_window_view`
+    im2col and every gradient accumulated onto zeros. Returns the output and
+    the gradients of x, w and b under the upstream gradient `g`, for a
+    bit-for-bit comparison.
+
+    `cols` is made C-contiguous. The reshape copied it at every shape the
+    models run, but for one sample with k = 1 or C_in = 1 it can return a
+    strided view instead, and BLAS rounds a product with that differently."""
+    bsz, c_in, t_len = x.shape
+    c_out, _, k = w.shape
+    out_len = t_len - k + 1
+    cols = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
+    cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3).reshape(bsz * out_len, c_in * k))
+    wmat = w.reshape(c_out, c_in * k)
+    out = (cols @ wmat.T + b).reshape(bsz, out_len, c_out).transpose(0, 2, 1)
+    g2 = g.transpose(0, 2, 1).reshape(bsz * out_len, c_out)
+    dcols = (g2 @ wmat).reshape(bsz, out_len, c_in, k)
+    gx = np.zeros((bsz, t_len, c_in), dtype=dcols.dtype)
+    for j in range(k):
+        gx[:, j:j + out_len] += dcols[:, :, :, j]
+    grads = (gx.transpose(0, 2, 1), (g2.T @ cols).reshape(c_out, c_in, k), g2.sum(axis=0))
+    return out, [np.zeros_like(a) + d for a, d in zip((x, w, b), grads)]
+
+
 class TestConv1d:
     def test_zero_input_gives_bias(self, rng):
         x = Tensor(np.zeros((2, 3, 5)))
@@ -170,6 +195,37 @@ class TestConv1d:
                 lambda: _weighted_sum(ad.conv1d_valid(x, w, b), mix),
                 [x, w, b],
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), k=st.integers(1, 4),
+           c_in=st.integers(1, 64), c_out=st.integers(1, 40), bsz=st.integers(1, 70),
+           extra_steps=st.integers(0, 4), time_inner=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_reference(self, dtype, k, c_in, c_out, bsz, extra_steps,
+                                    time_inner, seed):
+        """Slab-copy im2col, in-place bias and one-pass first accumulation give
+        the bits of the formulation written out, on a C-contiguous (B, C, T)
+        input and on the transposed view of a (B, T, C) one alike."""
+        r = np.random.default_rng(seed)
+        shape = (bsz, c_in, k + extra_steps)
+        if time_inner:
+            x = r.normal(size=shape).astype(dtype)
+        else:   # channels innermost in memory, as the window batch and the conv outputs are
+            x = r.normal(size=(bsz, shape[2], c_in)).astype(dtype).transpose(0, 2, 1)
+        x[0, 0, 0] = -0.0
+        w = r.normal(size=(c_out, c_in, k)).astype(dtype)
+        b = r.normal(size=c_out).astype(dtype)
+        # upstream gradient laid out like the output, (B, L, C) in memory, as the
+        # tape's accumulation lays out the output's gradient
+        g = r.normal(size=(bsz, extra_steps + 1, c_out)).astype(dtype).transpose(0, 2, 1)
+        xt = Tensor(x, requires_grad=True)   # no gradient yet: the first accumulation
+        wp, bp = Parameter(w.copy(), "w"), Parameter(b.copy(), "b")
+        y = ad.conv1d_valid(xt, wp, bp)
+        _weighted_sum(y, g).backward()
+        expect, grads = _reference_conv1d_valid(x, w, b, g)
+        for got, want in zip([y.data, xt.grad, wp.grad, bp.grad], [expect] + grads):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMaxOverTime:
@@ -626,6 +682,20 @@ class TestOtherPrimitives:
             mix = r.normal(size=(3, 4))
             fd_check_primitive(lambda: _weighted_sum(ad.relu(x), mix), [x])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bit_equal_on_zeros_and_nan(self, dtype):
+        """The mask taken from the output is the mask of x > 0, for 0.0, -0.0
+        and NaN too."""
+        values = [0.0, -0.0, np.nan, -np.nan, 1.5, -1.5, np.inf, -np.inf, 1e-45, -1e-45]
+        x = np.array(values * 3, dtype=dtype).reshape(5, 6)
+        g = np.random.default_rng(7).normal(size=x.shape).astype(dtype)
+        g[0, :2] = -0.0
+        xt = Tensor(x, requires_grad=True)
+        y = ad.relu(xt)
+        _weighted_sum(y, g).backward()
+        assert y.data.tobytes() == np.maximum(x, 0).tobytes()
+        assert xt.grad.tobytes() == (np.zeros_like(x) + g * (x > 0)).tobytes()
+
     def test_determinism_bit_identical(self, rng):
         x = rng.normal(size=(2, 3, 5))
         w = rng.normal(size=(4, 3, 2))
@@ -644,6 +714,42 @@ class TestOtherPrimitives:
         assert np.isfinite(loss.data).all()
         assert np.isfinite(x.grad).all()
         assert np.isfinite(w.grad).all()
+
+
+class TestAccum:
+    """The first gradient a tensor receives: one pass, with the bits, shape
+    and memory layout of accumulating onto `np.zeros_like(t.data)`."""
+
+    def test_negative_zero_becomes_positive_zero(self):
+        t = Tensor(np.ones(4), requires_grad=True)
+        ad._accum(t, np.array([-0.0, 0.0, -2.5, 3.0]))
+        assert t.grad.tobytes() == np.array([0.0, 0.0, -2.5, 3.0]).tobytes()
+        assert not np.signbit(t.grad[0])
+        ad._accum(t, np.array([1.0, -0.0, 2.5, 0.0]))   # later ones add in place
+        assert t.grad.tobytes() == np.array([1.0, 0.0, 0.0, 3.0]).tobytes()
+
+    def test_broadcast_gradient_takes_the_tensor_shape(self, rng):
+        x = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        g = rng.normal(size=(2, 1, 4)).astype(np.float32)
+        for grad in (np.broadcast_to(g, x.shape), g[0, 0]):
+            t = Tensor(x, requires_grad=True)
+            ad._accum(t, grad)
+            assert t.grad.shape == x.shape and t.grad.flags.writeable
+            assert t.grad.tobytes() == (np.zeros_like(x) + grad).tobytes()
+        # `mean` backward hands its parent a broadcast view
+        t = Tensor(x, requires_grad=True)
+        _weighted_sum(ad.mean(t, axis=1), g[:, 0]).backward()
+        assert t.grad.shape == x.shape and t.grad.flags.writeable
+        assert t.grad.tobytes() == (np.zeros_like(x) + np.broadcast_to(g / 3, x.shape)).tobytes()
+
+    @pytest.mark.parametrize("axes", [(0, 2, 1), (2, 1, 0), (1, 0, 2)])
+    def test_transposed_data_gets_the_strides_of_zeros_like(self, rng, axes):
+        data = rng.normal(size=(3, 4, 5)).transpose(axes)
+        g = rng.normal(size=data.shape)
+        t = Tensor(data, requires_grad=True)
+        ad._accum(t, g)
+        assert t.grad.strides == np.zeros_like(data).strides
+        assert t.grad.tobytes() == g.tobytes()
 
 
 def test_public_ops_are_the_ones_the_models_run():

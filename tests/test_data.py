@@ -713,6 +713,33 @@ class TestStandardization:
         with pytest.raises(DataError, match="statistics of feature x, z are not finite"):
             standardize_stats(replace(w, states=states))
 
+    _BLOCK = dmod._STATS_BLOCK_ROWS
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_rows=st.one_of(
+               st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
+                                2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK]),
+               st.integers(0, 3 * _BLOCK)),
+           spread=st.sampled_from([1e-3, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+    def test_blockwise_statistics_are_the_bits_of_one_reduction(self, n_rows, spread, seed):
+        r = np.random.default_rng(seed)
+        rows = r.normal(loc=r.normal(size=4) * 50, scale=spread, size=(n_rows, 4))
+        rows[r.random(size=rows.shape) < 0.01] = -0.0
+        with np.errstate(invalid="ignore"):
+            mean, std = dmod._column_mean_std(rows)
+        if n_rows == 0:
+            assert np.isnan(mean).all() and np.isnan(std).all()
+            with pytest.raises(DataError, match="statistics of feature x, y, z, d"):
+                standardize_stats(make_samples([]))
+            return
+        assert mean.tobytes() == rows.mean(axis=0).tobytes()
+        assert std.tobytes() == rows.std(axis=0).tobytes()
+        if n_rows % 5 == 0:   # whole windows: the statistics `prep` stores
+            w = replace(make_samples([0] * (n_rows // 5)), states=rows.reshape(-1, 5, 4))
+            stats = standardize_stats(w)
+            assert stats["mean"] == mean.tolist()
+            assert stats["std"] == np.where(std > 1e-12, std, 1.0).tolist()
+
     def test_overflowing_standardized_states_rejected(self):
         w = make_samples([0, 0])
         train = replace(w, states=np.full((2, 5, 4), 2.0 ** 1020))  # exact mean, std 0
