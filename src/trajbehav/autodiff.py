@@ -39,9 +39,19 @@ conv layer. Dense ops are (B, D).
 A tensor's first gradient is one pass, `g + 0.0` written into an array laid
 out like the tensor's data: the bits of accumulating onto zeros (-0.0 becomes
 +0.0) without first filling the zeros.
+
+Memory. `pack` puts a list of parameters into one value vector and one
+gradient vector, each parameter's arrays becoming views into them, so an
+optimizer step and a gradient reset are single vector operations. A
+`Workspace` keeps the large forward arrays of `lstm_sequence`, `concat` and
+`mean` from one pass to the next (see its docstring); ops run outside one
+allocate afresh, with the same bits.
 """
 
 from __future__ import annotations
+
+import contextvars
+import math
 
 import numpy as np
 
@@ -107,6 +117,116 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"
+
+
+def pack(params):
+    """One 1-D `data` vector and one 1-D `grad` vector for `params`, in list
+    order, with each parameter's `data` and `grad` rebound as reshaped views
+    into them. Returns (data, grad).
+
+    Values and gradients are copied across bit for bit. Parameters that
+    already tile one buffer pair in order (a model's, or a second `pack` of
+    the same list) keep it, and nothing is copied. Otherwise every parameter
+    must own its arrays: repacking a view would silently detach it from the
+    buffer it is part of. All parameters must share one dtype.
+    """
+    params = list(params)
+    if not params:
+        return np.zeros(0), np.zeros(0)
+    dtypes = {p.data.dtype for p in params}
+    if len(dtypes) > 1:
+        raise ConfigError(f"cannot pack parameters of mixed dtypes {sorted(map(str, dtypes))}")
+    data, grad = _tiled(params, "data"), _tiled(params, "grad")
+    if data is not None and grad is not None:
+        return data, grad
+    for p in params:
+        if p.data.base is not None or p.grad.base is not None:
+            raise ConfigError(f"cannot pack {p.name}: its value or gradient is a view into "
+                              "another array, such as a model's buffer; pass all of a "
+                              "model's parameters, in order")
+    data = np.concatenate([p.data.ravel() for p in params])
+    grad = np.concatenate([p.grad.ravel() for p in params])
+    offset = 0
+    for p in params:
+        shape, end = p.data.shape, offset + p.data.size
+        p.data = data[offset:end].reshape(shape)
+        p.grad = grad[offset:end].reshape(shape)
+        offset = end
+    return data, grad
+
+
+def _tiled(params, attr):
+    """The 1-D array that the params' `attr` arrays tile in list order with no
+    gap, or None."""
+    base = getattr(params[0], attr).base
+    if base is None or base.ndim != 1 or not base.flags.c_contiguous:
+        return None
+    at = base.ctypes.data
+    for p in params:
+        a = getattr(p, attr)
+        if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != at:
+            return None
+        at += a.nbytes
+    return base if at == base.ctypes.data + base.nbytes else None
+
+
+class Workspace:
+    """Buffers for the large arrays of a forward pass, reused from pass to pass.
+
+    Each `with workspace:` block is one pass. In it, the n-th array that
+    `lstm_sequence`, `concat` and `mean` allocate is a view of the
+    workspace's n-th byte buffer, which grows to the largest size asked of
+    it; outside any workspace they allocate afresh, and the values are the
+    same either way. These are the arrays that scale with steps × batch,
+    megabytes for a 256-window fusion batch. Allocated afresh, they are all
+    freed at the end of a pass; glibc may then trim the heap and fault the
+    same pages in again on the next pass, depending on where it happened to
+    place the model's other arrays. A pass overwrites the arrays of the pass
+    before, so a tape built in one pass runs its backward, and its caller
+    copies what it keeps, before the next pass starts. `release` drops the
+    buffers; the next pass allocates them afresh.
+    """
+
+    def __init__(self):
+        self._buffers = []
+        self._calls = 0
+        self._token = None
+
+    def __enter__(self):
+        self._calls = 0
+        self._token = _active_workspace.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _active_workspace.reset(self._token)
+
+    def release(self):
+        """Drop the buffers, for the memory to be freed once no array views them."""
+        self._buffers = []
+
+    def empty(self, shape, dtype):
+        """An uninitialized (shape, dtype) array for the pass's next allocation."""
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * math.prod(shape)
+        i = self._calls
+        self._calls += 1
+        if i == len(self._buffers):
+            self._buffers.append(None)
+        if self._buffers[i] is None or self._buffers[i].nbytes < nbytes:
+            self._buffers[i] = np.empty(nbytes, dtype=np.uint8)
+        return self._buffers[i][:nbytes].view(dtype).reshape(shape)
+
+
+# the Workspace of the pass running now in this thread or task, if any
+_active_workspace = contextvars.ContextVar("workspace", default=None)
+
+
+def _empty(shape, dtype):
+    """`np.empty(shape, dtype)`, from the active workspace if there is one."""
+    workspace = _active_workspace.get()
+    if workspace is None:
+        return np.empty(shape, dtype)
+    return workspace.empty(shape, dtype)
 
 
 def _toposort(root):
@@ -177,8 +297,11 @@ def transpose(x):
 
 def concat(tensors, axis=1):
     """Concatenate along `axis`; backward splits the gradient."""
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
+    shape = list(tensors[0].data.shape)
+    shape[axis] = sum(sizes)
+    out_data = np.concatenate([t.data for t in tensors], axis=axis,
+                              out=_empty(tuple(shape), tensors[0].data.dtype))
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
@@ -193,7 +316,8 @@ def concat(tensors, axis=1):
 def mean(x, axis):
     """Mean over one axis (e.g. the time-average readout of a sequence)."""
     n = x.data.shape[axis]
-    out_data = x.data.mean(axis=axis)
+    out_data = x.data.mean(axis=axis, out=_empty(
+        x.data.shape[:axis] + x.data.shape[axis + 1:], x.data.dtype))
 
     def backward(g):
         _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.data.shape))
@@ -371,16 +495,20 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
     xs = x.data[::-1] if reverse else x.data
     half = np.full(4 * hid, 0.5, dtype=wx.data.dtype)   # 0.5 on the sigmoid gates' rows
     half[2 * hid:3 * hid] = 1.0
-    xw = np.matmul((wx.data * half).T, xs)
+    dt = x.data.dtype
+    wxt = np.multiply(wx.data, half, out=_empty(wx.data.shape, dt)).T
+    xw = np.matmul(wxt, xs, out=_empty((t_len, 4 * hid, bsz), dt))
     xw += (b.data * half)[:, None]
-    wht = (wh.data * half).T
-    gates = np.empty_like(xw)
+    wht = np.multiply(wh.data, half, out=_empty(wh.data.shape, dt)).T
+    gates = _empty(xw.shape, dt)
     # hs[0] is the zero initial state, which step 0 does not read. Dropping it
     # keeps the bits but changes how glibc places the temporaries: inference
     # after training then faulted in about 1,000 fresh pages per 256-window call.
-    hs = np.zeros((t_len + 1, hid, bsz), dtype=xw.dtype)
-    cs = np.zeros_like(hs)
-    tcs = np.empty_like(hs[1:])
+    hs = _empty((t_len + 1, hid, bsz), dt)
+    hs.fill(0)
+    cs = _empty(hs.shape, dt)
+    cs.fill(0)
+    tcs = _empty(hs[1:].shape, dt)
     for s in range(t_len):
         lstm_cell(xw[s], hs[s] if s else None, cs[s], wht, gates[s], cs[s + 1], tcs[s],
                   hs[s + 1])

@@ -118,7 +118,7 @@ def load_checkpoint(path):
     require_arrays(path, arrays, {name: (p.data.shape, p.data.dtype)
                                   for name, p in model.parameters.items()}, "tensor")
     for name, p in model.parameters.items():
-        p.data = arrays[name]
+        p.data[...] = arrays[name]   # into the model's flat buffer, not a rebind
     return Checkpoint(model=model, class_names=class_names,
                       normalization=meta.get("normalization"))
 

@@ -53,8 +53,8 @@ _PAPER_SILENT = {"seed", "hmm_max_iters"}
 # ---------------------------------------------------------------------------
 
 def parse_kv_file(path):
-    """Parse `key = value` lines; '#' starts a comment."""
-    out = {}
+    """Parse `key = value` lines; '#' starts a comment. A key may appear once."""
+    out, where = {}, {}
     with dmod.open_text(path, ConfigError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -62,8 +62,11 @@ def parse_kv_file(path):
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in where:
+                raise ConfigError(f"{path}: line {lineno}: key {key!r} repeats line "
+                                  f"{where[key]}")
+            out[key], where[key] = value, lineno
     return out
 
 

@@ -15,6 +15,14 @@ then passes one 2-D `transpose` tape node to become the (B, F) rows the
 dense head and the conv branch use. The conv layers take (B, C, T)
 batches from `_channels_first`.
 
+Storage. A model's parameters live in one 1-D `data` vector and their
+gradients in one 1-D `grad` vector (`autodiff.pack`, run once when
+construction ends): each named `Parameter`'s `data` and `grad` are reshaped
+views into them, in `parameters` order. `zero_grad` is one fill, `optim.Adam`
+updates the vectors in one pass, and a checkpoint load copies into the
+views. Each model also owns the `autodiff.Workspace` its training steps and
+inference chunks run their forward passes in.
+
 Each kind has one fixed architecture, given by the module constants below.
 A caller chooses the class count (`num_classes`), the initialisation seed,
 the precision ("fast" float32 for training, "verify" float64 for the
@@ -67,7 +75,7 @@ def _xavier(rng, shape, fan_in, fan_out, dtype):
 class _ModelBase:
     kind = "base"
 
-    def __init__(self, num_classes, precision):
+    def __init__(self, num_classes, seed=0, precision="fast"):
         if precision not in DTYPES:
             raise ConfigError(f"unknown precision mode {precision!r}")
         if num_classes < 2:
@@ -76,6 +84,9 @@ class _ModelBase:
         self.precision = precision
         self.dtype = DTYPES[precision]
         self.parameters = {}
+        self._build(seeded_rng(seed, INIT))
+        self.data, self.grad = ad.pack(self.parameters.values())
+        self.workspace = ad.Workspace()
 
     def config(self):
         """The architecture as stored in a checkpoint's `config` entry."""
@@ -112,8 +123,7 @@ class _ModelBase:
         return list(self.parameters.values())
 
     def zero_grad(self):
-        for p in self.parameters.values():
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def _check_batch(self, batch):
         batch = np.asarray(batch)
@@ -140,19 +150,20 @@ class FusionModel(_ModelBase):
     kind = "fusion"
 
     def __init__(self, num_classes, seed=0, precision="fast", use_mscnn=True):
-        super().__init__(num_classes, precision)
         self.use_mscnn = bool(use_mscnn)
-        rng = seeded_rng(seed, INIT)
+        super().__init__(num_classes, seed, precision)
+
+    def _build(self, rng):
         for layer in range(LSTM_LAYERS):
             d_in = STATE_FEATURES if layer == 0 else 2 * LSTM_HIDDEN
             for direction in ("fw", "bw"):
                 self._add_lstm(f"bilstm.l{layer}.{direction}", d_in, rng)
-        if use_mscnn:
+        if self.use_mscnn:
             for k in KERNEL_SIZES:
                 self._add_conv(f"mscnn.k{k}", STATE_FEATURES, CHANNELS_PER_KERNEL, k, rng)
             self._add_dense("mscnn.fc1", len(KERNEL_SIZES) * CHANNELS_PER_KERNEL, FC1_OUT, rng)
-        self._add_dense("head", 2 * LSTM_HIDDEN + (FC1_OUT if use_mscnn else 0),
-                        num_classes, rng)
+        self._add_dense("head", 2 * LSTM_HIDDEN + (FC1_OUT if self.use_mscnn else 0),
+                        self.num_classes, rng)
 
     def config(self):
         return {**super().config(), "lstm_layers": LSTM_LAYERS, "lstm_hidden": LSTM_HIDDEN,
@@ -194,13 +205,11 @@ class LSTMBaseline(_ModelBase):
 
     kind = "lstm"
 
-    def __init__(self, num_classes, seed=0, precision="fast"):
-        super().__init__(num_classes, precision)
-        rng = seeded_rng(seed, INIT)
+    def _build(self, rng):
         for layer in range(LSTM_LAYERS):
             d_in = STATE_FEATURES if layer == 0 else LSTM_HIDDEN
             self._add_lstm(f"lstm.l{layer}", d_in, rng)
-        self._add_dense("head", LSTM_HIDDEN, num_classes, rng)
+        self._add_dense("head", LSTM_HIDDEN, self.num_classes, rng)
 
     def config(self):
         return {**super().config(), "hidden": LSTM_HIDDEN, "layers": LSTM_LAYERS}
@@ -217,15 +226,13 @@ class Conv1DBaseline(_ModelBase):
 
     kind = "conv1d"
 
-    def __init__(self, num_classes, seed=0, precision="fast"):
-        super().__init__(num_classes, precision)
-        rng = seeded_rng(seed, INIT)
+    def _build(self, rng):
         c_in = STATE_FEATURES
         for i, c_out in enumerate(CONV_CHANNELS):
             self._add_conv(f"conv.{i}", c_in, c_out, CONV_KERNEL, rng)
             c_in = c_out
         final_len = WINDOW_SIZE - len(CONV_CHANNELS) * (CONV_KERNEL - 1)
-        self._add_dense("head", CONV_CHANNELS[-1] * final_len, num_classes, rng)
+        self._add_dense("head", CONV_CHANNELS[-1] * final_len, self.num_classes, rng)
 
     def config(self):
         return {**super().config(), "channels": list(CONV_CHANNELS), "kernel": CONV_KERNEL}

@@ -239,7 +239,9 @@ def gen_dataset(spec):
     """Generate (trajectories, class_names); deterministic given spec.seed.
 
     Classes appear in canonical registry order; every point of a trajectory
-    carries its template's class label.
+    carries its template's class label. Raises ConfigError naming `noise`
+    when a generated coordinate is not finite in float32, the precision the
+    models train in.
     """
     spec.validate()
     class_names = [n for n in TEMPLATES if n in spec.counts and spec.counts[n] > 0]
@@ -249,4 +251,12 @@ def gen_dataset(spec):
         template = TEMPLATES[name]
         for i in range(spec.counts[name]):
             trajectories.append(_gen_trajectory(template, i, label, spec, rng))
+    if trajectories:
+        with np.errstate(over="ignore"):   # past float32's range becomes inf
+            finite = np.isfinite(np.concatenate([t.states for t in trajectories])
+                                 .astype(np.float32)).all(axis=1)
+        if not finite.all():
+            bad = trajectories[int(np.argmin(finite)) // spec.length]
+            raise ConfigError(f"noise = {spec.noise:g} gives trajectory {bad.agent_id} "
+                              "coordinates that are not finite in float32")
     return trajectories, class_names

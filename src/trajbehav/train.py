@@ -9,9 +9,13 @@ epsilon are the `optim` constants, and neural models always train in
 (seed, epoch) so resampling and shuffling never interact; given the same
 (config, split) the final parameters are bit-identical across runs. The
 last partial batch is kept. Epoch loss is the batch-size-weighted mean of
-batch losses. Inference runs in chunks of PREDICT_CHUNK = 256 windows,
-whose temporaries stay small enough to reuse heap pages instead of faulting
-in fresh ones on every call. `models.logits` pads a last chunk of fewer
+batch losses. Training steps and inference chunks run their forward passes
+in the model's workspace (`autodiff.Workspace`), so the large arrays of one
+pass reuse the buffers of the last instead of being allocated afresh.
+Inference runs in chunks of PREDICT_CHUNK = 256 windows, the default
+training batch size, so a model evaluated right after training reuses the
+buffers its training filled; `predict_batch` releases them when it returns.
+`models.logits` pads a last chunk of fewer
 than `models.MIN_BATCH` rows, so a window's logits are the bits it gets
 inside a full chunk (on the BLAS `models.logits` names): a set predicts
 as the concatenation of its parts.
@@ -145,9 +149,10 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
             # made the batch-256 fusion step 36-38 ms instead of 30-31 ms on a
             # 2-core Xeon VM: glibc returned the freed pages to the OS and
             # faulted them back in on every step.
-            loss = ad.softmax_cross_entropy(
-                model.forward(states[idx]), labels[idx], weights
-            )
+            with model.workspace:
+                loss = ad.softmax_cross_entropy(
+                    model.forward(states[idx]), labels[idx], weights
+                )
             value = float(loss.data)
             if not math.isfinite(value):
                 raise NumericalError(
@@ -171,10 +176,18 @@ def predict_batch(model, states):
         return hmm_predict_batch(model, states)
     with np.errstate(over="ignore"):   # out-of-range rows get inf, which logits reports
         states = np.asarray(states).astype(model.dtype)
-    chunks = [
-        predict(model, states[i:i + PREDICT_CHUNK])
-        for i in range(0, states.shape[0], PREDICT_CHUNK)
-    ]
+    chunks = []
+    try:
+        for i in range(0, states.shape[0], PREDICT_CHUNK):
+            with model.workspace:
+                chunks.append(predict(model, states[i:i + PREDICT_CHUNK]))
+    finally:
+        # A fusion model's buffers are about 15 MB at 256 windows. Held until
+        # the model died, at the end of `trajbehav eval`, they left later
+        # allocations above them in the heap, and the peak RSS of the `prep`
+        # that followed in the same process read 108-125 MB from run to run
+        # (105-114 MB when released here).
+        model.workspace.release()
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trajbehav import autodiff as ad
 from trajbehav.autodiff import Parameter, Tensor
 from trajbehav.errors import ConfigError, DataError, DimensionError
+from trajbehav.models import build_model
 
 
 def fd_check_primitive(build_loss, params, step=1e-5, tol=1e-5):
@@ -752,12 +753,63 @@ class TestAccum:
         assert t.grad.tobytes() == g.tobytes()
 
 
+class TestWorkspace:
+    def test_passes_reuse_buffers_for_the_bits_of_fresh_arrays(self, rng):
+        x = Tensor(rng.normal(size=(5, 3, 8)).astype(np.float32))
+        y = Tensor(rng.normal(size=(5, 2, 8)).astype(np.float32))
+        fresh = ad.mean(ad.concat([x, y], axis=1), axis=0).data
+        ws = ad.Workspace()
+        with ws:
+            first = ad.mean(ad.concat([x, y], axis=1), axis=0).data
+            assert first.tobytes() == fresh.tobytes()
+        with ws:
+            small = ad.concat([Tensor(x.data[:, :, :4]), Tensor(y.data[:, :, :4])], axis=1).data
+        with ws:
+            second = ad.mean(ad.concat([x, y], axis=1), axis=0).data
+        assert np.shares_memory(first, second) and not np.shares_memory(first, fresh)
+        assert small.shape == (5, 5, 4) and second.tobytes() == fresh.tobytes()
+        with ws:
+            with ad.Workspace():
+                pass
+            inner = ad.mean(ad.concat([x, y], axis=1), axis=0).data
+        assert np.shares_memory(inner, first)
+        assert not np.shares_memory(ad.concat([x, y], axis=1).data, first)
+        ws.release()
+        with ws:
+            third = ad.mean(ad.concat([x, y], axis=1), axis=0).data
+        assert not np.shares_memory(third, first) and third.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])
+    def test_training_step_in_a_workspace_is_bit_equal(self, kind, rng):
+        """The same loss and gradients with the model's workspace, on its
+        first pass and after a larger and a smaller batch have resized it."""
+        model = build_model(kind, 4, seed=3)
+        first, larger, smaller = (rng.normal(size=(n, 5, 4)).astype(np.float32)
+                                  for n in (48, 64, 40))
+        batches = [first, larger, smaller, first]
+        labels = np.arange(64) % 4
+
+        def step(batch, ws):
+            model.zero_grad()
+            if ws:
+                with model.workspace:
+                    loss = ad.softmax_cross_entropy(model.forward(batch), labels[:len(batch)])
+            else:
+                loss = ad.softmax_cross_entropy(model.forward(batch), labels[:len(batch)])
+            loss.backward()
+            return loss.data.tobytes(), model.grad.tobytes()
+
+        expect = step(batches[0], False)
+        outs = [step(b, True) for b in batches]
+        assert outs[0] == expect and outs[3] == expect
+
+
 def test_public_ops_are_the_ones_the_models_run():
     """Pinned, so a generic op the models do not run cannot come back unnoticed."""
     public = sorted(name for name, v in vars(ad).items()
                     if callable(v) and not name.startswith("_")
                     and getattr(v, "__module__", None) == ad.__name__)
     assert public == [
-        "Parameter", "Tensor", "concat", "conv1d_valid", "dense", "index", "lstm_cell",
-        "lstm_sequence", "max_over_time", "mean", "relu", "reshape",
+        "Parameter", "Tensor", "Workspace", "concat", "conv1d_valid", "dense", "index",
+        "lstm_cell", "lstm_sequence", "max_over_time", "mean", "pack", "relu", "reshape",
         "softmax_cross_entropy", "transpose"]

@@ -7,11 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from trajbehav import autodiff as ad
 from trajbehav.checkpoint import load_checkpoint, save_checkpoint
 from trajbehav.container import read_container, require_arrays, write_container
 from trajbehav.errors import CheckpointError
 from trajbehav.hmm import GaussianHMM, HMMClassifier, _forward_batch, _state_major
-from trajbehav.models import build_model, predict
+from trajbehav.models import build_model, logits, predict
 
 
 class TestContainer:
@@ -285,6 +286,32 @@ class TestStoredConfig:
         loaded = load_checkpoint(literal).model
         assert np.array_equal(loaded.forward(batch).data, model.forward(batch).data)
         assert np.array_equal(predict(loaded, batch), predict(model, batch))
+
+    @pytest.mark.parametrize("kind, use_mscnn", list(STORED_CONFIGS))
+    @pytest.mark.parametrize("precision", ["fast", "verify"])
+    def test_per_parameter_checkpoint_loads_into_the_flat_buffer(
+            self, kind, use_mscnn, precision, tmp_path, rng):
+        """A checkpoint written from one array per parameter, as models wrote
+        before the flat buffer, loads packed, with the logits of a model that
+        holds those arrays as its parameters."""
+        model = build_model(kind, 5, seed=4, precision=precision, use_mscnn=use_mscnn)
+        arrays = {name: (p.data + rng.normal(scale=0.1, size=p.data.shape)).astype(p.data.dtype)
+                  for name, p in model.parameters.items()}
+        meta = {"model_kind": kind, "config": STORED_CONFIGS[kind, use_mscnn],
+                "precision": precision, "class_names": list("ABCDE"),
+                "normalization": None}
+        path = tmp_path / "per_parameter.ckpt"
+        write_container(path, "model", meta, arrays)
+        loaded = load_checkpoint(path).model
+        for name, p in model.parameters.items():
+            p.data = arrays[name]
+        batch = rng.normal(size=(40, 5, 4))
+        assert logits(loaded, batch).tobytes() == logits(model, batch).tobytes()
+        data, grad = ad.pack(loaded.param_list())
+        assert data is loaded.data and grad is loaded.grad
+        for name, p in loaded.parameters.items():
+            assert np.shares_memory(p.data, loaded.data)
+            assert p.data.tobytes() == arrays[name].tobytes()
 
     @pytest.mark.parametrize("edit, key", [
         (lambda c: {**c, "lstm_hidden": 64.0}, "lstm_hidden"),

@@ -53,6 +53,14 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def with_line(text, line):
+    """`text` with `line` in place of the line setting the same key, or
+    appended; a key may appear only once in a spec or config."""
+    key = line.split("=", 1)[0].strip()
+    kept = [row for row in text.splitlines() if row.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 def gen_and_prep(ws, resample="none", prep_name="prep"):
     if not (ws / "gen").exists():
         assert run(["gen", "--spec", ws / "spec.txt", "--out", ws / "gen"]) == 0
@@ -127,9 +135,32 @@ class TestGen:
     ])
     def test_bad_spec_line_exit_2(self, workspace, capsys, line, message):
         spec = workspace / "bad.txt"
-        spec.write_text(GEN_SPEC + line + "\n")
+        spec.write_text(with_line(GEN_SPEC, line))
         assert run(["gen", "--spec", spec, "--out", workspace / "g"]) == 2
         assert message in capsys.readouterr().err
+        assert not (workspace / "g").exists()
+
+    @pytest.mark.parametrize("line, key, first", [
+        ("seed = 7", "seed", 4),
+        ("count.SA = 9", "count.SA", 6),
+        ("  noise=0.5  # again", "noise", 3),
+    ])
+    def test_repeated_spec_key_exit_2(self, workspace, capsys, line, key, first):
+        spec = workspace / "rep.txt"
+        spec.write_text(GEN_SPEC + line + "\n")
+        assert run(["gen", "--spec", spec, "--out", workspace / "g"]) == 2
+        assert f"line 8: key '{key}' repeats line {first}" in capsys.readouterr().err
+        assert not (workspace / "g").exists()
+
+    @pytest.mark.parametrize("noise", ["1e308", "1e300", "1e40"])
+    def test_noise_past_float32_range_exit_2(self, workspace, capsys, noise):
+        """Coordinates `train` would reject are refused where they are made."""
+        spec = workspace / "loud.txt"
+        spec.write_text(GEN_SPEC.replace("noise = 0.3", f"noise = {noise}"))
+        assert run(["gen", "--spec", spec, "--out", workspace / "g"]) == 2
+        err = capsys.readouterr().err
+        assert f"noise = {float(noise):g} gives trajectory SA-0000 coordinates" in err
+        assert "not finite in float32" in err and "Traceback" not in err
         assert not (workspace / "g").exists()
 
 
@@ -314,12 +345,23 @@ class TestTrainEvalCommands:
     def test_bad_config_value_exit_2(self, workspace, capsys, model, line):
         prep = gen_and_prep(workspace)
         cfg = workspace / "bad.cfg"
-        cfg.write_text(TINY_CFG + line + "\n")
+        cfg.write_text(with_line(TINY_CFG, line))
         code = run(["train", "--data", prep, "--model", model,
                     "--out", workspace / "t", "--config", cfg])
         assert code == 2
         err = capsys.readouterr().err
         assert line.split(" =")[0] in err and "Traceback" not in err
+        assert not (workspace / "t").exists()
+
+    def test_repeated_config_key_exit_2(self, workspace, capsys):
+        """`epochs = 3` then `epochs = 5` used to train 5 epochs."""
+        prep = gen_and_prep(workspace)
+        cfg = workspace / "rep.cfg"
+        cfg.write_text(TINY_CFG + "epochs = 5\n")
+        code = run(["train", "--data", prep, "--model", "conv1d",
+                    "--out", workspace / "t", "--config", cfg])
+        assert code == 2
+        assert "line 6: key 'epochs' repeats line 2" in capsys.readouterr().err
         assert not (workspace / "t").exists()
 
     def test_train_writes_checkpoint_log_config(self, workspace):

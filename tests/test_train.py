@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from trajbehav import autodiff as ad
+from trajbehav.autodiff import Tensor
 from trajbehav.data import DatasetSplit, class_weights
 from trajbehav.errors import ConfigError, DataError
 from trajbehav.hmm import HMMClassifier
 from trajbehav.metrics import recall_per_class
+from trajbehav.models import predict
 from trajbehav.train import TrainConfig, evaluate, lr_at, predict_batch, train
 
 from conftest import blob_samples
@@ -204,6 +207,21 @@ class TestEvaluate:
         model, _ = train("lstm", tiny_config(), split)
         with pytest.raises(ConfigError):
             evaluate(model, [], split.class_names)
+
+    def test_predict_batch_releases_the_model_workspace(self, rng):
+        """predict_batch runs in the model's workspace and frees its buffers
+        on return: the next pass gets new ones, with the bits of fresh arrays."""
+        split = blob_split(rng)
+        model, _ = train("fusion", tiny_config(), split)
+        x = Tensor(split.test.states.astype(np.float32))
+        with model.workspace:
+            before = ad.mean(x, axis=1).data
+        preds = predict_batch(model, split.test.states)
+        with model.workspace:
+            after = ad.mean(x, axis=1).data
+        assert not np.shares_memory(after, before)
+        assert after.tobytes() == ad.mean(x, axis=1).data.tobytes()
+        assert list(preds) == list(predict(model, split.test.states.astype(np.float32)))
 
     def test_predict_batch_dispatches_to_hmm(self, rng):
         split = blob_split(rng, counts=(30, 30), spread=5.0, sigma=0.2)
