@@ -501,18 +501,14 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
     xw += (b.data * half)[:, None]
     wht = np.multiply(wh.data, half, out=_empty(wh.data.shape, dt)).T
     gates = _empty(xw.shape, dt)
-    # hs[0] is the zero initial state, which step 0 does not read. Dropping it
-    # keeps the bits but changes how glibc places the temporaries: inference
-    # after training then faulted in about 1,000 fresh pages per 256-window call.
-    hs = _empty((t_len + 1, hid, bsz), dt)
-    hs.fill(0)
-    cs = _empty(hs.shape, dt)
-    cs.fill(0)
-    tcs = _empty(hs[1:].shape, dt)
+    hs = _empty((t_len, hid, bsz), dt)
+    cs = _empty((t_len + 1, hid, bsz), dt)   # cs[0] is the zero initial state
+    cs[0] = 0
+    tcs = _empty(hs.shape, dt)
     for s in range(t_len):
-        lstm_cell(xw[s], hs[s] if s else None, cs[s], wht, gates[s], cs[s + 1], tcs[s],
-                  hs[s + 1])
-    out_data = hs[:0:-1] if reverse else hs[1:]
+        lstm_cell(xw[s], hs[s - 1] if s else None, cs[s], wht, gates[s], cs[s + 1], tcs[s],
+                  hs[s])
+    out_data = hs[::-1] if reverse else hs
 
     def backward(g):
         gs = g[::-1] if reverse else g
@@ -553,7 +549,7 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
             _accum(x, dxs[::-1] if reverse else dxs)
         dpre_t = dpre.transpose(0, 2, 1)
         _accum(wx, np.matmul(xs, dpre_t).sum(axis=0))
-        _accum(wh, np.matmul(hs[1:-1], dpre_t[1:]).sum(axis=0))
+        _accum(wh, np.matmul(hs[:-1], dpre_t[1:]).sum(axis=0))
         _accum(b, dpre.sum(axis=(0, 2)))
 
     return Tensor(out_data, requires_grad=True, parents=(x, wx, wh, b), backward=backward)

@@ -74,9 +74,7 @@ def _coerce(key, text, default):
     try:
         if isinstance(default, int):
             return int(text)
-        if isinstance(default, float):
-            return float(text)
-        return text
+        return float(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r}") from exc
 

@@ -65,6 +65,7 @@ FC1_OUT = 32
 CONV_CHANNELS = (32, 32, 64, 64)
 CONV_KERNEL = 2
 MIN_BATCH = 32
+PREDICT_CHUNK = 256
 
 
 def _xavier(rng, shape, fan_in, fan_out, dtype):
@@ -246,25 +247,43 @@ class Conv1DBaseline(_ModelBase):
 
 
 def logits(model, batch):
-    """Logits per row, bit-equal whatever batch the row sits in.
+    """Logits per row of a batch of any size, bit-equal whatever batch the
+    row sits in.
 
-    BLAS takes other kernels for small matrices, so a batch of fewer than
-    MIN_BATCH rows runs padded with zero windows, whose logits are dropped.
-    With OpenBLAS 0.3.31 on AVX-512, a sweep of every batch size from 1 to
-    256 rows found the conv1d baseline's GEMMs the last to agree with a
-    256-row batch, from 19 rows on; MIN_BATCH leaves a margin above that.
-    A row whose states or logits are not finite in the model's dtype (a
-    coordinate past float32's range, say) raises DataError naming it.
+    The rows run in chunks of PREDICT_CHUNK = 256, the default training
+    batch size, each chunk one pass in the model's workspace, so a model
+    evaluated right after training reuses the buffers its training filled.
+    BLAS takes other kernels for small matrices, so a last chunk of fewer
+    than MIN_BATCH rows runs padded with zero windows, whose logits are
+    dropped. With OpenBLAS 0.3.31 on AVX-512, a sweep of every batch size
+    from 1 to 256 rows found the conv1d baseline's GEMMs the last to agree
+    with a 256-row batch, from 19 rows on; MIN_BATCH leaves a margin above
+    that. A row whose states or logits are not finite in the model's dtype
+    (a coordinate past float32's range, say) raises DataError naming its
+    index in the batch.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         batch = model._check_batch(batch)
         rows = batch.shape[0]
-        if rows < MIN_BATCH:
-            pad = np.zeros((MIN_BATCH - rows,) + batch.shape[1:], dtype=batch.dtype)
-            batch = np.concatenate([batch, pad])
-        out = model.forward(batch).data[:rows]
+        out = np.empty((rows, model.num_classes), dtype=batch.dtype)
+        try:
+            for i in range(0, rows, PREDICT_CHUNK):
+                chunk = batch[i:i + PREDICT_CHUNK]
+                n = chunk.shape[0]
+                if n < MIN_BATCH:
+                    pad = np.zeros((MIN_BATCH - n,) + batch.shape[1:], dtype=batch.dtype)
+                    chunk = np.concatenate([chunk, pad])
+                with model.workspace:
+                    out[i:i + n] = model.forward(chunk).data[:n]
+        finally:
+            # A fusion model's buffers are about 15 MB at 256 windows. Held until
+            # the model died, at the end of `trajbehav eval`, they left later
+            # allocations above them in the heap, and the peak RSS of the `prep`
+            # that followed in the same process read 108-125 MB from run to run
+            # (105-114 MB when released here).
+            model.workspace.release()
     if not (np.isfinite(batch).all() and np.isfinite(out).all()):
-        bad = ~(np.isfinite(batch[:rows]).all(axis=(1, 2)) & np.isfinite(out).all(axis=1))
+        bad = ~(np.isfinite(batch).all(axis=(1, 2)) & np.isfinite(out).all(axis=1))
         raise DataError(f"row {int(bad.argmax())} of the batch has non-finite "
                         f"{batch.dtype} states or logits")
     return out

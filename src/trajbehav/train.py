@@ -9,16 +9,9 @@ epsilon are the `optim` constants, and neural models always train in
 (seed, epoch) so resampling and shuffling never interact; given the same
 (config, split) the final parameters are bit-identical across runs. The
 last partial batch is kept. Epoch loss is the batch-size-weighted mean of
-batch losses. Training steps and inference chunks run their forward passes
-in the model's workspace (`autodiff.Workspace`), so the large arrays of one
-pass reuse the buffers of the last instead of being allocated afresh.
-Inference runs in chunks of PREDICT_CHUNK = 256 windows, the default
-training batch size, so a model evaluated right after training reuses the
-buffers its training filled; `predict_batch` releases them when it returns.
-`models.logits` pads a last chunk of fewer
-than `models.MIN_BATCH` rows, so a window's logits are the bits it gets
-inside a full chunk (on the BLAS `models.logits` names): a set predicts
-as the concatenation of its parts.
+batch losses. Training steps run their forward passes in the model's
+workspace (`autodiff.Workspace`), so the large arrays of one step reuse the
+buffers of the last instead of being allocated afresh.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from .rng import SHUFFLE, seeded_rng
 
 LR_INITIAL = 0.005
 LR_AFTER = 0.001
-PREDICT_CHUNK = 256
 
 
 @dataclass
@@ -124,7 +116,6 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
         return clf, log
 
     model = build_model(model_kind, num_classes, seed=config.seed, use_mscnn=use_mscnn)
-    states = states32.astype(model.dtype, copy=False)
     weights = None
     if loss_weights is not None:
         weights = np.asarray(loss_weights, dtype=model.dtype)
@@ -134,7 +125,7 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
             )
 
     opt = Adam(model.param_list(), LR_INITIAL)
-    n = states.shape[0]
+    n = states32.shape[0]
     log = TrainLog()
     for epoch in range(1, config.epochs + 1):
         opt.lr = lr_at(config, epoch)
@@ -146,12 +137,13 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
             model.zero_grad()
             # The previous step's whole tape stays alive until this line
             # rebinds `loss`. Freeing it first (`del loss` after `opt.step()`)
-            # made the batch-256 fusion step 36-38 ms instead of 30-31 ms on a
-            # 2-core Xeon VM: glibc returned the freed pages to the OS and
-            # faulted them back in on every step.
+            # made each batch-256 fusion step fault in 976 fresh pages instead
+            # of 0 and take a median 33.6 ms instead of 31.3 ms on a 2-core
+            # Xeon VM: glibc returned the pages of the arrays outside the
+            # workspace to the OS and faulted them back in on every step.
             with model.workspace:
                 loss = ad.softmax_cross_entropy(
-                    model.forward(states[idx]), labels[idx], weights
+                    model.forward(states32[idx]), labels[idx], weights
                 )
             value = float(loss.data)
             if not math.isfinite(value):
@@ -174,21 +166,7 @@ def predict_batch(model, states):
     """Class predictions for stacked window states, any model kind."""
     if isinstance(model, HMMClassifier):
         return hmm_predict_batch(model, states)
-    with np.errstate(over="ignore"):   # out-of-range rows get inf, which logits reports
-        states = np.asarray(states).astype(model.dtype)
-    chunks = []
-    try:
-        for i in range(0, states.shape[0], PREDICT_CHUNK):
-            with model.workspace:
-                chunks.append(predict(model, states[i:i + PREDICT_CHUNK]))
-    finally:
-        # A fusion model's buffers are about 15 MB at 256 windows. Held until
-        # the model died, at the end of `trajbehav eval`, they left later
-        # allocations above them in the heap, and the peak RSS of the `prep`
-        # that followed in the same process read 108-125 MB from run to run
-        # (105-114 MB when released here).
-        model.workspace.release()
-    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    return predict(model, states)
 
 
 def evaluate(model, samples, class_names):

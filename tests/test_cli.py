@@ -635,6 +635,26 @@ class TestMalformedContainers:
         assert ("NaN class score" if model_kind == "hmm" else "non-finite float32") in err
         assert not (workspace / "ev").exists()
 
+    def test_unscoreable_window_past_the_first_chunk_exit_3_naming_it(self, workspace, capsys):
+        """Inference runs in 256-window chunks; the error names the window's
+        index in the test set (300), not in its chunk (44)."""
+        prep = gen_and_prep(workspace)
+        kind, meta, arrays = read_container(prep / "prepared.tbh")
+        n = arrays["test_labels"].shape[0]
+        tile = np.arange(600) % n
+        for key in ("test_states", "test_labels", "test_agents", "test_frames"):
+            arrays[key] = arrays[key][tile]
+        arrays["test_states"][300, 1, 0] = 1e300   # finite in float64, inf in float32
+        big = workspace / "big.tbh"
+        write_container(big, kind, meta, arrays)
+        ckpt = workspace / "m.ckpt"
+        save_checkpoint(build_model("conv1d", 3, seed=0), ["SA", "USD", "S"], ckpt)
+        code = run(["eval", "--checkpoint", ckpt, "--data", big, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "row 300 of the batch has non-finite float32" in err and "Traceback" not in err
+        assert not (workspace / "ev").exists()
+
     def test_checkpoint_class_names_not_a_list_exit_3(self, workspace, capsys):
         prep = gen_and_prep(workspace)
         good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"

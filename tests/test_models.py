@@ -320,6 +320,8 @@ class TestBatchInvariance:
     @example(kind="fusion", sizes=[1, 3, 40], seed=0)
     @example(kind="lstm", sizes=[1, 3, 40], seed=0)
     @example(kind="conv1d", sizes=[4, 7, 18, 1], seed=0)
+    @example(kind="conv1d", sizes=[256, 3], seed=0)   # a chunk, then one under MIN_BATCH
+    @example(kind="fusion", sizes=[256, 3], seed=0)
     def test_logits_of_a_set_are_the_logits_of_its_parts(self, kind, sizes, seed):
         model = _INVARIANCE_MODELS[kind]
         batch = np.random.default_rng(seed).normal(size=(sum(sizes), 5, 4))

@@ -9,7 +9,7 @@ from trajbehav.data import DatasetSplit, class_weights
 from trajbehav.errors import ConfigError, DataError
 from trajbehav.hmm import HMMClassifier
 from trajbehav.metrics import recall_per_class
-from trajbehav.models import predict
+from trajbehav.models import build_model, predict
 from trajbehav.train import TrainConfig, evaluate, lr_at, predict_batch, train
 
 from conftest import blob_samples
@@ -222,6 +222,15 @@ class TestEvaluate:
         assert not np.shares_memory(after, before)
         assert after.tobytes() == ad.mean(x, axis=1).data.tobytes()
         assert list(preds) == list(predict(model, split.test.states.astype(np.float32)))
+
+    @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])
+    def test_predict_batch_names_a_bad_row_by_its_index_in_the_set(self, kind, rng):
+        """Row 300 sits in the second 256-window chunk; the error names the
+        set's index, not the chunk's (44)."""
+        states = rng.normal(size=(600, 5, 4))
+        states[300, 2, 0] = 1e300   # finite in float64, inf in float32
+        with pytest.raises(DataError, match="row 300 of the batch has non-finite float32"):
+            predict_batch(build_model(kind, 3, seed=0), states)
 
     def test_predict_batch_dispatches_to_hmm(self, rng):
         split = blob_split(rng, counts=(30, 30), spread=5.0, sigma=0.2)
