@@ -1,10 +1,10 @@
 """Reverse-mode gradient tape over dense numpy arrays.
 
 The tape holds only the ops the three classifiers and their loss run:
-`lstm_sequence` (one node per layer and direction, stepping `lstm_cell`),
-`conv1d_valid` (valid 1-D cross-correlation as im2col + one GEMM),
-`max_over_time`, `relu`, `concat`, `mean` and `index` along an axis,
-`reshape`, a 2-D `transpose`, the affine `dense` layer, and
+`lstm_layer` (one node per recurrent layer of one or two directions,
+stepping `lstm_cell`), `conv1d_valid` (valid 1-D cross-correlation as
+im2col + one GEMM), `max_over_time`, `relu`, `concat`, `mean` and `index`
+along an axis, `reshape`, a 2-D `transpose`, the affine `dense` layer, and
 `softmax_cross_entropy`.
 Every op records a tape node, whatever its inputs: each model's first op
 takes a `Parameter`, so every later input needs a gradient anyway, and
@@ -16,15 +16,18 @@ Two precision modes are supported by construction: build parameters in
 float64 ("verify", required for finite-difference checks) or float32
 ("fast", for training); all ops propagate the input dtype.
 
-Layout. The recurrent ops are time-major and feature-major: `lstm_sequence`
-takes (T, d, B) and returns (T, H, B), and its gates, their backward
-coefficients and `dpre` are (T, 4H, B), with the batch axis B contiguous
-and innermost. Each of the i/f/g/o blocks of a step is then one contiguous
-(H, B) slab, so the activations run in place over whole blocks and each
-step's recurrent product is one (4H, H) @ (H, B) GEMM written straight into
-the gate array. In a batch-major (B, 4H) layout each block would be a
-strided H-wide slice of every row, which numpy's elementwise loops walk
-several times slower. The weights keep their (d, 4H), (H, 4H) and (4H,)
+Layout. The recurrent ops are time-major and feature-major: `lstm_layer`
+takes (T, d, B) and returns (T, nH, B) for n directions, and each
+direction's input projection, which becomes its gates in place, their
+backward coefficients and `dpre` are (T, 4H, B), with the batch axis B
+contiguous and innermost. Each of the i/f/g/o blocks of a step is then one
+contiguous (H, B) slab, so the activations run in place over whole blocks,
+each step's recurrent product is one (4H, H) @ (H, B) GEMM into a (4H, B)
+scratch that is added onto the step's slab of the projection, and each
+direction writes its hidden states into its own (H, B) rows of the layer's
+output. In a batch-major (B, 4H) layout each block would be a strided
+H-wide slice of every row, which numpy's elementwise loops walk several
+times slower. The weights keep their (d, 4H), (H, 4H) and (4H,)
 shapes; the forward takes transposed views of copies whose i, f and o
 columns are halved, so that one `np.tanh` covers the whole gate block
 (sigmoid(z) = (tanh(z/2) + 1) / 2, with z/2 exact), and its first step
@@ -43,7 +46,7 @@ out like the tensor's data: the bits of accumulating onto zeros (-0.0 becomes
 Memory. `pack` puts a list of parameters into one value vector and one
 gradient vector, each parameter's arrays becoming views into them, so an
 optimizer step and a gradient reset are single vector operations. A
-`Workspace` keeps the large forward arrays of `lstm_sequence`, `concat` and
+`Workspace` keeps the large forward arrays of `lstm_layer`, `concat` and
 `mean` from one pass to the next (see its docstring); ops run outside one
 allocate afresh, with the same bits.
 """
@@ -174,17 +177,19 @@ class Workspace:
     """Buffers for the large arrays of a forward pass, reused from pass to pass.
 
     Each `with workspace:` block is one pass. In it, the n-th array that
-    `lstm_sequence`, `concat` and `mean` allocate is a view of the
+    `lstm_layer`, `concat` and `mean` allocate is a view of the
     workspace's n-th byte buffer, which grows to the largest size asked of
     it; outside any workspace they allocate afresh, and the values are the
     same either way. These are the arrays that scale with steps × batch,
-    megabytes for a 256-window fusion batch. Allocated afresh, they are all
-    freed at the end of a pass; glibc may then trim the heap and fault the
-    same pages in again on the next pass, depending on where it happened to
-    place the model's other arrays. A pass overwrites the arrays of the pass
-    before, so a tape built in one pass runs its backward, and its caller
-    copies what it keeps, before the next pass starts. `release` drops the
-    buffers; the next pass allocates them afresh.
+    and `lstm_layer` allocates only those its backward reads: 9.6 MiB for a
+    256-window float32 fusion pass, 4.6 MiB for the LSTM baseline.
+    Allocated afresh, they are all freed at the end of a pass; glibc may
+    then trim the heap and fault the same pages in again on the next pass,
+    depending on where it happened to place the model's other arrays. A
+    pass overwrites the arrays of the pass before, so a tape built in one
+    pass runs its backward, and its caller copies what it keeps, before the
+    next pass starts. `release` drops the buffers; the next pass allocates
+    them afresh.
     """
 
     def __init__(self):
@@ -427,32 +432,35 @@ def max_over_time(x):
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
-def lstm_cell(xw, h, c, wht, gates, c_new, tc, h_new):
-    """One LSTM time step, written into preallocated feature-major arrays.
+def lstm_cell(gates, h, c, wht, scratch, c_new, h_new):
+    """One LSTM time step, in place over preallocated feature-major arrays.
 
-    `xw` is the step's input projection Wxᵀ·x + b, (4H, B); `h` and `c` are
-    the previous state, (H, B), with `h` None for the zero initial state,
-    whose recurrent product is all zeros and is skipped; `wht` is Whᵀ,
-    (4H, H). Gate layout in the 4H pre-activation is [input, forget,
-    candidate, output], each block a contiguous (H, B) slab; c' = f⊙c + i⊙g,
-    h' = o⊙tanh(c'). The i, f and o rows of `xw` and `wht` come pre-halved
-    (see `lstm_sequence`), so one `np.tanh` over the whole block gives g and
-    tanh(z/2) for the sigmoid gates, and sigmoid(z) = (tanh(z/2) + 1) / 2
-    needs only +1 and ×0.5 on those blocks; the tanh form needs no masks and
-    cannot overflow for any finite z. Writes the four activations into
-    `gates` (4H, B) and c', tanh(c') and h' into `c_new`, `tc` and `h_new`
-    (H, B); `tc` is the scratch for i⊙g before that.
+    `gates` holds the step's input projection Wxᵀ·x + b on entry, (4H, B),
+    and the four gate activations on return; `h` and `c` are the previous
+    state, (H, B), with `h` None for the zero initial state, whose recurrent
+    product is all zeros and is skipped; `wht` is Whᵀ, (4H, H); `scratch` is
+    a (4H, B) array that takes the recurrent product before it is added onto
+    `gates`, then i⊙g, and on return holds tanh(c') in its first H rows.
+    Gate layout in the 4H pre-activation is [input, forget, candidate,
+    output], each block a contiguous (H, B) slab; c' = f⊙c + i⊙g,
+    h' = o⊙tanh(c'), written into `c_new` and `h_new`. The i, f and o rows of
+    the projection and of `wht` come pre-halved (see `lstm_layer`), so one
+    `np.tanh` over the whole block gives g and tanh(z/2) for the sigmoid
+    gates, and sigmoid(z) = (tanh(z/2) + 1) / 2 needs only +1 and ×0.5 on
+    those blocks; the tanh form needs no masks and cannot overflow for any
+    finite z.
     """
     hid = c.shape[0]
     if h is None:
-        np.add(xw, 0.0, out=gates)   # 0 + xw, the bits the zero state's product gives
+        gates += 0.0   # xw + 0, the bits the zero state's product gives
     else:
-        np.matmul(wht, h, out=gates)
-        gates += xw
+        np.matmul(wht, h, out=scratch)
+        gates += scratch
     np.tanh(gates, out=gates)
     for sig in (gates[:2 * hid], gates[3 * hid:]):
         sig += 1.0
         sig *= 0.5
+    tc = scratch[:hid]
     np.multiply(gates[hid:2 * hid], c, out=c_new)
     np.multiply(gates[:hid], gates[2 * hid:3 * hid], out=tc)
     c_new += tc
@@ -460,99 +468,141 @@ def lstm_cell(xw, h, c, wht, gates, c_new, tc, h_new):
     np.multiply(gates[3 * hid:], tc, out=h_new)
 
 
-def lstm_sequence(x, wx, wh, b, reverse=False):
-    """One LSTM direction over a whole sequence, as a single tape node.
+def lstm_layer(x, fw, bw=None):
+    """One recurrent layer over a whole sequence, as a single tape node.
 
-    x: (T, d, B), wx: (d, 4H), wh: (H, 4H), b: (4H,) -> (T, H, B), the
-    hidden state after every step in forward time order. The state starts
-    at zero; `reverse` runs the recurrence from the last step to the first.
-    Forward halves the i, f and o rows of Wxᵀ, Whᵀ and b once, projects all
-    T inputs in one batched matmul and then runs `lstm_cell` once per step,
-    the first without a recurrent product. Halving is exact (barring
-    subnormal weights), so a sigmoid gate's pre-activation is the bits of
-    z/2 and the gate the bits of (tanh(z/2) + 1) / 2 computed from z.
-    Backward is BPTT with one `Wh·dpre` GEMM per step, with the weights as
-    stored; the gradients of x, Wx and Wh are then one batched matmul each
-    over the stacked steps (summed over T for the weights, and for Wh over
-    steps 1…T−1, whose previous state is not the zero one), and b's is one
-    sum.
+    x: (T, d, B); `fw`, and `bw` for a bidirectional layer, are (wx, wh, b)
+    weight triples with wx: (d, 4H), wh: (H, 4H), b: (4H,). Returns
+    (T, nH, B) for n directions: the hidden state after every step in
+    forward time order, `fw`'s in rows [0, H) and `bw`'s, whose recurrence
+    runs from the last step to the first, in rows [H, 2H). Each state starts
+    at zero. Each direction halves the i, f and o rows of Wxᵀ, Whᵀ and b
+    once, projects all T inputs in one batched matmul and adds the bias from
+    a (4H, B) tile, then runs `lstm_cell` once per step, the first without a
+    recurrent product. The projection becomes the gates in place, and every
+    step writes its hidden state straight into its slab of the output.
+    Halving is exact (barring subnormal weights), so a sigmoid gate's
+    pre-activation is the bits of z/2 and the gate the bits of
+    (tanh(z/2) + 1) / 2 computed from z.
+
+    A direction keeps for its backward only its gates, its cell states and
+    the output; tanh(c') is recomputed there, one `np.tanh` over all steps,
+    which gives the bits of the per-step calls. Backward is BPTT with one
+    `Wh·dpre` GEMM per step, with the weights as stored; the gradients of x,
+    Wx and Wh are then one batched matmul each over the stacked steps
+    (summed over T for the weights, and for Wh over steps 1…T−1, whose
+    previous state is not the zero one), and b's is one sum.
     """
+    directions = (fw,) if bw is None else (fw, bw)
     if x.data.ndim != 3 or x.data.shape[0] < 1:
         raise DimensionError(
-            f"lstm_sequence expects a (T>=1, d, B) input, got {x.data.shape}"
+            f"lstm_layer expects a (T>=1, d, B) input, got {x.data.shape}"
         )
     t_len, d_in, bsz = x.data.shape
-    hid = wh.data.shape[0]
-    if wx.data.shape != (d_in, 4 * hid) or wh.data.shape != (hid, 4 * hid) \
-            or b.data.shape != (4 * hid,):
-        raise DimensionError(
-            "lstm_sequence weight shapes inconsistent: "
-            f"wx={wx.data.shape}, wh={wh.data.shape}, b={b.data.shape} "
-            f"for d_in={d_in}, hidden={hid}"
-        )
+    hid = fw[1].data.shape[0]
+    for wx, wh, b in directions:
+        if wx.data.shape != (d_in, 4 * hid) or wh.data.shape != (hid, 4 * hid) \
+                or b.data.shape != (4 * hid,):
+            raise DimensionError(
+                "lstm_layer weight shapes inconsistent: "
+                f"wx={wx.data.shape}, wh={wh.data.shape}, b={b.data.shape} "
+                f"for d_in={d_in}, hidden={hid}"
+            )
 
-    # step arrays in the order the recurrence visits the steps
-    xs = x.data[::-1] if reverse else x.data
-    half = np.full(4 * hid, 0.5, dtype=wx.data.dtype)   # 0.5 on the sigmoid gates' rows
-    half[2 * hid:3 * hid] = 1.0
-    dt = x.data.dtype
-    wxt = np.multiply(wx.data, half, out=_empty(wx.data.shape, dt)).T
-    xw = np.matmul(wxt, xs, out=_empty((t_len, 4 * hid, bsz), dt))
-    xw += (b.data * half)[:, None]
-    wht = np.multiply(wh.data, half, out=_empty(wh.data.shape, dt)).T
-    gates = _empty(xw.shape, dt)
-    hs = _empty((t_len, hid, bsz), dt)
-    cs = _empty((t_len + 1, hid, bsz), dt)   # cs[0] is the zero initial state
-    cs[0] = 0
-    tcs = _empty(hs.shape, dt)
-    for s in range(t_len):
-        lstm_cell(xw[s], hs[s - 1] if s else None, cs[s], wht, gates[s], cs[s + 1], tcs[s],
-                  hs[s])
-    out_data = hs[::-1] if reverse else hs
+    out_data = _empty((t_len, len(directions) * hid, bsz), x.data.dtype)
+    # per direction: the order its recurrence visits the steps in, its output
+    # rows, and what its forward leaves for the backward
+    runs = []
+    for k, weights in enumerate(directions):
+        order, rows = slice(None, None, -1 if k else 1), slice(k * hid, (k + 1) * hid)
+        hs = out_data[order, rows]
+        runs.append((order, rows, weights, hs,
+                     *_lstm_forward(x.data[order], *(w.data for w in weights), hs)))
 
     def backward(g):
-        gs = g[::-1] if reverse else g
-        blocks = gates.reshape(t_len, 4, hid, bsz)
-        i, f, gg, o = (blocks[:, k] for k in range(4))
-        # dpre = coef ⊙ [dc, dc, dc, dh] block by block, dc = dh·dc_dh + carry;
-        # each step scales its own coef slab in place, so coef becomes dpre
-        coef = np.empty_like(blocks)
-        np.subtract(1.0, i, out=coef[:, 0])
-        coef[:, 0] *= i
-        coef[:, 0] *= gg
-        np.subtract(1.0, f, out=coef[:, 1])
-        coef[:, 1] *= f
-        coef[:, 1] *= cs[:-1]
-        np.multiply(gg, gg, out=coef[:, 2])
-        np.subtract(1.0, coef[:, 2], out=coef[:, 2])
-        coef[:, 2] *= i
-        np.subtract(1.0, o, out=coef[:, 3])
-        coef[:, 3] *= o
-        coef[:, 3] *= tcs
-        dc_dh = np.multiply(tcs, tcs)
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= o
-        dpre = coef.reshape(t_len, 4 * hid, bsz)
-        dh = np.zeros((hid, bsz), dtype=gates.dtype)
-        dc = np.zeros_like(dh)
-        for s in range(t_len - 1, -1, -1):
-            dh += gs[s]
-            dc_dh[s] *= dh
-            dc += dc_dh[s]
-            coef[s, :3] *= dc
-            coef[s, 3] *= dh
-            if s:
-                np.matmul(wh.data, dpre[s], out=dh)
-                dc *= f[s]
-        if x.requires_grad:
-            dxs = np.matmul(wx.data, dpre)
-            _accum(x, dxs[::-1] if reverse else dxs)
-        dpre_t = dpre.transpose(0, 2, 1)
-        _accum(wx, np.matmul(xs, dpre_t).sum(axis=0))
-        _accum(wh, np.matmul(hs[:-1], dpre_t[1:]).sum(axis=0))
-        _accum(b, dpre.sum(axis=(0, 2)))
+        dx = None
+        for order, rows, (wx, wh, b), hs, gates, cs in runs:
+            dpre = _lstm_backward(g[order, rows], gates, cs, wh.data)
+            if x.requires_grad:
+                dxs = np.matmul(wx.data, dpre)[order]
+                if dx is None:
+                    dx = dxs
+                else:
+                    dx += dxs
+            dpre_t = dpre.transpose(0, 2, 1)
+            _accum(wx, np.matmul(x.data[order], dpre_t).sum(axis=0))
+            _accum(wh, np.matmul(hs[:-1], dpre_t[1:]).sum(axis=0))
+            _accum(b, dpre.sum(axis=(0, 2)))
+        if dx is not None:
+            _accum(x, dx)
 
-    return Tensor(out_data, requires_grad=True, parents=(x, wx, wh, b), backward=backward)
+    parents = (x,) + tuple(w for weights in directions for w in weights)
+    return Tensor(out_data, requires_grad=True, parents=parents, backward=backward)
+
+
+def _lstm_forward(xs, wx, wh, b, hs):
+    """Run one direction's recurrence over `xs` (T, d, B), writing the hidden
+    states into `hs` (T, H, B) in the same step order. Returns the gate
+    activations (T, 4H, B) and the cell states (T+1, H, B), the first of them
+    the zero initial state."""
+    t_len, _, bsz = xs.shape
+    hid = wh.shape[0]
+    dt = xs.dtype
+    half = np.full(4 * hid, 0.5, dtype=wx.dtype)   # 0.5 on the sigmoid gates' rows
+    half[2 * hid:3 * hid] = 1.0
+    wxt = np.multiply(wx, half, out=_empty(wx.shape, dt)).T
+    gates = np.matmul(wxt, xs, out=_empty((t_len, 4 * hid, bsz), dt))
+    scratch = _empty((4 * hid, bsz), dt)
+    scratch[...] = (b * half)[:, None]
+    gates += scratch
+    wht = np.multiply(wh, half, out=_empty(wh.shape, dt)).T
+    cs = _empty((t_len + 1, hid, bsz), dt)
+    cs[0] = 0
+    for s in range(t_len):
+        lstm_cell(gates[s], hs[s - 1] if s else None, cs[s], wht, scratch, cs[s + 1], hs[s])
+    return gates, cs
+
+
+def _lstm_backward(gs, gates, cs, wh):
+    """BPTT over one direction, steps in recurrence order: the (T, 4H, B)
+    pre-activation gradients, given the hidden states' upstream gradient `gs`
+    (T, H, B) and what `_lstm_forward` returned."""
+    t_len, _, bsz = gates.shape
+    hid = wh.shape[0]
+    blocks = gates.reshape(t_len, 4, hid, bsz)
+    i, f, gg, o = (blocks[:, k] for k in range(4))
+    tcs = np.tanh(cs[1:])
+    # dpre = coef ⊙ [dc, dc, dc, dh] block by block, dc = dh·dc_dh + carry;
+    # each step scales its own coef slab in place, so coef becomes dpre
+    coef = np.empty_like(blocks)
+    np.subtract(1.0, i, out=coef[:, 0])
+    coef[:, 0] *= i
+    coef[:, 0] *= gg
+    np.subtract(1.0, f, out=coef[:, 1])
+    coef[:, 1] *= f
+    coef[:, 1] *= cs[:-1]
+    np.multiply(gg, gg, out=coef[:, 2])
+    np.subtract(1.0, coef[:, 2], out=coef[:, 2])
+    coef[:, 2] *= i
+    np.subtract(1.0, o, out=coef[:, 3])
+    coef[:, 3] *= o
+    coef[:, 3] *= tcs
+    dc_dh = np.multiply(tcs, tcs, out=tcs)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dpre = coef.reshape(t_len, 4 * hid, bsz)
+    dh = np.zeros((hid, bsz), dtype=gates.dtype)
+    dc = np.zeros_like(dh)
+    for s in range(t_len - 1, -1, -1):
+        dh += gs[s]
+        dc_dh[s] *= dh
+        dc += dc_dh[s]
+        coef[s, :3] *= dc
+        coef[s, 3] *= dh
+        if s:
+            np.matmul(wh, dpre[s], out=dh)
+            dc *= f[s]
+    return dpre
 
 
 def softmax_cross_entropy(logits, labels, class_weights=None):

@@ -2,18 +2,20 @@
 
 All three models share the gradient-tape primitives, expose an ordered
 `parameters` dict, and accept input batches shaped (B, WINDOW_SIZE,
-STATE_FEATURES). Each recurrent layer direction is one `lstm_sequence`
-tape node over the whole sequence, not one node per time step.
+STATE_FEATURES). Each recurrent layer, of one or two directions, is one
+`lstm_layer` tape node over the whole sequence, not one node per time step
+or direction.
 
 Layout. The recurrent layers run on (T, F, B) arrays, the layout the
 `autodiff` module docstring explains: the batch axis innermost, so each
 gate block is one contiguous slab. `_feature_major` transposes the
-(B, T, F) window batch once on the way in. The Bi-LSTM branch concatenates
-the two directions on the feature axis and averages over time, giving
-(2H, B); the LSTM baseline takes the last step, (H, B). Either readout
-then passes one 2-D `transpose` tape node to become the (B, F) rows the
-dense head and the conv branch use. The conv layers take (B, C, T)
-batches from `_channels_first`.
+(B, T, F) window batch once on the way in. Each Bi-LSTM layer writes its
+two directions into one (T, 2H, B) output, the forward direction's hidden
+states in the first H feature rows, and the branch averages the top
+layer's over time, giving (2H, B); the LSTM baseline takes the last step,
+(H, B). Either readout then passes one 2-D `transpose` tape node to become
+the (B, F) rows the dense head and the conv branch use. The conv layers
+take (B, C, T) batches from `_channels_first`.
 
 Storage. A model's parameters live in one 1-D `data` vector and their
 gradients in one 1-D `grad` vector (`autodiff.pack`, run once when
@@ -175,11 +177,8 @@ class FusionModel(_ModelBase):
         """(B, 5, 4) -> (B, 128): time-averaged bidirectional hidden states."""
         x = self._feature_major(batch)
         for layer in range(LSTM_LAYERS):
-            fw = ad.lstm_sequence(x, *self._lstm_weights(f"bilstm.l{layer}.fw"))
-            bw = ad.lstm_sequence(
-                x, *self._lstm_weights(f"bilstm.l{layer}.bw"), reverse=True
-            )
-            x = ad.concat([fw, bw], axis=1)
+            x = ad.lstm_layer(x, self._lstm_weights(f"bilstm.l{layer}.fw"),
+                              self._lstm_weights(f"bilstm.l{layer}.bw"))
         return ad.transpose(ad.mean(x, axis=0))
 
     def mscnn_features(self, batch):
@@ -218,7 +217,7 @@ class LSTMBaseline(_ModelBase):
     def forward(self, batch):
         x = self._feature_major(batch)
         for layer in range(LSTM_LAYERS):
-            x = ad.lstm_sequence(x, *self._lstm_weights(f"lstm.l{layer}"))
+            x = ad.lstm_layer(x, self._lstm_weights(f"lstm.l{layer}"))
         return ad.dense(ad.transpose(ad.index(x, -1, axis=0)), *self._wb("head"))
 
 
@@ -276,11 +275,11 @@ def logits(model, batch):
                 with model.workspace:
                     out[i:i + n] = model.forward(chunk).data[:n]
         finally:
-            # A fusion model's buffers are about 15 MB at 256 windows. Held until
-            # the model died, at the end of `trajbehav eval`, they left later
-            # allocations above them in the heap, and the peak RSS of the `prep`
-            # that followed in the same process read 108-125 MB from run to run
-            # (105-114 MB when released here).
+            # A fusion model's buffers are 9.6 MiB at 256 windows. When they were
+            # 16.1 MiB and held until the model died, at the end of `trajbehav
+            # eval`, they left later allocations above them in the heap, and the
+            # peak RSS of the `prep` that followed in the same process read
+            # 108-125 MB from run to run (105-114 MB when released here).
             model.workspace.release()
     if not (np.isfinite(batch).all() and np.isfinite(out).all()):
         bad = ~(np.isfinite(batch).all(axis=(1, 2)) & np.isfinite(out).all(axis=1))

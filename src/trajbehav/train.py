@@ -137,10 +137,11 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
             model.zero_grad()
             # The previous step's whole tape stays alive until this line
             # rebinds `loss`. Freeing it first (`del loss` after `opt.step()`)
-            # made each batch-256 fusion step fault in 976 fresh pages instead
-            # of 0 and take a median 33.6 ms instead of 31.3 ms on a 2-core
-            # Xeon VM: glibc returned the pages of the arrays outside the
-            # workspace to the OS and faulted them back in on every step.
+            # made each batch-256 fusion step fault in 2,216 fresh pages
+            # instead of 1,183 and take a median 31.2 ms instead of 28.5 ms
+            # over five runs each on a 2-core Xeon VM: glibc returned the pages
+            # of the arrays outside the workspace to the OS and faulted them
+            # back in on every step.
             with model.workspace:
                 loss = ad.softmax_cross_entropy(
                     model.forward(states32[idx]), labels[idx], weights
