@@ -4,7 +4,7 @@ The tape holds only the ops the three classifiers and their loss run:
 `lstm_layer` (one node per recurrent layer of one or two directions,
 stepping `lstm_cell`), `conv1d_valid` (valid 1-D cross-correlation as
 im2col + one GEMM), `max_over_time`, `relu`, `concat`, `mean` and `index`
-along an axis, `reshape`, a 2-D `transpose`, the affine `dense` layer, and
+along an axis, a 2-D `transpose`, the affine `dense` layer, and
 `softmax_cross_entropy`.
 Every op records a tape node, whatever its inputs: each model's first op
 takes a `Parameter`, so every later input needs a gradient anyway, and
@@ -32,12 +32,11 @@ shapes; the forward takes transposed views of copies whose i, f and o
 columns are halved, so that one `np.tanh` covers the whole gate block
 (sigmoid(z) = (tanh(z/2) + 1) / 2, with z/2 exact), and its first step
 skips the product with the zero initial state. The backward uses the
-weights as stored. Conv ops take and return (B, C, T) arrays whose memory
-is (B, T, C): the window batch is passed as a transposed view, and each conv
-writes its GEMM result as (B, T', C) and returns the transposed view, which
-`relu` keeps. So `conv1d_valid` builds its im2col matrix from k slab copies of
-contiguous (T', C) rows, one per tap, and the GEMM, not the copy, is most of a
-conv layer. Dense ops are (B, D).
+weights as stored. Conv ops take and return C-contiguous (B, T, C) arrays,
+the window batch's own layout, so `conv1d_valid` builds its im2col matrix from
+k slab copies of contiguous (T', C) rows, one per tap, its GEMM result is its
+output, and the GEMM, not the copy, is most of a conv layer. Dense ops are
+(B, D).
 
 A tensor's first gradient is one pass, `g + 0.0` written into an array laid
 out like the tensor's data: the bits of accumulating onto zeros (-0.0 becomes
@@ -280,15 +279,6 @@ def relu(x):
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
-def reshape(x, shape):
-    out_data = x.data.reshape(shape)
-
-    def backward(g):
-        _accum(x, g.reshape(x.data.shape))
-
-    return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
-
-
 def transpose(x):
     """The transpose of a 2-D tensor (e.g. a (F, B) readout to (B, F))."""
     if x.data.ndim != 2:
@@ -345,22 +335,20 @@ def index(x, i, axis):
 
 
 def conv1d_valid(x, w, b):
-    """Valid (no-padding) cross-correlation over the last axis.
+    """Valid (no-padding) cross-correlation along the time axis.
 
-    x: (B, C_in, T), w: (C_out, C_in, k), b: (C_out,) -> (B, C_out, T-k+1).
-    im2col fills cols[b, t, c, j] = x[b, c, t + j] with one slab copy per
-    tap j, read from the (B, T, C_in) view of x, so that column c·k + j of
-    the flattened cols lines up with w's flattened (C_in, k) and one GEMM
-    gives the output, bias added in place. The output is laid out
-    (B, T-k+1, C_out) in memory and returned as its transposed view. Backward
-    reuses `cols` for w's gradient and scatter-adds the column gradients onto
-    zeros for x's, tap by tap.
+    x: (B, T, C_in), w: (C_out, C_in, k), b: (C_out,) -> (B, T-k+1, C_out),
+    C-contiguous. im2col fills cols[b, t, c, j] = x[b, t + j, c] with one slab
+    copy per tap j, so that column c·k + j of the flattened cols lines up with
+    w's flattened (C_in, k) and one GEMM gives the output, bias added in place.
+    Backward reuses `cols` for w's gradient and scatter-adds the column
+    gradients onto zeros for x's, tap by tap.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError(
             f"conv1d_valid expects 3-D input/kernels, got {x.data.shape} / {w.data.shape}"
         )
-    _, c_in, t_len = x.data.shape
+    bsz, t_len, c_in = x.data.shape
     c_out, c_in_w, k = w.data.shape
     if c_in != c_in_w:
         raise DimensionError(
@@ -374,20 +362,17 @@ def conv1d_valid(x, w, b):
         raise DimensionError(
             f"conv1d_valid bias shape {b.data.shape} != ({c_out},)"
         )
-    bsz = x.data.shape[0]
     out_len = t_len - k + 1
-    xt = x.data.transpose(0, 2, 1)
     cols = np.empty((bsz, out_len, c_in, k), dtype=x.data.dtype)
     for j in range(k):
-        cols[:, :, :, j] = xt[:, j:j + out_len]
+        cols[:, :, :, j] = x.data[:, j:j + out_len]
     cols = cols.reshape(bsz * out_len, c_in * k)
     wmat = w.data.reshape(c_out, c_in * k)
     out = cols @ wmat.T
     out += b.data
-    out_data = out.reshape(bsz, out_len, c_out).transpose(0, 2, 1)
 
     def backward(g):
-        g2 = g.transpose(0, 2, 1).reshape(bsz * out_len, c_out)
+        g2 = g.reshape(bsz * out_len, c_out)
         _accum(b, g2.sum(axis=0))
         _accum(w, (g2.T @ cols).reshape(c_out, c_in, k))
         if x.requires_grad:
@@ -396,14 +381,15 @@ def conv1d_valid(x, w, b):
             gx = np.zeros((bsz, t_len, c_in), dtype=dcols.dtype)
             for j in range(k):
                 gx[:, j:j + out_len] += dcols[:, :, :, j]
-            _accum(x, gx.transpose(0, 2, 1))
+            _accum(x, gx)
 
-    return Tensor(out_data, requires_grad=True, parents=(x, w, b), backward=backward)
+    return Tensor(out.reshape(bsz, out_len, c_out), requires_grad=True,
+                  parents=(x, w, b), backward=backward)
 
 
 def max_over_time(x):
-    """Per-channel max over the last axis; ties route the gradient to the
-    first occurrence.
+    """Per-channel max over axis 1 of a (B, L, C) array; ties route the
+    gradient to the first occurrence.
 
     The max is a running `np.maximum` over the L time slices and the
     backward routes through equality masks, one (B, C) slice at a time: on
@@ -411,21 +397,21 @@ def max_over_time(x):
     fancy-index scatter would walk the output one element at a time.
     """
     if x.data.ndim != 3:
-        raise DimensionError(f"max_over_time expects (B, C, L), got {x.data.shape}")
-    t_len = x.data.shape[2]
+        raise DimensionError(f"max_over_time expects (B, L, C), got {x.data.shape}")
+    t_len = x.data.shape[1]
     if t_len < 1:
         raise DimensionError("max_over_time needs at least one time step")
-    out_data = x.data[:, :, 0].copy()
+    out_data = x.data[:, 0].copy()
     for t in range(1, t_len):
-        np.maximum(out_data, x.data[:, :, t], out=out_data)
+        np.maximum(out_data, x.data[:, t], out=out_data)
 
     def backward(g):
         gx = np.zeros_like(x.data)
         free = np.ones(out_data.shape, dtype=bool)   # channels whose max is unrouted
         for t in range(t_len):
-            hit = x.data[:, :, t] == out_data
+            hit = x.data[:, t] == out_data
             hit &= free
-            np.copyto(gx[:, :, t], g, where=hit)
+            np.copyto(gx[:, t], g, where=hit)
             free ^= hit
         _accum(x, gx)
 

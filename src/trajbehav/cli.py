@@ -256,7 +256,7 @@ def cmd_prep(args, argv):
     windows, skipped = dmod.window_all(kept)
     stages.append(("window_samples", str(len(windows))))
     stages.append(("windows_skipped_at_frame_gaps", str(skipped)))
-    windows, kept_names, _ = dmod.filter_rare_classes(
+    windows, kept_names = dmod.filter_rare_classes(
         windows, class_names, min_count=args.min_class_count
     )
     stages.append(("after_rare_class_filter", str(len(windows))))
@@ -356,7 +356,6 @@ def cmd_eval(args, argv):
     prepared_path = _resolve_prepared(args.data)
     dataset = dmod.load_prepared(prepared_path)
     class_names = dataset.split.class_names
-    rows = []
     artifacts = {}
     for ckpt_path in args.checkpoint:
         ck = load_checkpoint(ckpt_path)
@@ -374,7 +373,6 @@ def cmd_eval(args, argv):
             )
         rep = evaluate(ck.model, dataset.split.test, class_names)
         artifacts[tag] = (rep, ckpt_path)
-        rows.append((tag, *_metric_row(rep)))
 
     with atomic_out_dir(args.out) as tmp:
         for tag, (rep, _) in artifacts.items():
@@ -392,11 +390,11 @@ def cmd_eval(args, argv):
                 fh.write(per_class_bar_svg(
                     recalls, class_names, title=f"Per-class recall ({tag})"
                 ))
-        if len(rows) > 1:
+        if len(artifacts) > 1:
             with open(tmp / "comparison.txt", "w", encoding="utf-8") as fh:
                 fh.write("model\tbalanced_accuracy\tf1_score\trecall\n")
-                for tag, ba, f1v, rec in rows:
-                    fh.write(f"{tag}\t{ba:.6f}\t{f1v:.6f}\t{rec:.6f}\n")
+                for tag, (rep, _) in artifacts.items():
+                    fh.write("\t".join([tag] + [f"{v:.6f}" for v in _metric_row(rep)]) + "\n")
         inputs = [prepared_path] + list(args.checkpoint)
         write_manifest(tmp, "eval", argv, params={"checkpoints": list(args.checkpoint)},
                        inputs=inputs)

@@ -423,7 +423,7 @@ def _counts_of_every_class(windows, num_classes, action):
 def filter_rare_classes(windows, class_names, min_count=MIN_CLASS_COUNT):
     """Drop classes with fewer than `min_count` windows and re-densify labels.
 
-    Returns (windows, kept class names, old->new index map).
+    Returns (windows, kept class names).
     """
     counts = class_histogram(windows, len(class_names))
     kept = np.flatnonzero(counts >= min_count)
@@ -436,7 +436,7 @@ def filter_rare_classes(windows, class_names, min_count=MIN_CLASS_COUNT):
     new_label[kept] = np.arange(kept.size)
     keep = new_label[windows.labels] >= 0
     filtered = replace(windows[keep], labels=new_label[windows.labels[keep]])
-    return filtered, [class_names[i] for i in kept], {int(o): n for n, o in enumerate(kept)}
+    return filtered, [class_names[i] for i in kept]
 
 
 def split(windows, class_names, ratio=SPLIT_RATIO, seed=0):

@@ -14,8 +14,8 @@ two directions into one (T, 2H, B) output, the forward direction's hidden
 states in the first H feature rows, and the branch averages the top
 layer's over time, giving (2H, B); the LSTM baseline takes the last step,
 (H, B). Either readout then passes one 2-D `transpose` tape node to become
-the (B, F) rows the dense head and the conv branch use. The conv layers
-take (B, C, T) batches from `_channels_first`.
+the (B, F) rows the dense head and the conv branch use. The conv layers run
+on the (B, T, C) window batch as it is.
 
 Storage. A model's parameters live in one 1-D `data` vector and their
 gradients in one 1-D `grad` vector (`autodiff.pack`, run once when
@@ -46,7 +46,8 @@ Architecture notes (choices the reference description leaves open):
   * The LSTM baseline stacks LSTM_LAYERS unidirectional layers of
     LSTM_HIDDEN units and classifies from the last hidden state. The
     Conv1D baseline stacks one valid conv of width CONV_KERNEL per entry of
-    CONV_CHANNELS, which leaves one time step, then one dense layer.
+    CONV_CHANNELS, which leaves one time step; its dense head reads that
+    step's channels.
 """
 
 from __future__ import annotations
@@ -137,11 +138,6 @@ class _ModelBase:
             )
         return batch.astype(self.dtype, copy=False)
 
-    def _channels_first(self, batch):
-        """(B, T, C) window batch as a (B, C, T) tensor for the conv layers: a
-        transposed view, which `conv1d_valid` reads as contiguous (T, C) rows."""
-        return Tensor(self._check_batch(batch).transpose(0, 2, 1))
-
     def _feature_major(self, batch):
         """(B, T, C) window batch as a (T, C, B) tensor for the LSTM layers."""
         return Tensor(np.ascontiguousarray(self._check_batch(batch).transpose(1, 2, 0)))
@@ -185,7 +181,7 @@ class FusionModel(_ModelBase):
         """(B, 5, 4) -> (B, 32): multi-scale conv banks, pooled and bottlenecked."""
         if not self.use_mscnn:
             raise ConfigError("model was built without the conv branch")
-        x = self._channels_first(batch)
+        x = Tensor(self._check_batch(batch))
         pooled = [ad.max_over_time(ad.relu(ad.conv1d_valid(x, *self._wb(f"mscnn.k{k}"))))
                   for k in KERNEL_SIZES]
         return ad.relu(ad.dense(ad.concat(pooled, axis=1), *self._wb("mscnn.fc1")))
@@ -238,11 +234,10 @@ class Conv1DBaseline(_ModelBase):
         return {**super().config(), "channels": list(CONV_CHANNELS), "kernel": CONV_KERNEL}
 
     def forward(self, batch):
-        x = self._channels_first(batch)
+        x = Tensor(self._check_batch(batch))
         for i in range(len(CONV_CHANNELS)):
             x = ad.relu(ad.conv1d_valid(x, *self._wb(f"conv.{i}")))
-        b, c, t = x.data.shape
-        return ad.dense(ad.reshape(x, (b, c * t)), *self._wb("head"))
+        return ad.dense(ad.index(x, -1, axis=1), *self._wb("head"))
 
 
 def logits(model, batch):

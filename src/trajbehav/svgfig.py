@@ -7,7 +7,7 @@ XML, compare cell values) instead of byte-diffing rendered images.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -101,7 +101,7 @@ def per_class_bar_svg(values, class_names, title="Per-class recall"):
         h = v * plot_h
         x = _MARGIN_LEFT + i * (_BAR_W + _BAR_GAP)
         parts.append(
-            f'<rect class="bar" data-class="{escape(name)}" data-value="{v:.6f}" '
+            f'<rect class="bar" data-class={quoteattr(name)} data-value="{v:.6f}" '
             f'x="{x}" y="{base_y - h:.1f}" width="{_BAR_W}" height="{h:.1f}" '
             f'fill="rgb(66,113,181)"/>'
         )

@@ -178,18 +178,12 @@ def _path(profile, p, n):
                 v = p["v_app"]
             x[i] = x[i - 1] + v * DT
         return x, np.full(n, p["side"] * p["lane"])
-    if profile == "lane_away":
-        target = p["side"] * p["lane"]
+    if profile in ("lane_away", "lane_in"):
+        lane = p["side"] * p["lane"]
+        start, end = (p["y_from"], lane) if profile == "lane_away" else (lane, p["y_to"])
         mid = p["mid"] * (n - 1) * DT
         sig = 1.0 / (1.0 + np.exp(-p["rate"] * (t - mid)))
-        y = p["y_from"] + (target - p["y_from"]) * sig
-        return p["x0"] + p["vx"] * t, y
-    if profile == "lane_in":
-        start = p["side"] * p["lane"]
-        mid = p["mid"] * (n - 1) * DT
-        sig = 1.0 / (1.0 + np.exp(-p["rate"] * (t - mid)))
-        y = start + (p["y_to"] - start) * sig
-        return p["x0"] + p["vx"] * t, y
+        return p["x0"] + p["vx"] * t, start + (end - start) * sig
     if profile == "weave":
         y = p["y_c"] + p["amp"] * np.sin(2.0 * math.pi * t / p["period"] + p["phase"])
         return p["x0"] + p["vx"] * t, y

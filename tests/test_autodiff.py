@@ -78,50 +78,50 @@ class TestDense:
 
 
 def _reference_conv1d_valid(x, w, b, g):
-    """`conv1d_valid` as first written, on plain arrays: a `sliding_window_view`
-    im2col and every gradient accumulated onto zeros. Returns the output and
-    the gradients of x, w and b under the upstream gradient `g`, for a
-    bit-for-bit comparison.
+    """`conv1d_valid` written out on plain (B, T, C) arrays: a
+    `sliding_window_view` im2col and every gradient accumulated onto zeros.
+    Returns the output and the gradients of x, w and b under the upstream
+    gradient `g`, for a bit-for-bit comparison.
 
-    `cols` is made C-contiguous. The reshape copied it at every shape the
+    `cols` is made C-contiguous. The reshape copies it at every shape the
     models run, but for one sample with k = 1 or C_in = 1 it can return a
     strided view instead, and BLAS rounds a product with that differently."""
-    bsz, c_in, t_len = x.shape
+    bsz, t_len, c_in = x.shape
     c_out, _, k = w.shape
     out_len = t_len - k + 1
-    cols = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
-    cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3).reshape(bsz * out_len, c_in * k))
+    cols = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)   # (B, T', C_in, k)
+    cols = np.ascontiguousarray(cols.reshape(bsz * out_len, c_in * k))
     wmat = w.reshape(c_out, c_in * k)
-    out = (cols @ wmat.T + b).reshape(bsz, out_len, c_out).transpose(0, 2, 1)
-    g2 = g.transpose(0, 2, 1).reshape(bsz * out_len, c_out)
+    out = (cols @ wmat.T + b).reshape(bsz, out_len, c_out)
+    g2 = g.reshape(bsz * out_len, c_out)
     dcols = (g2 @ wmat).reshape(bsz, out_len, c_in, k)
     gx = np.zeros((bsz, t_len, c_in), dtype=dcols.dtype)
     for j in range(k):
         gx[:, j:j + out_len] += dcols[:, :, :, j]
-    grads = (gx.transpose(0, 2, 1), (g2.T @ cols).reshape(c_out, c_in, k), g2.sum(axis=0))
+    grads = (gx, (g2.T @ cols).reshape(c_out, c_in, k), g2.sum(axis=0))
     return out, [np.zeros_like(a) + d for a, d in zip((x, w, b), grads)]
 
 
 class TestConv1d:
     def test_zero_input_gives_bias(self, rng):
-        x = Tensor(np.zeros((2, 3, 5)))
+        x = Tensor(np.zeros((2, 5, 3)))
         w = Tensor(rng.normal(size=(4, 3, 2)))
         b = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
         out = ad.conv1d_valid(x, w, b).data
         assert out.shape == (2, 4, 4)
         for c in range(4):
-            assert np.allclose(out[:, c, :], b.data[c])
+            assert np.allclose(out[:, :, c], b.data[c])
 
     def test_finite_difference_kernel(self):
-        x = Tensor(np.array([1.0, 2.0, 4.0, 7.0, 11.0]).reshape(1, 1, 5))
+        x = Tensor(np.array([1.0, 2.0, 4.0, 7.0, 11.0]).reshape(1, 5, 1))
         w = Tensor(np.array([-1.0, 1.0]).reshape(1, 1, 2))
         b = Tensor(np.zeros(1))
         out = ad.conv1d_valid(x, w, b).data
         # cross-correlation with [-1, 1] is the first difference
-        assert np.allclose(out[0, 0], [1.0, 2.0, 3.0, 4.0])
+        assert np.allclose(out[0, :, 0], [1.0, 2.0, 3.0, 4.0])
 
     def test_matches_quadruple_loop(self, rng):
-        x = rng.normal(size=(2, 4, 5))
+        x = rng.normal(size=(2, 5, 4))
         w = rng.normal(size=(3, 4, 3))
         b = rng.normal(size=3)
         out = ad.conv1d_valid(Tensor(x), Tensor(w), Tensor(b)).data
@@ -132,8 +132,8 @@ class TestConv1d:
                     acc = b[o]
                     for c in range(4):
                         for j in range(3):
-                            acc += x[bi, c, t + j] * w[o, c, j]
-                    expect[bi, o, t] = acc
+                            acc += x[bi, t + j, c] * w[o, c, j]
+                    expect[bi, t, o] = acc
         assert np.abs(out - expect).max() < 1e-12
 
     def test_output_length_property(self, rng):
@@ -141,15 +141,15 @@ class TestConv1d:
             r = np.random.default_rng(trial)
             t_len = int(r.integers(1, 12))
             k = int(r.integers(1, t_len + 1))
-            x = Tensor(r.normal(size=(1, 2, t_len)))
+            x = Tensor(r.normal(size=(1, t_len, 2)))
             w = Tensor(r.normal(size=(3, 2, k)))
             out = ad.conv1d_valid(x, w, Tensor(np.zeros(3)))
-            assert out.data.shape[2] == t_len - k + 1
+            assert out.data.shape == (1, t_len - k + 1, 3)
 
     def test_kernel_longer_than_sequence(self):
         with pytest.raises(ConfigError):
             ad.conv1d_valid(
-                Tensor(np.zeros((1, 1, 3))),
+                Tensor(np.zeros((1, 3, 1))),
                 Tensor(np.zeros((1, 1, 4))),
                 Tensor(np.zeros(1)),
             )
@@ -157,41 +157,41 @@ class TestConv1d:
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             ad.conv1d_valid(
-                Tensor(np.zeros((1, 2, 5))),
+                Tensor(np.zeros((1, 5, 2))),
                 Tensor(np.zeros((1, 3, 2))),
                 Tensor(np.zeros(1)),
             )
 
     def test_matches_einsum_oracle_for_every_width(self, rng):
         t_len = 7
-        x = rng.normal(size=(3, 4, t_len))
+        x = rng.normal(size=(3, t_len, 4))
         for k in range(1, t_len + 1):
             out_len = t_len - k + 1
             w = rng.normal(size=(5, 4, k))
             b = rng.normal(size=5)
-            mix = rng.normal(size=(3, 5, out_len))
+            mix = rng.normal(size=(3, out_len, 5))
             xp, wp, bp = Parameter(x.copy(), "x"), Parameter(w, "w"), Parameter(b, "b")
             out = ad.conv1d_valid(xp, wp, bp)
             _weighted_sum(out, mix).backward()
 
-            windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
-            expect = np.einsum("bclk,ock->bol", windows, w) + b[None, :, None]
+            windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
+            expect = np.einsum("blck,ock->blo", windows, w) + b
             gx = np.zeros_like(x)
             for j in range(k):
-                gx[:, :, j:j + out_len] += np.einsum("bol,oc->bcl", mix, w[:, :, j])
-            assert out.data.shape == (3, 5, out_len)
+                gx[:, j:j + out_len] += np.einsum("blo,oc->blc", mix, w[:, :, j])
+            assert out.data.shape == (3, out_len, 5)
             assert np.abs(out.data - expect).max() < 1e-12
-            assert np.abs(wp.grad - np.einsum("bol,bclk->ock", mix, windows)).max() < 1e-12
-            assert np.abs(bp.grad - mix.sum(axis=(0, 2))).max() < 1e-12
+            assert np.abs(wp.grad - np.einsum("blo,blck->ock", mix, windows)).max() < 1e-12
+            assert np.abs(bp.grad - mix.sum(axis=(0, 1))).max() < 1e-12
             assert np.abs(xp.grad - gx).max() < 1e-12
 
     def test_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
-            x = Parameter(r.normal(size=(2, 2, 5)), "x")
+            x = Parameter(r.normal(size=(2, 5, 2)), "x")
             w = Parameter(r.normal(size=(2, 2, 3)), "w")
             b = Parameter(r.normal(size=2), "b")
-            mix = r.normal(size=(2, 2, 3))
+            mix = r.normal(size=(2, 3, 2))
             fd_check_primitive(
                 lambda: _weighted_sum(ad.conv1d_valid(x, w, b), mix),
                 [x, w, b],
@@ -205,24 +205,24 @@ class TestConv1d:
     def test_bit_equal_to_reference(self, dtype, k, c_in, c_out, bsz, extra_steps,
                                     time_inner, seed):
         """Slab-copy im2col, in-place bias and one-pass first accumulation give
-        the bits of the formulation written out, on a C-contiguous (B, C, T)
-        input and on the transposed view of a (B, T, C) one alike."""
+        the bits of the formulation written out, into a C-contiguous
+        (B, T', C_out) output, on a C-contiguous (B, T, C) input and on the
+        transposed view of a (B, C, T) one alike."""
         r = np.random.default_rng(seed)
-        shape = (bsz, c_in, k + extra_steps)
-        if time_inner:
+        shape = (bsz, k + extra_steps, c_in)
+        if time_inner:   # time innermost in memory: the values of a strided input
+            x = r.normal(size=(bsz, c_in, shape[1])).astype(dtype).transpose(0, 2, 1)
+        else:   # the window batch's and the conv outputs' own layout
             x = r.normal(size=shape).astype(dtype)
-        else:   # channels innermost in memory, as the window batch and the conv outputs are
-            x = r.normal(size=(bsz, shape[2], c_in)).astype(dtype).transpose(0, 2, 1)
         x[0, 0, 0] = -0.0
         w = r.normal(size=(c_out, c_in, k)).astype(dtype)
         b = r.normal(size=c_out).astype(dtype)
-        # upstream gradient laid out like the output, (B, L, C) in memory, as the
-        # tape's accumulation lays out the output's gradient
-        g = r.normal(size=(bsz, extra_steps + 1, c_out)).astype(dtype).transpose(0, 2, 1)
+        g = r.normal(size=(bsz, extra_steps + 1, c_out)).astype(dtype)
         xt = Tensor(x, requires_grad=True)   # no gradient yet: the first accumulation
         wp, bp = Parameter(w.copy(), "w"), Parameter(b.copy(), "b")
         y = ad.conv1d_valid(xt, wp, bp)
         _weighted_sum(y, g).backward()
+        assert y.data.flags.c_contiguous
         expect, grads = _reference_conv1d_valid(x, w, b, g)
         for got, want in zip([y.data, xt.grad, wp.grad, bp.grad], [expect] + grads):
             assert got.dtype == dtype and got.shape == want.shape
@@ -231,32 +231,33 @@ class TestConv1d:
 
 class TestMaxOverTime:
     def test_simple(self):
-        out = ad.max_over_time(Tensor(np.array([[[1.0, 5.0, 3.0]]])))
+        out = ad.max_over_time(Tensor(np.array([[[1.0], [5.0], [3.0]]])))
         assert out.data.shape == (1, 1)
         assert out.data[0, 0] == 5.0
 
     def test_tie_routes_gradient_to_first_index(self):
-        x = Parameter(np.array([[[2.0, 2.0, 2.0]]]), "x")
+        x = Parameter(np.array([[[2.0], [2.0], [2.0]]]), "x")
         out = ad.max_over_time(x)
         assert out.data[0, 0] == 2.0
         _weighted_sum(out, np.ones(out.shape)).backward()
-        assert np.array_equal(x.grad, [[[1.0, 0.0, 0.0]]])
+        assert np.array_equal(x.grad, [[[1.0], [0.0], [0.0]]])
 
     def test_matches_scan(self, rng):
-        x = rng.normal(size=(3, 4, 7))
+        x = rng.normal(size=(3, 7, 4))
         out = ad.max_over_time(Tensor(x)).data
+        assert out.shape == (3, 4)
         for b in range(3):
             for c in range(4):
-                best = x[b, c, 0]
+                best = x[b, 0, c]
                 for t in range(1, 7):
-                    if x[b, c, t] > best:
-                        best = x[b, c, t]
+                    if x[b, t, c] > best:
+                        best = x[b, t, c]
                 assert out[b, c] == best
 
     def test_gradients(self):
         for trial in range(100):
             r = np.random.default_rng(trial)
-            x = Parameter(r.normal(size=(2, 3, 5)), "x")
+            x = Parameter(r.normal(size=(2, 5, 3)), "x")
             mix = r.normal(size=(2, 3))
             fd_check_primitive(
                 lambda: _weighted_sum(ad.max_over_time(x), mix), [x]
@@ -271,19 +272,48 @@ class TestMaxOverTime:
         r = np.random.default_rng(seed)
         x = r.integers(-2, 3, size=shape).astype(dtype)   # small integers: many ties
         if values == "all-equal":
-            x[...] = x[:, :, :1]
+            x[...] = x[:, :1]
         elif values == "all-negative":
             x = -np.abs(x) - 1
-        if not time_inner:   # time outside channels in memory, as a conv bank lays it out
+        if time_inner:   # time innermost in memory: a strided (B, L, C) view
             x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
-        g = r.normal(size=shape[:2]).astype(dtype)
+        g = r.normal(size=(shape[0], shape[2])).astype(dtype)
         xp = Parameter(x, "x")
         out = ad.max_over_time(xp)
         _weighted_sum(out, g).backward()
         assert out.data.dtype == dtype
-        assert np.array_equal(out.data, x.max(axis=2))
-        first = np.arange(shape[2]) == np.argmax(x, axis=2)[:, :, None]
-        assert np.array_equal(xp.grad, g[:, :, None] * first)
+        assert np.array_equal(out.data, x.max(axis=1))
+        first = np.arange(shape[1])[:, None] == np.argmax(x, axis=1)[:, None, :]
+        assert np.array_equal(xp.grad, g[:, None, :] * first)
+
+
+class TestConvLayout:
+    """The conv ops take and return the window batch's own (B, T, C) layout."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz, t_len, c_in, c_out, k",
+                             [(256, 5, 4, 32, 2), (33, 5, 4, 32, 4), (47, 4, 32, 32, 2),
+                              (1, 2, 64, 64, 2)])
+    def test_conv1d_valid_returns_c_contiguous_b_t_c(self, dtype, bsz, t_len, c_in, c_out, k):
+        r = np.random.default_rng(bsz)
+        x = r.normal(size=(bsz, t_len, c_in)).astype(dtype)
+        w = r.normal(size=(c_out, c_in, k)).astype(dtype)
+        b = r.normal(size=c_out).astype(dtype)
+        g = r.normal(size=(bsz, t_len - k + 1, c_out)).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        y = ad.conv1d_valid(xt, Parameter(w, "w"), Parameter(b, "b"))
+        _weighted_sum(y, g).backward()
+        assert y.data.shape == (bsz, t_len - k + 1, c_out)
+        assert y.data.flags.c_contiguous and xt.grad.flags.c_contiguous
+        expect, grads = _reference_conv1d_valid(x, w, b, g)
+        assert y.data.tobytes() == expect.tobytes()
+        assert xt.grad.tobytes() == grads[0].tobytes()
+
+    def test_max_over_time_reduces_axis_1(self, rng):
+        x = rng.normal(size=(6, 4, 9))
+        out = ad.max_over_time(Tensor(x)).data
+        assert out.shape == (6, 9) and out.flags.c_contiguous
+        assert out.tobytes() == x.max(axis=1).tobytes()
 
 
 def _oracle_sigmoid(z):
@@ -760,7 +790,7 @@ class TestOtherPrimitives:
         assert xt.grad.tobytes() == (np.zeros_like(x) + g * (x > 0)).tobytes()
 
     def test_determinism_bit_identical(self, rng):
-        x = rng.normal(size=(2, 3, 5))
+        x = rng.normal(size=(2, 5, 3))
         w = rng.normal(size=(4, 3, 2))
         b = rng.normal(size=4)
         out1 = ad.conv1d_valid(Tensor(x), Tensor(w), Tensor(b)).data
@@ -769,10 +799,10 @@ class TestOtherPrimitives:
 
     def test_finite_outputs_on_finite_inputs(self, rng):
         x = Parameter(rng.normal(size=(2, 5, 4)) * 100, "x")
-        flat = ad.reshape(x, (2, 20))
-        w = Parameter(rng.normal(size=(20, 3)) * 100, "w")
+        last = ad.index(x, -1, axis=1)
+        w = Parameter(rng.normal(size=(4, 3)) * 100, "w")
         b = Parameter(np.zeros(3), "b")
-        loss = ad.softmax_cross_entropy(ad.dense(flat, w, b), np.array([0, 2]))
+        loss = ad.softmax_cross_entropy(ad.dense(last, w, b), np.array([0, 2]))
         loss.backward()
         assert np.isfinite(loss.data).all()
         assert np.isfinite(x.grad).all()
@@ -887,5 +917,5 @@ def test_public_ops_are_the_ones_the_models_run():
                     and getattr(v, "__module__", None) == ad.__name__)
     assert public == [
         "Parameter", "Tensor", "Workspace", "concat", "conv1d_valid", "dense", "index",
-        "lstm_cell", "lstm_layer", "max_over_time", "mean", "pack", "relu", "reshape",
+        "lstm_cell", "lstm_layer", "max_over_time", "mean", "pack", "relu",
         "softmax_cross_entropy", "transpose"]

@@ -504,17 +504,15 @@ class TestFilterWindow:
 class TestRareClasses:
     def test_boundary_at_min_count(self):
         samples = make_samples([0] * 150 + [1] * 99)
-        out, names, mapping = filter_rare_classes(samples, ["A", "B"], min_count=100)
+        out, names = filter_rare_classes(samples, ["A", "B"], min_count=100)
         assert names == ["A"]
-        assert mapping == {0: 0}
-        assert len(out) == 150
+        assert out.labels.tolist() == [0] * 150
 
     def test_identity_when_all_pass(self):
         samples = make_samples([0] * 3 + [1] * 4)
-        out, names, mapping = filter_rare_classes(samples, ["A", "B"], min_count=2)
+        out, names = filter_rare_classes(samples, ["A", "B"], min_count=2)
         assert names == ["A", "B"]
-        assert mapping == {0: 0, 1: 1}
-        assert len(out) == 7
+        assert out.labels.tolist() == [0] * 3 + [1] * 4
 
     def test_matches_histogram_oracle(self, rng):
         for trial in range(50):
@@ -530,12 +528,10 @@ class TestRareClasses:
                 with pytest.raises(ConfigError):
                     filter_rare_classes(samples, names, min_count=min_count)
                 continue
-            out, kept_names, mapping = filter_rare_classes(
-                samples, names, min_count=min_count
-            )
+            out, kept_names = filter_rare_classes(samples, names, min_count=min_count)
             assert kept_names == [names[i] for i in expect_kept]
-            assert sorted(mapping) == expect_kept
-            assert len(out) == sum(hist[i] for i in expect_kept)
+            assert out.labels.tolist() == [expect_kept.index(label) for label in labels
+                                           if label in expect_kept]
 
     def test_all_removed_raises(self):
         with pytest.raises(ConfigError):
@@ -858,7 +854,7 @@ def oracle_filter_rare_classes(samples, class_names, min_count):
         for s in samples
         if s.label in old_to_new
     ]
-    return filtered, [class_names[i] for i in kept], old_to_new
+    return filtered, [class_names[i] for i in kept]
 
 
 def oracle_split(samples, class_names, ratio, seed):
@@ -954,8 +950,8 @@ class TestPipelineProperties:
         if got[0] == "error":
             assert got[1] == want[1]
             return
-        (out, kept, mapping), (o_out, o_kept, o_mapping) = got[1], want[1]
-        assert rows(out) == rows(o_out) and kept == o_kept and mapping == o_mapping
+        (out, kept), (o_out, o_kept) = got[1], want[1]
+        assert rows(out) == rows(o_out) and kept == o_kept
         assert np.array_equal(out.states, np.array([s.states for s in o_out]).reshape(-1, 5, 4))
 
     @settings(max_examples=100, deadline=None)

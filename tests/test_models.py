@@ -132,14 +132,13 @@ class TestMSCNNBranch:
 
     def test_concat_width_is_96(self, rng):
         model = FusionModel(4, seed=1, precision="verify")
-        batch = rng.normal(size=(2, 5, 4))
-        x = Tensor(batch.transpose(0, 2, 1))
+        x = Tensor(rng.normal(size=(2, 5, 4)))
         pooled = []
         for k in KERNEL_SIZES:
             y = ad.conv1d_valid(
                 x, model.parameters[f"mscnn.k{k}.w"], model.parameters[f"mscnn.k{k}.b"]
             )
-            assert y.data.shape[2] == 5 - k + 1
+            assert y.data.shape == (2, 5 - k + 1, CHANNELS_PER_KERNEL)
             pooled.append(ad.max_over_time(ad.relu(y)))
         assert ad.concat(pooled, axis=1).data.shape == (2, 96)
 
@@ -164,6 +163,51 @@ class TestMSCNNBranch:
             + model.parameters["mscnn.fc1.b"].data
         expect = np.maximum(fc1, 0)
         assert np.abs(got - expect).max() < 1e-10
+
+
+def _tape_ops(root):
+    """{op name: [tensors]} of the tape reachable from `root`, named by their
+    backward closures (`conv1d_valid.<locals>.backward` is "conv1d_valid")."""
+    ops = {}
+    for node in ad._toposort(root):
+        if node._backward is not None:
+            ops.setdefault(node._backward.__qualname__.split(".")[0], []).append(node)
+    return ops
+
+
+class TestConvLayout:
+    """The conv branch runs on the window batch's own (B, T, C) layout: no
+    conv, relu or max array on the tape, nor its gradient, is a strided view."""
+
+    @pytest.mark.parametrize("kind, counts", [
+        ("mscnn", {"conv1d_valid": 3, "relu": 4, "max_over_time": 3}),
+        ("conv1d", {"conv1d_valid": 4, "relu": 4}),
+    ])
+    def test_conv_arrays_are_c_contiguous(self, rng, kind, counts):
+        batch = rng.normal(size=(33, 5, 4)).astype(np.float32)
+        if kind == "mscnn":
+            out = FusionModel(4, seed=2).mscnn_features(batch)
+        else:
+            out = Conv1DBaseline(4, seed=2).forward(batch)
+        loss = ad.softmax_cross_entropy(out, np.arange(33) % 4)
+        loss.backward()
+        ops = _tape_ops(loss)
+        assert {op: len(ops.get(op, [])) for op in counts} == counts
+        for op in counts:
+            for node in ops[op]:
+                assert node.data.flags.c_contiguous, op
+                assert node.grad.flags.c_contiguous, op
+
+    def test_conv1d_head_reads_the_one_remaining_step(self, rng):
+        model = Conv1DBaseline(4, seed=2, precision="verify")
+        batch = rng.normal(size=(3, 5, 4))
+        last = Tensor(batch)
+        for i in range(4):
+            last = ad.relu(ad.conv1d_valid(last, *model._wb(f"conv.{i}")))
+        assert last.data.shape == (3, 1, 64)
+        w, b = model._wb("head")
+        expect = last.data[:, 0] @ w.data + b.data
+        assert model.forward(batch).data.tobytes() == expect.tobytes()
 
 
 class TestFusionForward:
