@@ -42,12 +42,12 @@ A tensor's first gradient is one pass, `g + 0.0` written into an array laid
 out like the tensor's data: the bits of accumulating onto zeros (-0.0 becomes
 +0.0) without first filling the zeros.
 
-Memory. `pack` puts a list of parameters into one value vector and one
-gradient vector, each parameter's arrays becoming views into them, so an
-optimizer step and a gradient reset are single vector operations. A
-`Workspace` keeps the large forward arrays of `lstm_layer`, `concat` and
-`mean` from one pass to the next (see its docstring); ops run outside one
-allocate afresh, with the same bits.
+Memory. `pack` copies a model's freshly built parameters into one new value
+vector and one new gradient vector, each parameter's arrays becoming views
+into them, so an optimizer step and a gradient reset are single vector
+operations on vectors the model owns. A `Workspace` keeps the large forward
+arrays of `lstm_layer`, `concat` and `mean` from one pass to the next (see
+its docstring); ops run outside one allocate afresh, with the same bits.
 """
 
 from __future__ import annotations
@@ -85,12 +85,6 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def zero_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad[...] = 0.0
-
     def backward(self):
         """Backpropagate from a scalar output through the recorded tape."""
         if self.data.size != 1:
@@ -122,30 +116,22 @@ class Parameter(Tensor):
 
 
 def pack(params):
-    """One 1-D `data` vector and one 1-D `grad` vector for `params`, in list
-    order, with each parameter's `data` and `grad` rebound as reshaped views
-    into them. Returns (data, grad).
+    """Copy freshly built `params` into one new 1-D `data` vector and one new
+    1-D `grad` vector, in list order, and rebind each parameter's `data` and
+    `grad` as reshaped views into them. Returns (data, grad).
 
-    Values and gradients are copied across bit for bit. Parameters that
-    already tile one buffer pair in order (a model's, or a second `pack` of
-    the same list) keep it, and nothing is copied. Otherwise every parameter
-    must own its arrays: repacking a view would silently detach it from the
-    buffer it is part of. All parameters must share one dtype.
+    Values and gradients are copied bit for bit. Every parameter must own its
+    arrays, since repacking a view would silently detach it from the buffer it
+    is part of, and all must share one dtype.
     """
     params = list(params)
-    if not params:
-        return np.zeros(0), np.zeros(0)
     dtypes = {p.data.dtype for p in params}
     if len(dtypes) > 1:
         raise ConfigError(f"cannot pack parameters of mixed dtypes {sorted(map(str, dtypes))}")
-    data, grad = _tiled(params, "data"), _tiled(params, "grad")
-    if data is not None and grad is not None:
-        return data, grad
     for p in params:
         if p.data.base is not None or p.grad.base is not None:
             raise ConfigError(f"cannot pack {p.name}: its value or gradient is a view into "
-                              "another array, such as a model's buffer; pass all of a "
-                              "model's parameters, in order")
+                              "another array, such as a model's buffer")
     data = np.concatenate([p.data.ravel() for p in params])
     grad = np.concatenate([p.grad.ravel() for p in params])
     offset = 0
@@ -155,21 +141,6 @@ def pack(params):
         p.grad = grad[offset:end].reshape(shape)
         offset = end
     return data, grad
-
-
-def _tiled(params, attr):
-    """The 1-D array that the params' `attr` arrays tile in list order with no
-    gap, or None."""
-    base = getattr(params[0], attr).base
-    if base is None or base.ndim != 1 or not base.flags.c_contiguous:
-        return None
-    at = base.ctypes.data
-    for p in params:
-        a = getattr(p, attr)
-        if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != at:
-            return None
-        at += a.nbytes
-    return base if at == base.ctypes.data + base.nbytes else None
 
 
 class Workspace:

@@ -352,7 +352,16 @@ def _metric_row(rep):
     return (rep.balanced_accuracy, rep.macro_f1, rep.macro_recall)
 
 
+def _reject_repeats(what, given, keys):
+    """ConfigError naming the first of `given` whose key is repeated."""
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ConfigError(f"{what} {given[i]} is given more than once")
+
+
 def cmd_eval(args, argv):
+    _reject_repeats("checkpoint", args.checkpoint,
+                    [Path(p).resolve() for p in args.checkpoint])
     prepared_path = _resolve_prepared(args.data)
     dataset = dmod.load_prepared(prepared_path)
     class_names = dataset.split.class_names
@@ -453,6 +462,7 @@ def cmd_ablate(args, argv):
     seeds = [_coerce("seed", s, 0) for s in args.seeds.split(",") if s.strip() != ""]
     if not seeds:
         raise ConfigError("no seeds given")
+    _reject_repeats("seed", seeds, seeds)
     base = load_train_config(args.config)
     hist = dmod.class_histogram(dataset.split.train, len(dataset.split.class_names))
     majority_idx = int(np.argmax(hist))

@@ -31,7 +31,7 @@ def grad_check(forward, params, max_elements=200, seed=0):
             )
 
     for p in params:
-        p.zero_grad()
+        p.grad.fill(0.0)
     loss = forward()
     loss.backward()
     analytic = {id(p): p.grad.reshape(-1).copy() for p in params}

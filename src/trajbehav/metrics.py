@@ -4,7 +4,11 @@ Balanced accuracy is the macro average of per-class recall (the standard
 multi-class generalization; the binary TPR/TNR average reduces to it).
 Precision of a never-predicted class is defined as 0, with a warning flag
 carried in the report. Both macro and micro recall are reported; micro
-recall in single-label classification equals plain accuracy.
+recall in single-label classification equals plain accuracy. Macro recall,
+the mean of per-class recall, is balanced accuracy by definition, so the
+`recall` column of `comparison.txt` and of the ablation tables always repeats
+`balanced_accuracy`. Which recall the paper reports stays open until its text
+is in the repository (ROADMAP item 7).
 """
 
 from __future__ import annotations

@@ -18,12 +18,13 @@ the (B, F) rows the dense head and the conv branch use. The conv layers run
 on the (B, T, C) window batch as it is.
 
 Storage. A model's parameters live in one 1-D `data` vector and their
-gradients in one 1-D `grad` vector (`autodiff.pack`, run once when
-construction ends): each named `Parameter`'s `data` and `grad` are reshaped
-views into them, in `parameters` order. `zero_grad` is one fill, `optim.Adam`
-updates the vectors in one pass, and a checkpoint load copies into the
-views. Each model also owns the `autodiff.Workspace` its training steps and
-inference chunks run their forward passes in.
+gradients in one 1-D `grad` vector, which `autodiff.pack` builds once when
+construction ends: each named `Parameter`'s `data` and `grad` are reshaped
+views into them, in `parameters` order. `zero_grad` is one fill,
+`optim.Adam(model.param_list())` borrows the two vectors and updates them in
+one pass, and a checkpoint load copies into the views. Each model also owns
+the `autodiff.Workspace` its training steps and inference chunks run their
+forward passes in.
 
 Each kind has one fixed architecture, given by the module constants below.
 A caller chooses the class count (`num_classes`), the initialisation seed,

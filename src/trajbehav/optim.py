@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
+from .errors import ConfigError
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -17,22 +17,30 @@ EPSILON = 1e-8
 
 
 class Adam:
-    """Adam over a fixed list of parameters, updated as one flat vector.
+    """Adam over one model's parameters, updated as one flat vector.
 
-    `ad.pack` gives the parameters one `data` and one `grad` vector (a
-    model's own pair, when they are a model's parameters), and the moments
-    `m` and `v` are flat vectors beside them. A step is then about a dozen
-    in-place vector ops over every parameter at once, with two scratch
-    vectors; each element rounds exactly as the textbook expressions do.
-    Zero gradients leave parameters exactly unchanged (the update term is
-    identically zero, not merely small).
+    `params` must be exactly one packed set, such as `model.param_list()`:
+    every parameter of one `ad.pack` call, once each, or it raises
+    ConfigError. Adam borrows the `data` and `grad` vectors they are views
+    of and keeps the moments `m` and `v` as flat vectors beside them. A step
+    is about a dozen in-place vector ops over every parameter at once, with
+    two scratch vectors; each element rounds exactly as the textbook
+    expressions do. Zero gradients leave parameters exactly unchanged (the
+    update term is identically zero, not merely small).
     """
 
     def __init__(self, params, lr=0.005):
         # the default is the paper's initial rate, `train.LR_INITIAL`
         self.lr = lr
         self.t = 0
-        self.data, self.grad = ad.pack(params)
+        params = list(params)
+        data, grad = (params[0].data.base, params[0].grad.base) if params else (None, None)
+        if (data is None or grad is None or len({id(p) for p in params}) < len(params)
+                or any(p.data.base is not data or p.grad.base is not grad for p in params)
+                or sum(p.data.size for p in params) != data.size):
+            raise ConfigError("Adam needs one model's whole parameter list, each parameter "
+                              "once, such as model.param_list()")
+        self.data, self.grad = data, grad
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
         self._upd = np.empty_like(self.data)

@@ -129,6 +129,8 @@ class SynthSpec:
                 raise ConfigError(f"unknown behavior class {name!r}")
             if count < 0:
                 raise ConfigError(f"negative count for class {name!r}")
+        if not any(count > 0 for count in self.counts.values()):
+            raise ConfigError("every class count is 0; give at least one class a positive count")
 
 
 def _draw(rng, value):

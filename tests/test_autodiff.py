@@ -14,7 +14,7 @@ from trajbehav.models import build_model
 def fd_check_primitive(build_loss, params, step=1e-5, tol=1e-5):
     """Central finite differences vs reverse-mode for every element."""
     for p in params:
-        p.zero_grad()
+        p.grad.fill(0.0)
     build_loss().backward()
     analytic = {id(p): p.grad.copy() for p in params}
     worst = 0.0

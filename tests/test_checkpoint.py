@@ -7,12 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from trajbehav import autodiff as ad
 from trajbehav.checkpoint import load_checkpoint, save_checkpoint
 from trajbehav.container import read_container, require_arrays, write_container
 from trajbehav.errors import CheckpointError
 from trajbehav.hmm import GaussianHMM, HMMClassifier, _forward_batch, _state_major
 from trajbehav.models import build_model, logits, predict
+from trajbehav.optim import Adam
 
 
 class TestContainer:
@@ -307,8 +307,8 @@ class TestStoredConfig:
             p.data = arrays[name]
         batch = rng.normal(size=(40, 5, 4))
         assert logits(loaded, batch).tobytes() == logits(model, batch).tobytes()
-        data, grad = ad.pack(loaded.param_list())
-        assert data is loaded.data and grad is loaded.grad
+        opt = Adam(loaded.param_list())
+        assert opt.data is loaded.data and opt.grad is loaded.grad
         for name, p in loaded.parameters.items():
             assert np.shares_memory(p.data, loaded.data)
             assert p.data.tobytes() == arrays[name].tobytes()

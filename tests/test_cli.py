@@ -98,6 +98,14 @@ class TestGen:
         assert code == 2
         assert not (workspace / "gen_bad").exists()
 
+    def test_every_count_zero_exit_2(self, workspace, capsys):
+        spec = workspace / "zero.txt"
+        spec.write_text("length = 12\nseed = 7\ncount.USD = 0\ncount.SA = 0\n")
+        assert run(["gen", "--spec", spec, "--out", workspace / "gen_zero"]) == 2
+        err = capsys.readouterr().err
+        assert "every class count is 0" in err and "Traceback" not in err
+        assert not (workspace / "gen_zero").exists()
+
     def test_existing_nonempty_out_dir_rejected(self, workspace):
         out = workspace / "busy"
         out.mkdir()
@@ -495,20 +503,34 @@ class TestTrainEvalCommands:
         assert t1["outputs"] == t2["outputs"]
 
     def test_eval_tag_collision_exit_2_naming_both_paths(self, workspace, capsys):
-        # the second r1 checkpoint is tagged conv1d_r1, and so would a/r1's be
+        # r0's checkpoint is tagged conv1d, r1's conv1d_r1, and so would a/r1's be
         prep = gen_and_prep(workspace)
-        first, other = workspace / "r1" / "model.ckpt", workspace / "a" / "r1" / "model.ckpt"
-        for ckpt in (first, other):
+        base, first, other = (workspace / d / "model.ckpt" for d in ("r0", "r1", "a/r1"))
+        for ckpt in (base, first, other):
             assert run(["train", "--data", prep, "--model", "conv1d",
                         "--out", ckpt.parent, "--config", workspace / "tiny.cfg"]) == 0
         out = workspace / "ev"
         capsys.readouterr()
-        assert run(["eval", "--checkpoint", first, "--checkpoint", first,
+        assert run(["eval", "--checkpoint", base, "--checkpoint", first,
                     "--checkpoint", other, "--data", prep, "--out", out]) == 2
         err = capsys.readouterr().err
         assert f"checkpoints {first} and {other} would both write" in err
         assert "'conv1d_r1'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("again", ["m/model.ckpt", "m/../m/model.ckpt"])
+    def test_eval_repeated_checkpoint_exit_2_naming_it(self, workspace, capsys, again):
+        prep = gen_and_prep(workspace)
+        ckpt = workspace / "m" / "model.ckpt"
+        assert run(["train", "--data", prep, "--model", "conv1d",
+                    "--out", ckpt.parent, "--config", workspace / "tiny.cfg"]) == 0
+        out = workspace / "ev"
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", ckpt, "--checkpoint", workspace / again,
+                    "--data", prep, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {workspace / again} is given more than once" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def _drop_and_rewrite(src, dst, meta_key=None, array_key=None):
@@ -825,6 +847,21 @@ class TestAblate:
         assert code == 2
         err = capsys.readouterr().err
         assert "'a'" in err and "Traceback" not in err
+        assert not (workspace / "abl").exists()
+
+    def test_repeated_seed_exit_2_before_training(self, workspace, capsys, monkeypatch):
+        prep = gen_and_prep(workspace)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained before rejecting the seeds")
+
+        monkeypatch.setattr(cli, "run_ablation", no_training)
+        capsys.readouterr()
+        code = run(["ablate", "--data", prep, "--out", workspace / "abl",
+                    "--seeds", "0,0,1", "--config", workspace / "tiny.cfg"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed 0 is given more than once" in err and "Traceback" not in err
         assert not (workspace / "abl").exists()
 
     def test_resampled_dataset_rejected(self, workspace):

@@ -1,5 +1,5 @@
 """Adam optimizer against an independent scalar reference and against the
-per-parameter step it replaced; the flat parameter buffer it updates."""
+per-parameter step it replaced; the flat parameter buffer it borrows."""
 
 import numpy as np
 import pytest
@@ -26,12 +26,18 @@ def reference_adam_trace(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return out
 
 
+def _packed(*params):
+    """`params` packed into one buffer pair, as a model packs its own."""
+    ad.pack(params)
+    return list(params)
+
+
 def test_zero_gradient_is_exact_fixed_point(rng):
     values = rng.normal(size=(4, 3))
     p = Parameter(values.copy(), "p")
-    opt = Adam([p], lr=0.005)
+    opt = Adam(_packed(p), lr=0.005)
     for _ in range(5):
-        p.zero_grad()
+        p.grad.fill(0.0)
         opt.step()
     assert np.array_equal(p.data, values)
     assert opt.t == 5
@@ -39,7 +45,7 @@ def test_zero_gradient_is_exact_fixed_point(rng):
 
 def test_first_step_is_minus_lr_for_unit_gradient():
     p = Parameter(np.array([1.0]), "p")
-    opt = Adam([p], lr=0.005)
+    opt = Adam(_packed(p), lr=0.005)
     p.grad[...] = 1.0
     opt.step()
     # bias-corrected first step is -lr * g/|g| up to the epsilon scale
@@ -49,11 +55,11 @@ def test_first_step_is_minus_lr_for_unit_gradient():
 def test_three_step_trace_matches_reference():
     # scalar quadratic loss 0.5*x^2, gradient = x
     p = Parameter(np.array([2.0]), "p")
-    opt = Adam([p], lr=0.1)
+    opt = Adam(_packed(p), lr=0.1)
     mine = []
     grads = []
     for _ in range(3):
-        p.zero_grad()
+        p.grad.fill(0.0)
         grads.append(p.data[0])
         p.grad[...] = p.data[0]
         opt.step()
@@ -64,9 +70,9 @@ def test_three_step_trace_matches_reference():
 
 def test_second_moment_nonnegative_and_step_counts(rng):
     p = Parameter(rng.normal(size=7), "p")
-    opt = Adam([p], lr=0.01)
+    opt = Adam(_packed(p), lr=0.01)
     for k in range(4):
-        p.zero_grad()
+        p.grad.fill(0.0)
         p.grad[...] = rng.normal(size=7)
         opt.step()
         assert (opt.v >= 0).all()
@@ -75,7 +81,7 @@ def test_second_moment_nonnegative_and_step_counts(rng):
 
 def test_set_lr_controls_update_scale():
     p = Parameter(np.array([0.0]), "p")
-    opt = Adam([p], lr=0.005)
+    opt = Adam(_packed(p), lr=0.005)
     opt.lr = 0.001
     p.grad[...] = 1.0
     opt.step()
@@ -89,7 +95,7 @@ def test_fifty_steps_bit_equal_to_textbook_formula(rng):
     expect = [p.data.copy() for p in params]
     m = [np.zeros_like(x) for x in expect]
     v = [np.zeros_like(x) for x in expect]
-    opt = Adam(params, lr=0.005)
+    opt = Adam(_packed(*params), lr=0.005)
     for t in range(1, 51):
         if t == 30:
             opt.lr = 0.001
@@ -189,32 +195,50 @@ def test_pack_lays_out_values_and_gradients_in_order(rng):
         assert np.shares_memory(p.data, data) and np.shares_memory(p.grad, grad)
 
 
-def test_pack_twice_copies_nothing(rng):
+def test_pack_refuses_what_it_already_packed(rng):
     params = [Parameter(rng.normal(size=s), "p") for s in [(4, 3), (7,)]]
     data, grad = ad.pack(params)
     views = [(p.data, p.grad) for p in params]
-    again = ad.pack(params)
-    assert again[0] is data and again[1] is grad
+    with pytest.raises(ConfigError, match="cannot pack p: its value or gradient is a view"):
+        ad.pack(params)
     assert all(p.data is d and p.grad is g for p, (d, g) in zip(params, views))
+    assert Adam(params).data is data
 
 
 def test_pack_refuses_views_it_would_detach():
     model = build_model("conv1d", 3, seed=0)
     head = [model.parameters["head.w"], model.parameters["head.b"]]
     with pytest.raises(ConfigError, match="cannot pack head.w"):
-        Adam(head)
+        ad.pack(head)
     assert all(np.shares_memory(p.data, model.data) for p in head)
     with pytest.raises(ConfigError, match="mixed dtypes"):
         ad.pack([Parameter(np.zeros(2), "a"), Parameter(np.zeros(2, np.float32), "b")])
 
 
+@pytest.mark.parametrize("params", [
+    lambda a, b: a.param_list()[2:],
+    lambda a, b: a.param_list() + a.param_list()[:1],
+    lambda a, b: a.param_list()[:3] + b.param_list()[3:],
+    lambda a, b: [Parameter(p.data.copy(), p.name) for p in a.param_list()],
+    lambda a, b: [],
+], ids=["subset", "repeated", "two-models", "unpacked", "empty"])
+def test_adam_refuses_what_is_not_one_packed_set(params):
+    """Adam borrows the two vectors of one model's whole parameter list, so
+    any other list is refused before a step could update the wrong memory."""
+    a, b = build_model("conv1d", 3, seed=0), build_model("conv1d", 3, seed=1)
+    with pytest.raises(ConfigError, match="one model's whole parameter list"):
+        Adam(params(a, b))
+
+
 def _assert_packed(model):
     """Every parameter is a view into the model's vectors, tiling them in order."""
-    params = model.param_list()
-    assert ad.pack(params)[0] is model.data and ad.pack(params)[1] is model.grad
-    for p in params:
-        assert np.shares_memory(p.data, model.data) and np.shares_memory(p.grad, model.grad)
-    assert model.data.size == sum(p.data.size for p in params)
+    offset = 0
+    for p in model.param_list():
+        assert p.data.base is model.data and p.grad.base is model.grad
+        assert p.data.ctypes.data == model.data[offset:].ctypes.data
+        assert p.grad.ctypes.data == model.grad[offset:].ctypes.data
+        offset += p.data.size
+    assert offset == model.data.size == model.grad.size
 
 
 @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])

@@ -140,6 +140,11 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             gen_dataset(SynthSpec(counts={"NOT_A_CLASS": 1}))
 
+    @pytest.mark.parametrize("counts", [{}, {"USD": 0}, {"USD": 0, "SA": 0}])
+    def test_no_positive_count_rejected(self, counts):
+        with pytest.raises(ConfigError, match="every class count is 0"):
+            gen_dataset(SynthSpec(counts=counts))
+
     def test_length_below_window_bound_rejected(self):
         with pytest.raises(ConfigError):
             gen_dataset(SynthSpec(counts={"USD": 1}, length=6))
