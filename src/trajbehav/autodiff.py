@@ -12,9 +12,8 @@ inference builds the same tape as training. A no-grad inference path would
 be a change to the models, not to these ops. Everything is deterministic:
 identical inputs produce bit-identical outputs.
 
-Two precision modes are supported by construction: build parameters in
-float64 ("verify", required for finite-difference checks) or float32
-("fast", for training); all ops propagate the input dtype.
+Every op propagates the dtype of its inputs: models train and infer in
+float32 and build float64 parameters for finite-difference checks.
 
 Layout. The recurrent ops are time-major and feature-major: `lstm_layer`
 takes (T, d, B) and returns (T, nH, B) for n directions, and each
@@ -58,8 +57,6 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-
-DTYPES = {"verify": np.float64, "fast": np.float32}
 
 
 class Tensor:

@@ -1,15 +1,18 @@
 """Model persistence on top of the binary container.
 
 A checkpoint stores the model kind, its architecture config, the class map,
-optional normalization stats, and every parameter tensor in its native
-precision, so a save/load roundtrip restores parameters bit-exactly and
-reproduces predictions bit-identically. Each neural kind has one fixed
-architecture: a load rebuilds it from the class count (and, for fusion,
-whether the conv branch is on) and rejects a stored config that differs
-from it. An HMM checkpoint must name at least two classes. The tensors of
-either kind must pass `container.require_arrays` (the names, shapes and
-dtypes the model implies, all finite), and HMM tensors must hold positive
-variances, and initial and transition rows that are probability rows.
+optional normalization stats, and every parameter tensor as it is, so a
+save/load roundtrip restores parameters bit-exactly and reproduces
+predictions bit-identically. A neural checkpoint holds float32 tensors and
+records that as `"precision": "fast"`: saving a model of another dtype (the
+gradient check's float64) raises ConfigError, and a load rejects any other
+`precision` value. Each neural kind has one fixed architecture: a load
+rebuilds it from the class count (and, for fusion, whether the conv branch
+is on) and rejects a stored config that differs from it. An HMM checkpoint
+must name at least two classes. The tensors of either kind must pass
+`container.require_arrays` (the names, shapes and dtypes the model implies,
+all finite), and HMM tensors must hold positive variances, and initial and
+transition rows that are probability rows.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .models import MODEL_KINDS, build_model
 
 # How far a stored HMM probability row may sum from 1.
 PROB_SUM_TOL = 1e-6
+# Each HMM class's tensors, `class{i}.{name}`, in the order they are stored.
+HMM_TENSORS = ("initial", "transitions", "means", "variances")
 
 
 @dataclass
@@ -45,19 +50,18 @@ def save_checkpoint(model, class_names, path, normalization=None):
             "normalization": normalization,
             "n_states": model.models[0].n_states,
         }
-        arrays = {}
-        for i, m in enumerate(model.models):
-            arrays[f"class{i}.initial"] = m.initial
-            arrays[f"class{i}.transitions"] = m.transitions
-            arrays[f"class{i}.means"] = m.means
-            arrays[f"class{i}.variances"] = m.variances
+        arrays = {f"class{i}.{name}": getattr(m, name)
+                  for i, m in enumerate(model.models) for name in HMM_TENSORS}
         write_container(path, "model", meta, arrays)
         return
 
+    if model.data.dtype != np.float32:
+        raise ConfigError(f"a checkpoint holds a float32 model, this {model.kind} "
+                          f"model is {model.data.dtype}")
     meta = {
         "model_kind": model.kind,
         "config": model.config(),
-        "precision": model.precision,
+        "precision": "fast",
         "class_names": list(class_names),
         "normalization": normalization,
     }
@@ -82,14 +86,13 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"{path}: num_classes must be >= 2, got {len(class_names)}"
             )
-        shapes = {"initial": (k,), "transitions": (k, k),
-                  "means": (k, STATE_FEATURES), "variances": (k, STATE_FEATURES)}
+        shapes = ((k,), (k, k), (k, STATE_FEATURES), (k, STATE_FEATURES))
         require_arrays(path, arrays, {f"class{i}.{name}": (shape, np.float64)
                                       for i in range(len(class_names))
-                                      for name, shape in shapes.items()}, "tensor")
+                                      for name, shape in zip(HMM_TENSORS, shapes)}, "tensor")
         for key, value in arrays.items():
             _check_hmm_values(path, key, value)
-        models = [GaussianHMM(**{name: arrays[f"class{i}.{name}"] for name in shapes})
+        models = [GaussianHMM(**{name: arrays[f"class{i}.{name}"] for name in HMM_TENSORS})
                   for i in range(len(class_names))]
         clf = HMMClassifier(models=models, class_names=class_names)
         return Checkpoint(model=clf, class_names=class_names,
@@ -99,10 +102,11 @@ def load_checkpoint(path):
     config = meta["config"]
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: checkpoint config is not a JSON object")
-    if not isinstance(meta["precision"], str):
-        raise CheckpointError(f"{path}: unknown precision {meta['precision']!r}")
+    if meta["precision"] != "fast":
+        raise CheckpointError(f"{path}: unknown precision {meta['precision']!r}, "
+                              "expected 'fast' (float32)")
     try:
-        model = build_model(model_kind, len(class_names), precision=meta["precision"],
+        model = build_model(model_kind, len(class_names),
                             use_mscnn=config.get("use_mscnn") is not False)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

@@ -463,6 +463,8 @@ def cmd_ablate(args, argv):
     if not seeds:
         raise ConfigError("no seeds given")
     _reject_repeats("seed", seeds, seeds)
+    if min(seeds) < 0:
+        raise ConfigError(f"seed must be >= 0, got {min(seeds)}")
     base = load_train_config(args.config)
     hist = dmod.class_histogram(dataset.split.train, len(dataset.split.class_names))
     majority_idx = int(np.argmax(hist))
@@ -504,7 +506,7 @@ def run_gradcheck(seed, num_samples):
     labels = rng.integers(0, GRADCHECK_CLASSES, size=num_samples)
     results = {}
     for kind in ("fusion", "lstm", "conv1d"):
-        model = build_model(kind, GRADCHECK_CLASSES, seed=seed, precision="verify")
+        model = build_model(kind, GRADCHECK_CLASSES, seed=seed, dtype=np.float64)
 
         def forward(model=model):
             return ad.softmax_cross_entropy(model.forward(batch), labels)

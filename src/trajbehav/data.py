@@ -25,8 +25,9 @@ Python `int` and `float`, agents grouped by one lexsort over (agent,
 frame), and each Trajectory a slice of the sorted arrays. Only when a
 check fails are the rows walked one by one, to word the report: first
 every row that fails a check of its own (field count, kind, numbers,
-negative frame, frame past int64, non-finite value), else every row with
-an unknown label, a repeated (agent, frame) or a changed agent kind. Each
+negative frame, frame past int64, non-finite value), each worded by the
+same columnar checks run on that row alone, else every row with an
+unknown label, a repeated (agent, frame) or a changed agent kind. Each
 row reports its first failing check, in row order, and the report quotes
 the first 20. Writing formats each row from `repr` of the state floats,
 with the text fields quoted once by csv.writer.
@@ -211,28 +212,6 @@ def save_label_map(class_names, path):
             writer.writerow([i, name])
 
 
-def _row_problem(row):
-    """The first check that a trajectory CSV row fails on its own, as
-    report text, or None if it passes them all."""
-    if len(row) != len(TRAJECTORY_COLUMNS):
-        return f"expected {len(TRAJECTORY_COLUMNS)} fields"
-    _, kind, frame, *coords, _ = row
-    if kind not in AGENT_KINDS:
-        return f"unknown agent kind {kind!r}"
-    try:
-        frame = int(frame)
-        coords = [float(v) for v in coords]
-    except ValueError:
-        return "non-numeric field"
-    if frame < 0:
-        return f"negative frame {frame}"
-    if frame > _MAX_FRAME:
-        return f"frame {frame} does not fit in int64"
-    if not all(map(math.isfinite, coords)):
-        return "non-finite coordinate"
-    return None
-
-
 def _agent_problems(rows, name_to_idx):
     """Report text for each non-blank row, in order, whose label is not in
     `name_to_idx`, whose (agent, frame) an earlier row holds, or whose
@@ -264,23 +243,27 @@ def _agent_problems(rows, name_to_idx):
 
 def _columns(rows):
     """The rows as columns (agent ids, kinds, labels: tuples of strings;
-    frames (n,) int64; x,y,z,d (n, 4) float64), or None if a row fails
-    `_row_problem`."""
+    frames (n,) int64; x,y,z,d (n, 4) float64), or, if a row fails a check
+    of its own, the report text of the first check failed, in this order:
+    field count, kind, numbers, negative frame, frame past int64, non-finite
+    value. For one row that text is the row's report."""
     if not set(map(len, rows)) <= {len(TRAJECTORY_COLUMNS)}:
-        return None
+        return f"expected {len(TRAJECTORY_COLUMNS)} fields"
     agents, kinds, frames, *coords, labels = zip(*rows) if rows else [()] * 8
     if not set(kinds).issubset(AGENT_KINDS):
-        return None
+        return f"unknown agent kind {next(k for k in kinds if k not in AGENT_KINDS)!r}"
     try:
         frames = list(map(int, frames))
         coords = np.fromiter(map(float, chain(*coords)), np.float64,
                              4 * len(rows)).reshape(4, -1).T
     except ValueError:
-        return None
-    if frames and not (min(frames) >= 0 and max(frames) <= _MAX_FRAME):
-        return None
+        return "non-numeric field"
+    if frames and min(frames) < 0:
+        return f"negative frame {min(frames)}"
+    if frames and max(frames) > _MAX_FRAME:
+        return f"frame {max(frames)} does not fit in int64"
     if not np.isfinite(coords).all():
-        return None
+        return "non-finite coordinate"
     return agents, kinds, labels, np.array(frames, np.int64), coords
 
 
@@ -302,9 +285,9 @@ def load_trajectories(path, class_names=None, degrees=False):
             )
         rows = list(reader)
     columns = _columns(rows if all(rows) else [row for row in rows if row])
-    if columns is None:
+    if isinstance(columns, str):
         problems = [f"row {lineno}: {p}" for lineno, row in enumerate(rows, start=2)
-                    if row and (p := _row_problem(row)) is not None]
+                    if row and isinstance(p := _columns([row]), str)]
         raise IngestError(f"{path}: {len(problems)} malformed rows: " + "; ".join(problems[:20]))
     agents, kinds, labels, frames, states = columns
 

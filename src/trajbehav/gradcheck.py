@@ -1,7 +1,7 @@
 """Finite-difference oracle for reverse-mode gradients.
 
 Central differences with step 1e-5 are only trustworthy in float64, so
-callers must build their model in "verify" precision.
+callers must build their model with `dtype=np.float64`.
 """
 
 from __future__ import annotations

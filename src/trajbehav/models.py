@@ -28,9 +28,9 @@ forward passes in.
 
 Each kind has one fixed architecture, given by the module constants below.
 A caller chooses the class count (`num_classes`), the initialisation seed,
-the precision ("fast" float32 for training, "verify" float64 for the
-gradient check) and, for the fusion ablation, whether the conv branch is
-built (`use_mscnn`).
+the float type (`dtype`: float32 for training, inference and checkpoints,
+float64 for the gradient check) and, for the fusion ablation, whether the
+conv branch is built (`use_mscnn`).
 
 Architecture notes (choices the reference description leaves open):
   * Bi-LSTM branch: LSTM_LAYERS bidirectional layers of LSTM_HIDDEN units
@@ -56,7 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DTYPES, Parameter, Tensor
+from .autodiff import Parameter, Tensor
 from .data import STATE_FEATURES, WINDOW_SIZE
 from .errors import ConfigError, DataError, DimensionError
 from .rng import INIT, seeded_rng
@@ -80,14 +80,11 @@ def _xavier(rng, shape, fan_in, fan_out, dtype):
 class _ModelBase:
     kind = "base"
 
-    def __init__(self, num_classes, seed=0, precision="fast"):
-        if precision not in DTYPES:
-            raise ConfigError(f"unknown precision mode {precision!r}")
+    def __init__(self, num_classes, seed=0, dtype=np.float32):
         if num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
         self.num_classes = num_classes
-        self.precision = precision
-        self.dtype = DTYPES[precision]
+        self.dtype = dtype
         self.parameters = {}
         self._build(seeded_rng(seed, INIT))
         self.data, self.grad = ad.pack(self.parameters.values())
@@ -149,9 +146,9 @@ class FusionModel(_ModelBase):
 
     kind = "fusion"
 
-    def __init__(self, num_classes, seed=0, precision="fast", use_mscnn=True):
+    def __init__(self, num_classes, seed=0, dtype=np.float32, use_mscnn=True):
         self.use_mscnn = bool(use_mscnn)
-        super().__init__(num_classes, seed, precision)
+        super().__init__(num_classes, seed, dtype)
 
     def _build(self, rng):
         for layer in range(LSTM_LAYERS):
@@ -242,18 +239,24 @@ class Conv1DBaseline(_ModelBase):
 
 
 def logits(model, batch):
-    """Logits per row of a batch of any size, bit-equal whatever batch the
-    row sits in.
+    """Logits per row of a batch of any size. Under OpenBLAS's SkylakeX
+    (AVX-512) kernels a row's logits are bit-equal whatever batch it sits
+    in; under other kernels they need not be.
 
     The rows run in chunks of PREDICT_CHUNK = 256, the default training
     batch size, each chunk one pass in the model's workspace, so a model
     evaluated right after training reuses the buffers its training filled.
     BLAS takes other kernels for small matrices, so a last chunk of fewer
     than MIN_BATCH rows runs padded with zero windows, whose logits are
-    dropped. With OpenBLAS 0.3.31 on AVX-512, a sweep of every batch size
-    from 1 to 256 rows found the conv1d baseline's GEMMs the last to agree
-    with a 256-row batch, from 19 rows on; MIN_BATCH leaves a margin above
-    that. A row whose states or logits are not finite in the model's dtype
+    dropped. With OpenBLAS 0.3.31's SkylakeX kernels, a sweep of every batch
+    size from 1 to 256 rows found the conv1d baseline's GEMMs the last to
+    agree with a 256-row batch, from 19 rows on; MIN_BATCH leaves a margin
+    above that. numpy's bundled OpenBLAS picks its kernels from the CPU when
+    it loads, and under `OPENBLAS_CORETYPE=Haswell` a chunk's rows depend
+    on how many rows it holds: two tests then fail,
+    `tests/test_models.py::TestBatchInvariance::test_logits_of_a_set_are_the_logits_of_its_parts`
+    and `::TestFusionForward::test_duplicated_sample_identical_rows`.
+    A row whose states or logits are not finite in the model's dtype
     (a coordinate past float32's range, say) raises DataError naming its
     index in the batch.
     """
@@ -292,13 +295,13 @@ def predict(model, batch):
 MODEL_KINDS = ("fusion", "lstm", "conv1d", "hmm")
 
 
-def build_model(kind, num_classes, seed=0, precision="fast", use_mscnn=True):
+def build_model(kind, num_classes, seed=0, dtype=np.float32, use_mscnn=True):
     """Construct a neural model of the given kind; `use_mscnn` applies to
     fusion only."""
     if kind == "fusion":
-        return FusionModel(num_classes, seed=seed, precision=precision, use_mscnn=use_mscnn)
+        return FusionModel(num_classes, seed=seed, dtype=dtype, use_mscnn=use_mscnn)
     if kind == "lstm":
-        return LSTMBaseline(num_classes, seed=seed, precision=precision)
+        return LSTMBaseline(num_classes, seed=seed, dtype=dtype)
     if kind == "conv1d":
-        return Conv1DBaseline(num_classes, seed=seed, precision=precision)
+        return Conv1DBaseline(num_classes, seed=seed, dtype=dtype)
     raise ConfigError(f"unknown model kind {kind!r}")

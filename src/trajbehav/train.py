@@ -5,7 +5,7 @@ lr LR_INITIAL = 0.005 switching to LR_AFTER = 0.001 after epoch 40,
 cross-entropy loss (optionally class-weighted). The two rates are fixed;
 `TrainConfig` holds only the values callers vary. Adam's beta1, beta2 and
 epsilon are the `optim` constants, and neural models always train in
-"fast" (float32) precision. Every epoch reshuffles with a stream derived from
+float32. Every epoch reshuffles with a stream derived from
 (seed, epoch) so resampling and shuffling never interact; given the same
 (config, split) the final parameters are bit-identical across runs. The
 last partial batch is kept. Epoch loss is the batch-size-weighted mean of

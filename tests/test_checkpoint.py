@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from trajbehav.checkpoint import load_checkpoint, save_checkpoint
 from trajbehav.container import read_container, require_arrays, write_container
-from trajbehav.errors import CheckpointError
+from trajbehav.errors import CheckpointError, ConfigError
 from trajbehav.hmm import GaussianHMM, HMMClassifier, _forward_batch, _state_major
 from trajbehav.models import build_model, logits, predict
 from trajbehav.optim import Adam
@@ -181,7 +181,7 @@ class TestRequireArrays:
 class TestModelCheckpoint:
     @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])
     def test_neural_roundtrip_bit_identical_predictions(self, kind, tmp_path, rng):
-        model = build_model(kind, num_classes=5, seed=8, precision="fast")
+        model = build_model(kind, num_classes=5, seed=8)
         batch = rng.normal(size=(6, 5, 4))
         before = model.forward(batch).data.copy()
         path = tmp_path / "m.ckpt"
@@ -193,15 +193,14 @@ class TestModelCheckpoint:
         assert np.array_equal(before, after)
         assert np.array_equal(predict(model, batch), predict(ck.model, batch))
 
-    def test_verify_precision_roundtrip_exact(self, tmp_path, rng):
-        model = build_model("lstm", num_classes=3, seed=1, precision="verify")
+    @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])
+    def test_float64_model_not_saved(self, tmp_path, kind):
+        """Only float32 checkpoints load, so a float64 model (the gradient
+        check's) is refused before anything is written."""
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, list("ABC"), path)
-        ck = load_checkpoint(path)
-        for name, p in model.parameters.items():
-            stored = ck.model.parameters[name].data
-            assert stored.dtype == np.float64
-            assert np.array_equal(stored, p.data)
+        with pytest.raises(ConfigError, match=f"this {kind} model is float64"):
+            save_checkpoint(build_model(kind, 3, seed=1, dtype=np.float64), list("ABC"), path)
+        assert not path.exists()
 
     def test_save_load_save_byte_identical(self, tmp_path):
         model = build_model("fusion", num_classes=4, seed=3)
@@ -266,12 +265,13 @@ STORED_CONFIGS = {
 
 class TestStoredConfig:
     @pytest.mark.parametrize("kind, use_mscnn", list(STORED_CONFIGS))
-    @pytest.mark.parametrize("precision", ["fast", "verify"])
+    @pytest.mark.parametrize("precision", ["fast"])
     def test_written_config_and_bytes_match_the_stored_format(
             self, kind, use_mscnn, precision, tmp_path, rng):
-        """A checkpoint hand-written in the stored format (literal config)
-        equals the saved one byte for byte, and loads to the same logits."""
-        model = build_model(kind, 5, seed=4, precision=precision, use_mscnn=use_mscnn)
+        """A checkpoint hand-written in the stored format (literal config and
+        the one stored precision) equals the saved one byte for byte, and
+        loads to the same logits."""
+        model = build_model(kind, 5, seed=4, use_mscnn=use_mscnn)
         saved, literal = tmp_path / "saved.ckpt", tmp_path / "literal.ckpt"
         stats = {"mean": [0.0, 1.0, 2.0, 3.0], "std": [1.0, 1.0, 2.0, 1.0]}
         save_checkpoint(model, list("ABCDE"), saved, normalization=stats)
@@ -288,13 +288,13 @@ class TestStoredConfig:
         assert np.array_equal(predict(loaded, batch), predict(model, batch))
 
     @pytest.mark.parametrize("kind, use_mscnn", list(STORED_CONFIGS))
-    @pytest.mark.parametrize("precision", ["fast", "verify"])
+    @pytest.mark.parametrize("precision", ["fast"])
     def test_per_parameter_checkpoint_loads_into_the_flat_buffer(
             self, kind, use_mscnn, precision, tmp_path, rng):
         """A checkpoint written from one array per parameter, as models wrote
         before the flat buffer, loads packed, with the logits of a model that
         holds those arrays as its parameters."""
-        model = build_model(kind, 5, seed=4, precision=precision, use_mscnn=use_mscnn)
+        model = build_model(kind, 5, seed=4, use_mscnn=use_mscnn)
         arrays = {name: (p.data + rng.normal(scale=0.1, size=p.data.shape)).astype(p.data.dtype)
                   for name, p in model.parameters.items()}
         meta = {"model_kind": kind, "config": STORED_CONFIGS[kind, use_mscnn],
@@ -396,6 +396,21 @@ class TestHMMCheckpoint:
         obs = _state_major(rng.normal(size=(1, 5, 4)))
         for orig, loaded in zip(clf.models, ck.model.models):
             assert _forward_batch(orig, obs)[3] == _forward_batch(loaded, obs)[3]
+
+    def test_written_bytes_match_the_stored_format(self, tmp_path, rng):
+        """A checkpoint hand-written in the stored format (each class's four
+        tensors in a literal order) equals the saved one byte for byte."""
+        models = [GaussianHMM(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3),
+                              rng.normal(size=(3, 4)), rng.uniform(0.2, 1.0, size=(3, 4)))
+                  for _ in range(2)]
+        saved, literal = tmp_path / "saved.ckpt", tmp_path / "literal.ckpt"
+        save_checkpoint(HMMClassifier(models, ["A", "B"]), ["A", "B"], saved)
+        meta = {"model_kind": "hmm", "class_names": ["A", "B"], "normalization": None,
+                "n_states": 3}
+        write_container(literal, "model", meta, {
+            f"class{i}.{name}": getattr(m, name) for i, m in enumerate(models)
+            for name in ("initial", "transitions", "means", "variances")})
+        assert saved.read_bytes() == literal.read_bytes()
 
     @staticmethod
     def _saved(path, k=3):

@@ -728,6 +728,21 @@ class TestMalformedContainers:
         err = capsys.readouterr().err
         assert "'half'" in err and "Traceback" not in err
 
+    def test_checkpoint_float64_precision_exit_3(self, workspace, capsys):
+        """A float64 ("verify") checkpoint, as the gradient check's models
+        would store, is refused for its precision, not loaded."""
+        prep = gen_and_prep(workspace)
+        good, bad = workspace / "good.ckpt", workspace / "bad.ckpt"
+        save_checkpoint(build_model("lstm", 3, seed=0), ["SA", "USD", "S"], good)
+        kind, meta, arrays = read_container(good)
+        write_container(bad, kind, {**meta, "precision": "verify"},
+                        {name: a.astype(np.float64) for name, a in arrays.items()})
+        code = run(["eval", "--checkpoint", bad, "--data", prep, "--out", workspace / "ev"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "unknown precision 'verify'" in err and "Traceback" not in err
+        assert not (workspace / "ev").exists()
+
     @pytest.mark.parametrize("edit, key", [
         (lambda c: {**c, "dropout": 0.1}, "dropout"),
         (lambda c: {**c, "lstm_hidden": "64"}, "lstm_hidden"),
@@ -862,6 +877,23 @@ class TestAblate:
         assert code == 2
         err = capsys.readouterr().err
         assert "seed 0 is given more than once" in err and "Traceback" not in err
+        assert not (workspace / "abl").exists()
+
+    def test_negative_seed_exit_2_before_training(self, workspace, capsys, monkeypatch):
+        prep = gen_and_prep(workspace)
+        calls = []
+
+        def train_spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("ablate trained before rejecting the seeds")
+
+        monkeypatch.setattr(cli, "train", train_spy)
+        capsys.readouterr()
+        code = run(["ablate", "--data", prep, "--out", workspace / "abl",
+                    "--seeds", "0,-1", "--config", workspace / "tiny.cfg"])
+        assert code == 2 and calls == []
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
         assert not (workspace / "abl").exists()
 
     def test_resampled_dataset_rejected(self, workspace):
@@ -1016,7 +1048,7 @@ class TestSettableValues:
         classes, the frame period) are module constants, not parameters."""
         signatures = {fn.__name__: str(inspect.signature(fn)) for fn in (
             fit_classifier, baum_welch_fit, predict_batch, grad_check,
-            cli.run_gradcheck, cli.run_ablation)}
+            cli.run_gradcheck, cli.run_ablation, build_model)}
         assert signatures == {
             "fit_classifier": "(states, labels, class_names, max_iters, seed)",
             "baum_welch_fit": "(sequences, max_iters, seed, n_states=7)",
@@ -1024,6 +1056,8 @@ class TestSettableValues:
             "grad_check": "(forward, params, max_elements=200, seed=0)",
             "run_gradcheck": "(seed, num_samples)",
             "run_ablation": "(dataset, seeds, base_config)",
+            "build_model": "(kind, num_classes, seed=0, dtype=<class 'numpy.float32'>, "
+                           "use_mscnn=True)",
         }
         assert [f.name for f in dataclasses.fields(SynthSpec)] == [
             "counts", "length", "noise", "seed"]

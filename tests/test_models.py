@@ -81,14 +81,14 @@ def zero_model(model):
 
 class TestBiLSTMBranch:
     def test_zero_weights_zero_feature(self, rng):
-        model = zero_model(FusionModel(4, precision="verify"))
+        model = zero_model(FusionModel(4, dtype=np.float64))
         batch = rng.normal(size=(3, 5, 4))
         feats = model.bilstm_features(batch).data
         assert feats.shape == (3, 128)
         assert np.allclose(feats, 0.0)
 
     def test_batch_order_invariance(self, rng):
-        model = FusionModel(4, seed=3, precision="verify")
+        model = FusionModel(4, seed=3, dtype=np.float64)
         batch = rng.normal(size=(6, 5, 4))
         perm = rng.permutation(6)
         out = model.bilstm_features(batch).data
@@ -96,7 +96,7 @@ class TestBiLSTMBranch:
         assert np.allclose(out[perm], out_perm)
 
     def test_matches_per_sample_sequential_reference(self, rng):
-        model = FusionModel(4, seed=9, precision="verify")
+        model = FusionModel(4, seed=9, dtype=np.float64)
         batch = rng.normal(size=(4, 5, 4))
         got = model.bilstm_features(batch).data
         h = LSTM_HIDDEN
@@ -124,14 +124,14 @@ class TestBiLSTMBranch:
 
 class TestMSCNNBranch:
     def test_zero_input_zero_feature(self):
-        model = FusionModel(4, seed=1, precision="verify")
+        model = FusionModel(4, seed=1, dtype=np.float64)
         feats = model.mscnn_features(np.zeros((2, 5, 4))).data
         assert feats.shape == (2, 32)
         # zero input, zero conv biases: pooled activations are zero
         assert np.allclose(feats, 0.0)
 
     def test_concat_width_is_96(self, rng):
-        model = FusionModel(4, seed=1, precision="verify")
+        model = FusionModel(4, seed=1, dtype=np.float64)
         x = Tensor(rng.normal(size=(2, 5, 4)))
         pooled = []
         for k in KERNEL_SIZES:
@@ -143,7 +143,7 @@ class TestMSCNNBranch:
         assert ad.concat(pooled, axis=1).data.shape == (2, 96)
 
     def test_matches_composed_primitive_oracle(self, rng):
-        model = FusionModel(4, seed=5, precision="verify")
+        model = FusionModel(4, seed=5, dtype=np.float64)
         batch = rng.normal(size=(3, 5, 4))
         got = model.mscnn_features(batch).data
         x = batch.transpose(0, 2, 1)
@@ -199,7 +199,7 @@ class TestConvLayout:
                 assert node.grad.flags.c_contiguous, op
 
     def test_conv1d_head_reads_the_one_remaining_step(self, rng):
-        model = Conv1DBaseline(4, seed=2, precision="verify")
+        model = Conv1DBaseline(4, seed=2, dtype=np.float64)
         batch = rng.normal(size=(3, 5, 4))
         last = Tensor(batch)
         for i in range(4):
@@ -212,7 +212,7 @@ class TestConvLayout:
 
 class TestFusionForward:
     def test_zero_parameters_uniform_logits(self, rng):
-        model = zero_model(FusionModel(6, precision="verify"))
+        model = zero_model(FusionModel(6, dtype=np.float64))
         batch = rng.normal(size=(4, 5, 4))
         logits = model.forward(batch)
         assert np.allclose(logits.data, 0.0)
@@ -220,7 +220,7 @@ class TestFusionForward:
         assert abs(loss.item() - np.log(6)) < 1e-12
 
     def test_duplicated_sample_identical_rows(self, rng):
-        model = FusionModel(5, seed=2, precision="verify")
+        model = FusionModel(5, seed=2, dtype=np.float64)
         one = rng.normal(size=(1, 5, 4))
         batch = np.repeat(one, 3, axis=0)
         logits = model.forward(batch).data
@@ -228,7 +228,7 @@ class TestFusionForward:
         assert np.array_equal(logits[0], logits[2])
 
     def test_single_vs_batch_row_equality(self, rng):
-        model = FusionModel(5, seed=2, precision="verify")
+        model = FusionModel(5, seed=2, dtype=np.float64)
         batch = rng.normal(size=(5, 5, 4))
         full = model.forward(batch).data
         for b in range(5):
@@ -255,13 +255,13 @@ class TestFusionForward:
 
 class TestBaselines:
     def test_lstm_zero_parameters_uniform_logits(self, rng):
-        model = zero_model(LSTMBaseline(7, precision="verify"))
+        model = zero_model(LSTMBaseline(7, dtype=np.float64))
         logits = model.forward(rng.normal(size=(3, 5, 4))).data
         assert logits.shape == (3, 7)
         assert np.allclose(logits, 0.0)
 
     def test_conv1d_zero_parameters_uniform_logits(self, rng):
-        model = zero_model(Conv1DBaseline(7, precision="verify"))
+        model = zero_model(Conv1DBaseline(7, dtype=np.float64))
         logits = model.forward(rng.normal(size=(3, 5, 4))).data
         assert logits.shape == (3, 7)
         assert np.allclose(logits, 0.0)
@@ -280,7 +280,7 @@ class TestBaselines:
 class TestGradients:
     @pytest.mark.parametrize("kind", ["fusion", "lstm", "conv1d"])
     def test_full_model_gradcheck(self, kind, rng):
-        model = build_model(kind, num_classes=4, seed=11, precision="verify")
+        model = build_model(kind, num_classes=4, seed=11, dtype=np.float64)
         batch = rng.normal(size=(3, 5, 4))
         labels = rng.integers(0, 4, size=3)
 
@@ -291,7 +291,7 @@ class TestGradients:
         assert err < 1e-5, f"{kind}: {err}"
 
     def test_bilstm_only_model_gradcheck(self, rng):
-        model = FusionModel(4, seed=11, precision="verify", use_mscnn=False)
+        model = FusionModel(4, seed=11, dtype=np.float64, use_mscnn=False)
         batch = rng.normal(size=(3, 5, 4))
         labels = rng.integers(0, 4, size=3)
 
@@ -303,18 +303,18 @@ class TestGradients:
 
 class TestPredict:
     def test_argmax(self):
-        model = zero_model(FusionModel(3, precision="verify"))
+        model = zero_model(FusionModel(3, dtype=np.float64))
         model.parameters["head.b"].data[...] = [0.1, 0.9, 0.3]
         out = predict(model, np.zeros((2, 5, 4)))
         assert list(out) == [1, 1]
 
     def test_tie_goes_to_lowest_index(self):
-        model = zero_model(FusionModel(3, precision="verify"))
+        model = zero_model(FusionModel(3, dtype=np.float64))
         model.parameters["head.b"].data[...] = [1.0, 1.0, 0.0]
         assert list(predict(model, np.zeros((1, 5, 4)))) == [0]
 
     def test_matches_scan_argmax(self, rng):
-        model = FusionModel(6, seed=4, precision="verify")
+        model = FusionModel(6, seed=4, dtype=np.float64)
         batch = rng.normal(size=(8, 5, 4))
         logits = model.forward(batch).data
         preds = predict(model, batch)

@@ -1,0 +1,45 @@
+"""The line counter every change reports its size with, `tools/src_lines.py`."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+
+SNIPPET = '''"""A module docstring
+over two lines."""
+
+# a comment-only line
+import os
+
+
+def f(x):
+    """A function docstring."""
+    table = """a multi-line string
+assigned to a name"""
+    return x  # a trailing comment
+'''
+
+
+@pytest.fixture(scope="module")
+def src_lines():
+    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_count_leaves_out_docstrings_comments_and_blank_lines(src_lines):
+    # code: `import os`, `def f(x):`, both lines of the assigned string, `return x`
+    assert src_lines.count(SNIPPET) == (12, 5)
+
+
+def test_total_row_is_the_sum_of_the_module_rows(src_lines, tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SNIPPET, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n\n# note\ny = 2\n", encoding="utf-8")
+    assert src_lines.main([str(tmp_path)]) == 0
+    header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "physical", "code"]
+    assert rows == [["a.py", "12", "5"], ["b.py", "4", "2"]]
+    assert total == ["total"] + [str(sum(int(row[i]) for row in rows)) for i in (1, 2)]
