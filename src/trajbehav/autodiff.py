@@ -41,6 +41,17 @@ A tensor's first gradient is one pass, `g + 0.0` written into an array laid
 out like the tensor's data: the bits of accumulating onto zeros (-0.0 becomes
 +0.0) without first filling the zeros.
 
+Threads. A two-direction `lstm_layer` runs its backward-time direction's
+backward on a worker thread while the calling thread runs the forward
+direction's, one new thread per backward call (`_run_concurrently`), when
+the batch has at least CONCURRENT_MIN_BATCH rows, the process may run on
+more than one CPU and numpy's BLAS runs one thread (`_spare_cpu`). Each
+direction computes the same numpy operations as it would alone and adds
+into its own three parameters' gradients, and the calling thread adds the
+two directions' x gradients after both have finished, so the bits do not
+depend on the thread or on the scheduling. Everything else, forward
+passes included, runs on the calling thread.
+
 Memory. `pack` copies a model's freshly built parameters into one new value
 vector and one new gradient vector, each parameter's arrays becoming views
 into them, so an optimizer step and a gradient reset are single vector
@@ -52,11 +63,26 @@ its docstring); ops run outside one allocate afresh, with the same bits.
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
+
+
+# The smallest batch whose two-direction `lstm_layer` backward runs its
+# directions on two threads. Below it the two threads' hand-offs of the
+# interpreter lock around numpy's short calls cost more than the overlap
+# saves: median fusion training steps, all on one thread → threaded, 2-vCPU
+# Xeon VM, one BLAS thread, read 5.2 → 8.5 ms at batch 32, 7.5 → 9.4 at 64,
+# 10.2 → 12.2 at 96, 12.2 → 11.9 at 128, 16.9 → 16.1 at 192 and 19.1 →
+# 15.8 at 224.
+CONCURRENT_MIN_BATCH = 128
 
 
 class Tensor:
@@ -445,7 +471,13 @@ def lstm_layer(x, fw, bw=None):
     `Wh·dpre` GEMM per step, with the weights as stored; the gradients of x,
     Wx and Wh are then one batched matmul each over the stacked steps
     (summed over T for the weights, and for Wh over steps 1…T−1, whose
-    previous state is not the zero one), and b's is one sum.
+    previous state is not the zero one), and b's is one sum. In a
+    two-direction layer, `bw`'s backward runs on a worker thread while
+    `fw`'s runs on the calling thread, which then adds `bw`'s x gradient
+    onto `fw`'s. Both run on the calling thread, one after the other, for
+    a batch of fewer than CONCURRENT_MIN_BATCH rows, in a process allowed
+    one CPU or a BLAS of several threads, and when a tensor is passed to
+    both directions.
     """
     directions = (fw,) if bw is None else (fw, bw)
     if x.data.ndim != 3 or x.data.shape[0] < 1:
@@ -473,25 +505,99 @@ def lstm_layer(x, fw, bw=None):
         runs.append((order, rows, weights, hs,
                      *_lstm_forward(x.data[order], *(w.data for w in weights), hs)))
 
+    parents = (x,) + tuple(w for weights in directions for w in weights)
+    # one thread for both directions where a worker costs more than it saves,
+    # and where a tensor passed to both directions takes both gradients
+    inline = bsz < CONCURRENT_MIN_BATCH or len(set(map(id, parents))) < len(parents)
+
     def backward(g):
-        dx = None
-        for order, rows, (wx, wh, b), hs, gates, cs in runs:
+        def direction(run):
+            """One direction's BPTT and weight gradients; returns its slab of
+            x's gradient in forward time order, or None if x needs none."""
+            order, rows, (wx, wh, b), hs, gates, cs = run
             dpre = _lstm_backward(g[order, rows], gates, cs, wh.data)
-            if x.requires_grad:
-                dxs = np.matmul(wx.data, dpre)[order]
-                if dx is None:
-                    dx = dxs
-                else:
-                    dx += dxs
             dpre_t = dpre.transpose(0, 2, 1)
             _accum(wx, np.matmul(x.data[order], dpre_t).sum(axis=0))
             _accum(wh, np.matmul(hs[:-1], dpre_t[1:]).sum(axis=0))
             _accum(b, dpre.sum(axis=(0, 2)))
+            return np.matmul(wx.data, dpre)[order] if x.requires_grad else None
+
+        if inline or not _spare_cpu():
+            dx, *others = map(direction, runs)
+        else:
+            dx, *others = _run_concurrently(direction, runs)
         if dx is not None:
+            for dxs in others:
+                dx += dxs
             _accum(x, dx)
 
-    parents = (x,) + tuple(w for weights in directions for w in weights)
     return Tensor(out_data, requires_grad=True, parents=parents, backward=backward)
+
+
+def _spare_cpu():
+    """Whether a worker thread would have a CPU to itself: the process may run
+    on two CPUs or more, and numpy's BLAS runs one thread. Otherwise the
+    threads only take turns. Pinned to one CPU, a batch-256 fusion training
+    step took a median 24.0 ms threaded against 22.6 ms inline; with
+    OpenBLAS's default two threads on two CPUs, a 6-epoch `trajbehav train`
+    took 2.1–3.5 s threaded against 1.5–1.6 s inline."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    get_threads = _blas_threads_getter()
+    return cpus > 1 and get_threads is not None and get_threads() == 1
+
+
+@functools.cache
+def _blas_threads_getter():
+    """The thread-count getter of the OpenBLAS numpy wheels bundle, or None
+    where numpy uses another BLAS or keeps it elsewhere."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get
+    return None
+
+
+def _run_concurrently(fn, items):
+    """`[fn(item) for item in items]`, fn(items[0]) on the calling thread and
+    each later call on a new thread of its own, run in a copy of the caller's
+    context so that its `np.errstate` holds there too. numpy releases the
+    interpreter lock in its array loops and BLAS calls, so the calls overlap
+    where a second core is free. Every thread has finished before this
+    returns or raises; of several errors, the first call's in `items` order
+    is raised."""
+    results = [None] * len(items)
+    errors = [None] * len(items)
+
+    def call(i):
+        try:
+            results[i] = fn(items[i])
+        except BaseException as exc:   # raised again on the calling thread
+            errors[i] = exc
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(call, i))
+               for i in range(1, len(items))]
+    for worker in workers:
+        worker.start()
+    try:
+        call(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _lstm_forward(xs, wx, wh, b, hs):

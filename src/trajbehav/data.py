@@ -23,14 +23,15 @@ convert from degrees.
 Ingestion is columnar: one csv.reader pass, whole columns converted with
 Python `int` and `float`, agents grouped by one lexsort over (agent,
 frame), and each Trajectory a slice of the sorted arrays. Only when a
-check fails are the rows walked one by one, to word the report: first
-every row that fails a check of its own (field count, kind, numbers,
-negative frame, frame past int64, non-finite value), each worded by the
-same columnar checks run on that row alone, else every row with an
-unknown label, a repeated (agent, frame) or a changed agent kind. Each
-row reports its first failing check, in row order, and the report quotes
-the first 20. Writing formats each row from `repr` of the state floats,
-with the text fields quoted once by csv.writer.
+check fails are the rows walked, to word the report: first every row
+that fails a check of its own (field count, kind, numbers, negative
+frame, frame past int64, non-finite value), each worded by the same
+columnar checks run on that row alone within the blocks of 1,024 rows
+that fail them as a whole, else every row with an unknown label, a
+repeated (agent, frame) or a changed agent kind. Each row reports its
+first failing check, in row order, and the report quotes the first 20.
+Writing formats each row from `repr` of the state floats, with the text
+fields quoted once by csv.writer.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ MIN_CLASS_COUNT = 100
 SPLIT_RATIO = 0.8
 _MAX_FRAME = np.iinfo(np.int64).max
 _STATS_BLOCK_ROWS = 16384          # rows per block of the normalization statistics
+_REPORT_BLOCK_ROWS = 1024          # rows per block of the malformed-row report
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +165,20 @@ def normalize_angle(d):
 def open_text(path, error):
     """`path` opened as UTF-8 text for reading. A file that cannot be opened
     (missing, a directory, no permission) or is not UTF-8 raises `error`
-    naming the path."""
+    naming the path and the file offset of the first byte that is not."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
+        # the reader decodes chunk by chunk, and exc.start counts from the
+        # chunk's start: decoding the whole file once gives the file offset
+        try:
+            with open(path, "rb") as raw:
+                raw.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
@@ -286,8 +295,15 @@ def load_trajectories(path, class_names=None, degrees=False):
         rows = list(reader)
     columns = _columns(rows if all(rows) else [row for row in rows if row])
     if isinstance(columns, str):
-        problems = [f"row {lineno}: {p}" for lineno, row in enumerate(rows, start=2)
-                    if row and isinstance(p := _columns([row]), str)]
+        # a block passes `_columns` exactly when each of its rows does, so
+        # only the rows of failing blocks are checked one by one
+        numbered = [(lineno, row) for lineno, row in enumerate(rows, start=2) if row]
+        problems = []
+        for lo in range(0, len(numbered), _REPORT_BLOCK_ROWS):
+            block = numbered[lo:lo + _REPORT_BLOCK_ROWS]
+            if isinstance(_columns([row for _, row in block]), str):
+                problems += [f"row {lineno}: {p}" for lineno, row in block
+                             if isinstance(p := _columns([row]), str)]
         raise IngestError(f"{path}: {len(problems)} malformed rows: " + "; ".join(problems[:20]))
     agents, kinds, labels, frames, states = columns
 

@@ -1,5 +1,11 @@
 """Primitive-level forward oracles and gradient properties."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -908,6 +914,185 @@ class TestWorkspace:
         with model.workspace:
             model.forward(np.zeros((256, 5, 4), np.float32))
         assert sum(b.nbytes for b in model.workspace._buffers) < bound_mib * 2**20
+
+
+def _inline(fn, items):
+    """`ad._run_concurrently` with every call on the calling thread."""
+    return [fn(item) for item in items]
+
+
+def _bidirectional_grads(bsz, dtype, tied=False):
+    """The output and the x, fw and bw gradients of one two-direction layer
+    under a fixed loss, as bytes; with `tied`, bw is fw's own tensors."""
+    t_len, d_in, hidden = 5, 6, 8
+    r = np.random.default_rng(bsz)
+    x = Parameter(r.normal(size=(t_len, d_in, bsz)).astype(dtype), "x")
+    fw, bw = ([Parameter(w.astype(dtype), "w") for w in ws]
+              for ws in _directions(True, d_in, hidden, r))
+    mix = r.normal(size=(t_len, 2 * hidden, bsz))
+    y = ad.lstm_layer(x, fw, fw if tied else bw)
+    _weighted_sum(y, mix).backward()
+    return [y.data.tobytes()] + [p.grad.tobytes() for p in (x, *fw, *bw)]
+
+
+class TestConcurrentDirections:
+    """A two-direction layer's backward runs the second direction on a worker
+    thread; each test spies on `_lstm_backward` to see where each ran. The
+    batch and CPU gates are lifted unless a test says otherwise."""
+
+    @pytest.fixture(autouse=True)
+    def _any_batch_any_cpus(self, monkeypatch):
+        monkeypatch.setattr(ad, "CONCURRENT_MIN_BATCH", 1)
+        monkeypatch.setattr(ad, "_spare_cpu", lambda: True)
+
+    @staticmethod
+    def _spy(monkeypatch, before=None):
+        """Patch `_lstm_backward` to record (thread id, np.geterr(), wh) per
+        call, running `before(wh)` first if given. Returns the record list."""
+        calls, real = [], ad._lstm_backward
+
+        def spy(gs, gates, cs, wh):
+            calls.append((threading.get_ident(), np.geterr(), wh))
+            if before is not None:
+                before(wh)
+            return real(gs, gates, cs, wh)
+
+        monkeypatch.setattr(ad, "_lstm_backward", spy)
+        return calls
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz", [1, 33, 256])
+    def test_bits_equal_both_directions_on_the_calling_thread(self, monkeypatch, bsz, dtype):
+        calls = self._spy(monkeypatch)
+        concurrent = _bidirectional_grads(bsz, dtype)
+        assert len({ident for ident, _, _ in calls}) == 2
+        monkeypatch.setattr(ad, "_run_concurrently", _inline)
+        assert _bidirectional_grads(bsz, dtype) == concurrent
+
+    def test_tied_directions_stay_on_the_calling_thread(self, monkeypatch):
+        """A tensor in both directions takes two gradients, which one thread
+        adds in order, so the bits are those of both directions inline."""
+        calls = self._spy(monkeypatch)
+        tied = _bidirectional_grads(33, np.float64, tied=True)
+        assert [ident for ident, _, _ in calls] == [threading.get_ident()] * 2
+        monkeypatch.setattr(ad, "_run_concurrently", _inline)
+        assert _bidirectional_grads(33, np.float64, tied=True) == tied
+
+    def test_small_batches_and_no_spare_cpu_stay_on_the_calling_thread(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        monkeypatch.setattr(ad, "CONCURRENT_MIN_BATCH", 128)
+        for bsz, spare, threads in [(127, True, 1), (128, False, 1), (128, True, 2)]:
+            monkeypatch.setattr(ad, "_spare_cpu", lambda: spare)
+            calls.clear()
+            _bidirectional_grads(bsz, np.float32)
+            assert len({ident for ident, _, _ in calls}) == threads, (bsz, spare)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="os.sched_getaffinity does not exist on this platform")
+    @pytest.mark.parametrize("blas_threads, cpus, spare", [
+        (1, {0, 1}, True), (2, {0, 1}, False), (None, {0, 1}, False), (1, {0}, False)])
+    def test_a_spare_cpu_needs_two_cpus_and_a_one_thread_blas(self, monkeypatch,
+                                                              blas_threads, cpus, spare):
+        monkeypatch.undo()
+        monkeypatch.setattr(ad, "_blas_threads_getter",
+                            lambda: None if blas_threads is None else lambda: blas_threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert ad._spare_cpu() is spare
+
+    def test_both_directions_see_the_callers_errstate(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        with np.errstate(over="raise", under="warn", divide="ignore", invalid="print"):
+            want = np.geterr()
+            _bidirectional_grads(33, np.float32)
+        assert want != np.geterr()
+        assert len({ident for ident, _, _ in calls}) == 2
+        assert [err for _, err, _ in calls] == [want, want]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_reaches_the_caller_after_the_other_direction(self, monkeypatch,
+                                                                  failing):
+        """The failing direction raises at once; the other is still working
+        and must have finished by the time the caller sees the error."""
+        r = np.random.default_rng(1)
+        x = Parameter(r.normal(size=(5, 6, 9)), "x")
+        directions = [[Parameter(w, "w") for w in ws] for ws in _directions(True, 6, 8, r)]
+        y = ad.lstm_layer(x, *directions)
+        finished = threading.Event()
+
+        def before(wh):
+            if wh is directions[failing][1].data:
+                raise FloatingPointError("planted")
+            time.sleep(0.2)
+            finished.set()
+
+        calls = self._spy(monkeypatch, before)
+        with pytest.raises(FloatingPointError, match="planted"):
+            _weighted_sum(y, np.ones(y.shape)).backward()
+        assert finished.is_set()
+        assert len({ident for ident, _, _ in calls}) == 2
+
+    def test_no_thread_outlives_a_backward(self, monkeypatch):
+        start = threading.active_count()
+        during = []
+        self._spy(monkeypatch, lambda wh: during.append(threading.active_count()))
+        _bidirectional_grads(33, np.float32)
+        assert during == [start + 1] * 2
+        assert threading.active_count() == start
+
+
+_THREE_FUSION_STEPS = """
+import hashlib
+import os
+
+import numpy as np
+
+from trajbehav import autodiff as ad
+from trajbehav.models import build_model
+from trajbehav.optim import Adam
+
+
+def digest():
+    rng = np.random.default_rng(7)
+    model = build_model("fusion", 13, seed=5)
+    opt = Adam(model.param_list(), 0.005)
+    h = hashlib.sha256()
+    bsz = ad.CONCURRENT_MIN_BATCH   # the smallest batch whose directions use two threads
+    for _ in range(3):
+        batch = rng.normal(size=(bsz, 5, 4)).astype(np.float32)
+        model.zero_grad()
+        with model.workspace:
+            loss = ad.softmax_cross_entropy(model.forward(batch), rng.integers(0, 13, bsz))
+        loss.backward()
+        h.update(model.grad.tobytes())
+        opt.step()
+        h.update(model.data.tobytes())
+    return h.hexdigest()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="os.sched_setaffinity does not exist on this platform")
+def test_three_fusion_steps_agree_on_one_cpu_and_unrestricted():
+    """The same gradient and parameter hash in this process, in a child
+    pinned to one CPU, which runs both directions on one thread, and in
+    an unrestricted child, which runs them on two where it may use two
+    CPUs: the result does not depend on where the directions run or how
+    their threads are scheduled."""
+    namespace = {}
+    exec(_THREE_FUSION_STEPS, namespace)
+    want = namespace["digest"]()
+    pin = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    src = os.path.dirname(os.path.dirname(ad.__file__))
+    # one BLAS thread, so that the unrestricted child runs the worker thread
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    unrestricted = len(os.sched_getaffinity(0))
+    for prefix, cpus in ((pin, 1), ("", unrestricted)):
+        code = (prefix + _THREE_FUSION_STEPS
+                + "print(len(os.sched_getaffinity(0)), ad._spare_cpu(), digest())\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.split() == [str(cpus), str(cpus > 1), want]
 
 
 def test_public_ops_are_the_ones_the_models_run():

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trajbehav import data as dmod
+from trajbehav.cli import parse_kv_file
 from trajbehav.data import (
     AGENT_KINDS,
     DatasetSplit,
@@ -423,6 +424,38 @@ class TestTrajectoryCSVAgainstReference:
         assert got == load_outcome(reference_load_trajectories, path, ["A"], False)
         assert got[1].startswith(f"{path}: 25 bad rows: row 3: label 'B' not in label map; ")
         assert got[1].count("; ") == 19
+
+    def test_report_blocks_word_the_rows_of_the_reference(self, tmp_path):
+        # bad rows at the first and the last row of a block, and at both
+        # sides of a block boundary; a blank row shifts the row numbers
+        block = 1024   # data._REPORT_BLOCK_ROWS
+        rows = [f"a,vehicle,{i},0,0,0,0,A\n" for i in range(3 * block + 5)]
+        for i in (0, block - 1, 2 * block - 1, 2 * block, 3 * block + 4):
+            rows[i] = rows[i].replace("vehicle", "car")
+        rows[block // 2] = "\n"
+        path = tmp_path / "t.csv"
+        path.write_text("agent_id,kind,frame,x,y,z,d,label\n" + "".join(rows))
+        got = load_outcome(load_trajectories, path, ["A"], False)
+        assert got == load_outcome(reference_load_trajectories, path, ["A"], False)
+        assert got[1].startswith(f"{path}: 5 malformed rows: row 2: unknown agent kind 'car'; ")
+
+    @pytest.mark.parametrize("reader", ["trajectories", "label map", "key=value"])
+    def test_not_utf8_names_the_file_offset(self, tmp_path, reader):
+        # past the text reader's first 8 KiB chunk, whose own offsets restart
+        text = {"trajectories": "agent_id,kind,frame,x,y,z,d,label\n"
+                                + "a,vehicle,0,0,0,0,0,A\n" * 1000,
+                "label map": "".join(f"{i},c{i}\n" for i in range(2000)),
+                "key=value": "# padding\n" * 1500}[reader]
+        offset = len(text.encode()) - 3
+        path = tmp_path / "bad"
+        path.write_bytes(text.encode()[:offset] + b"\xff" + text.encode()[offset:])
+        assert offset > 8192
+        load, error = {"trajectories": (load_trajectories, IngestError),
+                       "label map": (load_label_map, IngestError),
+                       "key=value": (parse_kv_file, ConfigError)}[reader]
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte {offset}: invalid start byte)"
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
