@@ -43,7 +43,7 @@ out like the tensor's data: the bits of accumulating onto zeros (-0.0 becomes
 
 Threads. A two-direction `lstm_layer` runs its backward-time direction's
 backward on a worker thread while the calling thread runs the forward
-direction's, one new thread per backward call (`_run_concurrently`), when
+direction's, one new thread per backward call (`_alongside`), when
 the batch has at least CONCURRENT_MIN_BATCH rows, the process may run on
 more than one CPU and numpy's BLAS runs one thread (`_spare_cpu`). Each
 direction computes the same numpy operations as it would alone and adds
@@ -506,9 +506,11 @@ def lstm_layer(x, fw, bw=None):
                      *_lstm_forward(x.data[order], *(w.data for w in weights), hs)))
 
     parents = (x,) + tuple(w for weights in directions for w in weights)
-    # one thread for both directions where a worker costs more than it saves,
-    # and where a tensor passed to both directions takes both gradients
-    inline = bsz < CONCURRENT_MIN_BATCH or len(set(map(id, parents))) < len(parents)
+    # the calling thread alone for one direction, where a worker costs more
+    # than it saves, and where a tensor passed to both directions takes both
+    # gradients
+    inline = (bw is None or bsz < CONCURRENT_MIN_BATCH
+              or len(set(map(id, parents))) < len(parents))
 
     def backward(g):
         def direction(run):
@@ -525,7 +527,7 @@ def lstm_layer(x, fw, bw=None):
         if inline or not _spare_cpu():
             dx, *others = map(direction, runs)
         else:
-            dx, *others = _run_concurrently(direction, runs)
+            dx, *others = _alongside(direction, *runs)
         if dx is not None:
             for dxs in others:
                 dx += dxs
@@ -568,36 +570,30 @@ def _blas_threads_getter():
     return None
 
 
-def _run_concurrently(fn, items):
-    """`[fn(item) for item in items]`, fn(items[0]) on the calling thread and
-    each later call on a new thread of its own, run in a copy of the caller's
-    context so that its `np.errstate` holds there too. numpy releases the
-    interpreter lock in its array loops and BLAS calls, so the calls overlap
-    where a second core is free. Every thread has finished before this
-    returns or raises; of several errors, the first call's in `items` order
-    is raised."""
-    results = [None] * len(items)
-    errors = [None] * len(items)
+def _alongside(fn, first, second):
+    """`(fn(first), fn(second))`, fn(first) on the calling thread and
+    fn(second) on a new thread, run in a copy of the caller's context so that
+    its `np.errstate` holds there too. numpy releases the interpreter lock in
+    its array loops and BLAS calls, so the calls overlap where a second core
+    is free. The worker has finished before this returns or raises; if both
+    calls raise, fn(first)'s error is raised."""
+    outcome = [None, None]   # fn(second)'s result, or its error
 
-    def call(i):
+    def work():
         try:
-            results[i] = fn(items[i])
+            outcome[0] = fn(second)
         except BaseException as exc:   # raised again on the calling thread
-            errors[i] = exc
+            outcome[1] = exc
 
-    workers = [threading.Thread(target=contextvars.copy_context().run, args=(call, i))
-               for i in range(1, len(items))]
-    for worker in workers:
-        worker.start()
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    worker.start()
     try:
-        call(0)
+        result = fn(first)
     finally:
-        for worker in workers:
-            worker.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+        worker.join()
+    if outcome[1] is not None:
+        raise outcome[1]
+    return result, outcome[0]
 
 
 def _lstm_forward(xs, wx, wh, b, hs):

@@ -1,9 +1,11 @@
 """Command-line pipeline: gen, prep, train, eval, ablate, gradcheck.
 
-Every command writes into a fresh output directory via a temp-dir +
-atomic-rename, so a failure leaves no partial outputs, and drops exactly
-one manifest.json recording the arguments, resolved config, input hashes,
-and output hashes (timing-bearing files are listed but not hashed).
+Every command that writes files enters `output_dir`, the one place where
+its temp directory is made, its manifest.json written and the directory
+renamed onto `--out`. A failure therefore leaves no partial outputs, and a
+success leaves exactly one manifest recording the arguments, resolved
+config, input hashes and output hashes (timing-bearing files are listed
+but not hashed).
 
 Exit codes: 0 success, 1 other package error, 2 usage/config error,
 3 data/compatibility error, 4 numerical abort (each error class carries its
@@ -131,26 +133,36 @@ def load_synth_spec(path):
 # ---------------------------------------------------------------------------
 
 @contextmanager
-def atomic_out_dir(out):
-    """Write into a temp dir; rename onto `out` only on success."""
+def output_dir(out, command, argv, params, inputs, unhashed=()):
+    """Yield a temp dir beside `out` to write a command's outputs into. When
+    the body succeeds, write the command's manifest there and rename the dir
+    onto `out`; when anything fails, remove the dir. The temp name keeps at
+    most 60 characters of `out`'s name, at most 240 bytes, so that it fits
+    wherever `out` does."""
     out = Path(out)
+
+    def unusable(exc):
+        return ConfigError(f"cannot use {out} as an output directory ({exc.strerror or exc})")
+
+    tmp = out.parent / f".{out.name[:60]}.tmp-{os.getpid()}"
     try:
         if out.exists():
             if any(out.iterdir()):
                 raise ConfigError(f"output directory {out} already exists and is not empty")
             out.rmdir()
         out.parent.mkdir(parents=True, exist_ok=True)
+        if tmp.exists():
+            shutil.rmtree(tmp)
+        tmp.mkdir()
     except OSError as exc:
-        raise ConfigError(
-            f"cannot use {out} as an output directory ({exc.strerror or exc})"
-        ) from exc
-    tmp = out.parent / f".{out.name}.tmp-{os.getpid()}"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir()
+        raise unusable(exc) from exc
     try:
         yield tmp
-        os.replace(tmp, out)
+        write_manifest(tmp, command, argv, params, inputs, unhashed)
+        try:
+            os.replace(tmp, out)
+        except OSError as exc:
+            raise unusable(exc) from exc
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -165,7 +177,8 @@ def _sha256(path):
 
 
 def write_manifest(tmpdir, command, argv, params, inputs, unhashed=()):
-    """One manifest per output directory; hashes the deterministic outputs."""
+    """The manifest of `tmpdir`: hashes of the deterministic outputs, and
+    the names of the `unhashed` (timing-bearing) files that exist."""
     outputs = {}
     timing = []
     for path in sorted(Path(tmpdir).rglob("*")):
@@ -193,13 +206,21 @@ def write_manifest(tmpdir, command, argv, params, inputs, unhashed=()):
         fh.write("\n")
 
 
-def _resolve_prepared(path):
+def _load_prepared(path):
+    """(file path, dataset) of the prepared dump at `path`, the file itself
+    or a directory holding prepared.tbh."""
     p = Path(path)
     if p.is_dir():
         p = p / "prepared.tbh"
     if not p.exists():
         raise DataError(f"prepared dataset not found at {p}")
-    return p
+    return p, dmod.load_prepared(p)
+
+
+def _tab_table(rows):
+    """Tab-separated lines, one per row; a float cell is written to 6 decimals."""
+    return "".join("\t".join(v if isinstance(v, str) else f"{v:.6f}" for v in row) + "\n"
+                   for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +230,16 @@ def _resolve_prepared(path):
 def cmd_gen(args, argv):
     spec = load_synth_spec(args.spec)
     trajectories, class_names = gen_dataset(spec)
-    with atomic_out_dir(args.out) as tmp:
+    with output_dir(args.out, "gen", argv, params={**dataclasses.asdict(spec), "dt": DT},
+                    inputs=[args.spec]) as tmp:
         dmod.save_trajectories(trajectories, class_names, tmp / "trajectories.csv")
         dmod.save_label_map(class_names, tmp / "labels.csv")
-        write_manifest(
-            tmp, "gen", argv,
-            params={**dataclasses.asdict(spec), "dt": DT}, inputs=[args.spec],
-        )
     return 0
 
 
 def _histogram_text(windows, class_names):
     hist = dmod.class_histogram(windows, len(class_names))
     return " ".join(f"{n}={int(c)}" for n, c in zip(class_names, hist))
-
-
-def _write_counts_table(path, stages):
-    with open(path, "w", encoding="utf-8") as fh:
-        for stage, detail in stages:
-            fh.write(f"{stage}\t{detail}\n")
 
 
 def cmd_prep(args, argv):
@@ -301,11 +313,10 @@ def cmd_prep(args, argv):
         split=split, config=config, loss_weights=loss_weights,
         normalization=normalization,
     )
-    with atomic_out_dir(args.out) as tmp:
+    inputs = [args.data] + ([args.labels] if args.labels else [])
+    with output_dir(args.out, "prep", argv, params=config, inputs=inputs) as tmp:
         dmod.save_prepared(dataset, tmp / "prepared.tbh")
-        _write_counts_table(tmp / "counts.txt", stages)
-        inputs = [args.data] + ([args.labels] if args.labels else [])
-        write_manifest(tmp, "prep", argv, params=config, inputs=inputs)
+        (tmp / "counts.txt").write_text(_tab_table(stages), encoding="utf-8")
     return 0
 
 
@@ -320,32 +331,27 @@ def _write_em_log(path, clf):
 
 
 def cmd_train(args, argv):
-    prepared_path = _resolve_prepared(args.data)
-    dataset = dmod.load_prepared(prepared_path)
+    prepared_path, dataset = _load_prepared(args.data)
     config = load_train_config(args.config, seed=args.seed)
     model, log = train(
         args.model, config, dataset.split, loss_weights=dataset.loss_weights
     )
-    with atomic_out_dir(args.out) as tmp:
+    inputs = [prepared_path] + ([args.config] if args.config else [])
+    with output_dir(args.out, "train", argv,
+                    params={"model": args.model, **dataclasses.asdict(config)},
+                    inputs=inputs, unhashed=("train_log.txt", "hmm_em.jsonl")) as tmp:
         save_checkpoint(
             model, dataset.split.class_names, tmp / "model.ckpt",
             normalization=dataset.normalization,
         )
-        with open(tmp / "train_log.txt", "w", encoding="utf-8") as fh:
-            fh.write(log.format())
-        with open(tmp / "config.txt", "w", encoding="utf-8") as fh:
-            fh.write(format_train_config(config))
-        unhashed = ("train_log.txt",)
+        (tmp / "train_log.txt").write_text(log.format(), encoding="utf-8")
+        (tmp / "config.txt").write_text(format_train_config(config), encoding="utf-8")
         if isinstance(model, HMMClassifier):
             _write_em_log(tmp / "hmm_em.jsonl", model)
-            unhashed += ("hmm_em.jsonl",)
-        inputs = [prepared_path] + ([args.config] if args.config else [])
-        write_manifest(
-            tmp, "train", argv,
-            params={"model": args.model, **dataclasses.asdict(config)},
-            inputs=inputs, unhashed=unhashed,
-        )
     return 0
+
+
+METRIC_COLUMNS = ("model", "balanced_accuracy", "f1_score", "recall")
 
 
 def _metric_row(rep):
@@ -362,8 +368,7 @@ def _reject_repeats(what, given, keys):
 def cmd_eval(args, argv):
     _reject_repeats("checkpoint", args.checkpoint,
                     [Path(p).resolve() for p in args.checkpoint])
-    prepared_path = _resolve_prepared(args.data)
-    dataset = dmod.load_prepared(prepared_path)
+    prepared_path, dataset = _load_prepared(args.data)
     class_names = dataset.split.class_names
     artifacts = {}
     for ckpt_path in args.checkpoint:
@@ -383,30 +388,21 @@ def cmd_eval(args, argv):
         rep = evaluate(ck.model, dataset.split.test, class_names)
         artifacts[tag] = (rep, ckpt_path)
 
-    with atomic_out_dir(args.out) as tmp:
+    with output_dir(args.out, "eval", argv, params={"checkpoints": list(args.checkpoint)},
+                    inputs=[prepared_path] + list(args.checkpoint)) as tmp:
         for tag, (rep, _) in artifacts.items():
-            with open(tmp / f"metrics_{tag}.txt", "w", encoding="utf-8") as fh:
-                fh.write(format_report(rep))
-            with open(tmp / f"report_{tag}.json", "w", encoding="utf-8") as fh:
-                json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            with open(tmp / f"confusion_{tag}.svg", "w", encoding="utf-8") as fh:
-                fh.write(confusion_heatmap_svg(
-                    rep.confusion, title=f"Confusion matrix ({tag})"
-                ))
-            recalls = recall_per_class(rep.confusion)
-            with open(tmp / f"per_class_{tag}.svg", "w", encoding="utf-8") as fh:
-                fh.write(per_class_bar_svg(
-                    recalls, class_names, title=f"Per-class recall ({tag})"
-                ))
+            (tmp / f"metrics_{tag}.txt").write_text(format_report(rep), encoding="utf-8")
+            (tmp / f"report_{tag}.json").write_text(
+                json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            (tmp / f"confusion_{tag}.svg").write_text(confusion_heatmap_svg(
+                rep.confusion, title=f"Confusion matrix ({tag})"), encoding="utf-8")
+            (tmp / f"per_class_{tag}.svg").write_text(per_class_bar_svg(
+                recall_per_class(rep.confusion), class_names, title=f"Per-class recall ({tag})"
+            ), encoding="utf-8")
         if len(artifacts) > 1:
-            with open(tmp / "comparison.txt", "w", encoding="utf-8") as fh:
-                fh.write("model\tbalanced_accuracy\tf1_score\trecall\n")
-                for tag, (rep, _) in artifacts.items():
-                    fh.write("\t".join([tag] + [f"{v:.6f}" for v in _metric_row(rep)]) + "\n")
-        inputs = [prepared_path] + list(args.checkpoint)
-        write_manifest(tmp, "eval", argv, params={"checkpoints": list(args.checkpoint)},
-                       inputs=inputs)
+            (tmp / "comparison.txt").write_text(_tab_table(
+                [METRIC_COLUMNS] + [(tag, *_metric_row(rep)) for tag, (rep, _) in artifacts.items()]
+            ), encoding="utf-8")
     return 0
 
 
@@ -449,16 +445,8 @@ def _minority_recall(rep, majority_idx):
     return float(np.mean(rest)) if rest else float("nan")
 
 
-def _format_ablation_table(rows):
-    lines = ["model\tbalanced_accuracy\tf1_score\trecall\tminority_recall"]
-    for name, ba, f1v, rec, mino in rows:
-        lines.append(f"{name}\t{ba:.6f}\t{f1v:.6f}\t{rec:.6f}\t{mino:.6f}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_ablate(args, argv):
-    prepared_path = _resolve_prepared(args.data)
-    dataset = dmod.load_prepared(prepared_path)
+    prepared_path, dataset = _load_prepared(args.data)
     seeds = [_coerce("seed", s, 0) for s in args.seeds.split(",") if s.strip() != ""]
     if not seeds:
         raise ConfigError("no seeds given")
@@ -478,19 +466,17 @@ def cmd_ablate(args, argv):
     # numpy sums a contiguous last axis pairwise, like np.mean of one cell's
     # per-seed column; an axis-0 reduction would add the seeds in sequence
     mean = np.ascontiguousarray(np.moveaxis(table, 0, -1)).mean(axis=-1)
-    with atomic_out_dir(args.out) as tmp:
+    header = METRIC_COLUMNS + ("minority_recall",)
+    inputs = [prepared_path] + ([args.config] if args.config else [])
+    with output_dir(args.out, "ablate", argv,
+                    params={"seeds": seeds,
+                            "majority_class": dataset.split.class_names[majority_idx]},
+                    inputs=inputs) as tmp:
         for seed, rows in zip(seeds, table):
-            with open(tmp / f"ablation_seed{seed}.txt", "w", encoding="utf-8") as fh:
-                fh.write(_format_ablation_table(zip(names, *rows.T)))
-        with open(tmp / "ablation_mean.txt", "w", encoding="utf-8") as fh:
-            fh.write(_format_ablation_table(zip(names, *mean.T)))
-        inputs = [prepared_path] + ([args.config] if args.config else [])
-        write_manifest(
-            tmp, "ablate", argv,
-            params={"seeds": seeds, "majority_class":
-                    dataset.split.class_names[majority_idx]},
-            inputs=inputs,
-        )
+            (tmp / f"ablation_seed{seed}.txt").write_text(
+                _tab_table([header, *zip(names, *rows.T)]), encoding="utf-8")
+        (tmp / "ablation_mean.txt").write_text(
+            _tab_table([header, *zip(names, *mean.T)]), encoding="utf-8")
     return 0
 
 

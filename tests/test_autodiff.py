@@ -916,9 +916,9 @@ class TestWorkspace:
         assert sum(b.nbytes for b in model.workspace._buffers) < bound_mib * 2**20
 
 
-def _inline(fn, items):
-    """`ad._run_concurrently` with every call on the calling thread."""
-    return [fn(item) for item in items]
+def _inline(fn, first, second):
+    """`ad._alongside` with both calls on the calling thread."""
+    return fn(first), fn(second)
 
 
 def _bidirectional_grads(bsz, dtype, tied=False):
@@ -966,7 +966,7 @@ class TestConcurrentDirections:
         calls = self._spy(monkeypatch)
         concurrent = _bidirectional_grads(bsz, dtype)
         assert len({ident for ident, _, _ in calls}) == 2
-        monkeypatch.setattr(ad, "_run_concurrently", _inline)
+        monkeypatch.setattr(ad, "_alongside", _inline)
         assert _bidirectional_grads(bsz, dtype) == concurrent
 
     def test_tied_directions_stay_on_the_calling_thread(self, monkeypatch):
@@ -975,7 +975,7 @@ class TestConcurrentDirections:
         calls = self._spy(monkeypatch)
         tied = _bidirectional_grads(33, np.float64, tied=True)
         assert [ident for ident, _, _ in calls] == [threading.get_ident()] * 2
-        monkeypatch.setattr(ad, "_run_concurrently", _inline)
+        monkeypatch.setattr(ad, "_alongside", _inline)
         assert _bidirectional_grads(33, np.float64, tied=True) == tied
 
     def test_small_batches_and_no_spare_cpu_stay_on_the_calling_thread(self, monkeypatch):
@@ -986,6 +986,20 @@ class TestConcurrentDirections:
             calls.clear()
             _bidirectional_grads(bsz, np.float32)
             assert len({ident for ident, _, _ in calls}) == threads, (bsz, spare)
+
+    def test_one_direction_stays_out_of_the_helper(self, monkeypatch):
+        """The LSTM baseline's layers have one direction: nothing to overlap."""
+        def refuse(*args):
+            raise AssertionError("a one-direction layer entered _alongside")
+
+        monkeypatch.setattr(ad, "_alongside", refuse)
+        calls = self._spy(monkeypatch)
+        r = np.random.default_rng(2)
+        x = Parameter(r.normal(size=(5, 6, 33)), "x")
+        (fw,) = [[Parameter(w, "w") for w in ws] for ws in _directions(False, 6, 8, r)]
+        y = ad.lstm_layer(x, fw)
+        _weighted_sum(y, np.ones(y.shape)).backward()
+        assert [ident for ident, _, _ in calls] == [threading.get_ident()]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="os.sched_getaffinity does not exist on this platform")

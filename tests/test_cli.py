@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, manifests, atomicity, emitted artifacts."""
 
 import dataclasses
+import errno
 import inspect
 import json
+import os
+import shutil
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from trajbehav import cli
 from trajbehav.checkpoint import Checkpoint, save_checkpoint
 from trajbehav.cli import main
 from trajbehav.container import read_container, write_container
+from trajbehav.errors import ConfigError
 from trajbehav.data import load_prepared
 from trajbehav.gradcheck import grad_check
 from trajbehav.hmm import GaussianHMM, HMMClassifier, baum_welch_fit, fit_classifier
@@ -954,6 +959,90 @@ class TestAblate:
         means = [(name, [float(np.mean(c)) for c in zip(*(columns(cell[s]) for s in seeds))])
                  for name, cell in results.items()]
         assert (out / "ablation_mean.txt").read_text() == table(means)
+
+
+def _argv_into(ws, command, out):
+    """argv of one successful `command` run into `out`, its inputs made first."""
+    if command == "gen":
+        return ["gen", "--spec", ws / "spec.txt", "--out", out]
+    prep = gen_and_prep(ws)
+    if command == "prep":
+        return ["prep", "--data", ws / "gen" / "trajectories.csv", "--labels",
+                ws / "gen" / "labels.csv", "--min-class-count", 20, "--out", out]
+    tiny = ["--config", ws / "tiny.cfg", "--out", out]
+    if command.startswith("train-"):
+        return ["train", "--data", prep, "--model", command[len("train-"):]] + tiny
+    if command == "eval":
+        # two checkpoints, so that comparison.txt is written too
+        ckpts = [ws / d / "model.ckpt" for d in ("m1", "m2")]
+        for ckpt in ckpts:
+            assert run(["train", "--data", prep, "--model", "conv1d",
+                        "--config", ws / "tiny.cfg", "--out", ckpt.parent]) == 0
+        return ["eval", "--checkpoint", ckpts[0], "--checkpoint", ckpts[1],
+                "--data", prep, "--out", out]
+    return ["ablate", "--data", prep, "--seeds", "0"] + tiny
+
+
+def _temp_entries(parent):
+    return [p.name for p in parent.iterdir() if ".tmp-" in p.name]
+
+
+class TestOutputDir:
+    """Every writing command goes through `cli.output_dir`: its manifest lists
+    exactly the files beside it, and a failure leaves neither `--out` nor a
+    temp directory behind."""
+
+    @pytest.mark.parametrize("command", ["gen", "prep", "train-fusion", "train-hmm",
+                                         "eval", "ablate"])
+    def test_manifest_lists_the_outputs_and_no_temp_dir_is_left(self, workspace,
+                                                                monkeypatch, command):
+        out = workspace / "out"
+        argv = _argv_into(workspace, command, out)
+        assert run(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert set(manifest["outputs"]) | set(manifest["outputs_unhashed"]) == \
+            files - {"manifest.json"}
+        assert not _temp_entries(workspace)
+
+        def planted(*args, **kwargs):
+            raise ConfigError("planted")
+
+        shutil.rmtree(out)
+        monkeypatch.setattr(cli, "write_manifest", planted)
+        assert run(argv) == 2
+        assert not out.exists() and not _temp_entries(workspace)
+
+    def test_a_name_as_long_as_the_file_system_allows(self, workspace):
+        """The temp directory beside `out` needs a name longer than `out`'s."""
+        out = workspace / ("o" * os.pathconf(workspace, "PC_NAME_MAX"))
+        assert run(["gen", "--spec", workspace / "spec.txt", "--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "labels.csv", "manifest.json", "trajectories.csv"]
+        assert not _temp_entries(workspace)
+
+    @pytest.mark.parametrize("step", ["mkdir", "rename"])
+    def test_temp_dir_or_rename_failure_exit_2(self, workspace, capsys, monkeypatch, step):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        if step == "rename":
+            monkeypatch.setattr(cli.os, "replace", refuse)
+        else:
+            mkdir = Path.mkdir
+
+            def mkdir_but_temp(path, *args, **kwargs):
+                if ".tmp-" in path.name:
+                    refuse()
+                return mkdir(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "mkdir", mkdir_but_temp)
+        out = workspace / "out"
+        assert run(["gen", "--spec", workspace / "spec.txt", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot use {out} as an output directory ({os.strerror(errno.EXDEV)})" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not _temp_entries(workspace)
 
 
 class TestUnreadableInputs:

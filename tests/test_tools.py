@@ -1,11 +1,13 @@
-"""The line counter every change reports its size with, `tools/src_lines.py`."""
+"""The repository tools: the line counter every change reports its size with,
+`tools/src_lines.py`, and the mutant sweep, `tools/mutants.py`."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+TOOL = TOOLS / "src_lines.py"
 
 SNIPPET = '''"""A module docstring
 over two lines."""
@@ -22,12 +24,16 @@ assigned to a name"""
 '''
 
 
-@pytest.fixture(scope="module")
-def src_lines():
-    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def src_lines():
+    return _load(TOOL)
 
 
 def test_count_leaves_out_docstrings_comments_and_blank_lines(src_lines):
@@ -43,3 +49,11 @@ def test_total_row_is_the_sum_of_the_module_rows(src_lines, tmp_path, capsys):
     assert header == ["module", "physical", "code"]
     assert rows == [["a.py", "12", "5"], ["b.py", "4", "2"]]
     assert total == ["total"] + [str(sum(int(row[i]) for row in rows)) for i in (1, 2)]
+
+
+def test_every_mutant_edits_text_that_occurs_once():
+    """The sweep itself is too slow for this suite; this keeps its list from
+    going stale: an edited line whose mutant no longer applies fails here."""
+    mutants = _load(TOOLS / "mutants.py")
+    for m in mutants.MUTANTS:
+        assert (mutants.ROOT / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
