@@ -468,8 +468,10 @@ def cmd_ablate(args, argv):
     mean = np.ascontiguousarray(np.moveaxis(table, 0, -1)).mean(axis=-1)
     header = METRIC_COLUMNS + ("minority_recall",)
     inputs = [prepared_path] + ([args.config] if args.config else [])
+    # the training config every cell ran, less the seed that --seeds replaces
+    config = {key: value for key, value in dataclasses.asdict(base).items() if key != "seed"}
     with output_dir(args.out, "ablate", argv,
-                    params={"seeds": seeds,
+                    params={**config, "seeds": seeds,
                             "majority_class": dataset.split.class_names[majority_idx]},
                     inputs=inputs) as tmp:
         for seed, rows in zip(seeds, table):
@@ -488,7 +490,7 @@ def run_gradcheck(seed, num_samples):
     if num_samples < 1:
         raise ConfigError(f"samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng(seed)
-    batch = rng.normal(size=(num_samples, 5, 4))
+    batch = rng.normal(size=(num_samples, dmod.WINDOW_SIZE, dmod.STATE_FEATURES))
     labels = rng.integers(0, GRADCHECK_CLASSES, size=num_samples)
     results = {}
     for kind in ("fusion", "lstm", "conv1d"):

@@ -21,15 +21,15 @@ class_name` rows. Direction `d` is radians internally; ingestion can
 convert from degrees.
 
 Ingestion is columnar: one csv.reader pass, whole columns converted with
-Python `int` and `float`, agents grouped by one lexsort over (agent,
-frame), and each Trajectory a slice of the sorted arrays. Only when a
-check fails are the rows walked, to word the report: first every row
-that fails a check of its own (field count, kind, numbers, negative
-frame, frame past int64, non-finite value), each worded by the same
-columnar checks run on that row alone within the blocks of 1,024 rows
-that fail them as a whole, else every row with an unknown label, a
-repeated (agent, frame) or a changed agent kind. Each row reports its
-first failing check, in row order, and the report quotes the first 20.
+Python `int` and `float`, and one lexsort over (unknown label, agent,
+frame) that groups the agents, each Trajectory a slice of the sorted
+arrays, and gives the cross-row checks (unknown label, repeated (agent,
+frame), changed kind) as masks over the rows. Only the checks a row fails
+on its own (field count, kind, numbers, negative frame, frame past int64,
+non-finite value) are worded row by row, by the same columnar checks run
+on that row alone within the blocks of 1,024 rows that fail them as a
+whole. Each row reports its first failing check, in row order; the report
+counts every such row and quotes the first 20.
 Writing formats each row from `repr` of the state floats, with the text
 fields quoted once by csv.writer.
 """
@@ -147,14 +147,12 @@ class PreparedDataset:
     normalization: dict | None = None
 
 
-def normalize_angle(d):
-    """Wrap an angle to [-pi, pi); exact no-op for in-range values."""
-    if -math.pi <= d < math.pi:
-        return d
-    out = (d + math.pi) % (2.0 * math.pi) - math.pi
-    if out >= math.pi:     # guard against rounding at the wrap boundary
-        out -= 2.0 * math.pi
-    return out
+def wrap_angles(d):
+    """The angles `d` (radians, an array) wrapped to [-pi, pi); values
+    already in range come back as they are, bit for bit."""
+    out = np.remainder(d + math.pi, 2.0 * math.pi) - math.pi
+    out[out >= math.pi] -= 2.0 * math.pi     # rounding can land on pi
+    return np.where((-math.pi <= d) & (d < math.pi), d, out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +219,6 @@ def save_label_map(class_names, path):
             writer.writerow([i, name])
 
 
-def _agent_problems(rows, name_to_idx):
-    """Report text for each non-blank row, in order, whose label is not in
-    `name_to_idx`, whose (agent, frame) an earlier row holds, or whose
-    agent an earlier row gave another kind (the first of these). Rows that
-    fail an earlier check are not seen by the later ones."""
-    problems = []
-    seen_frames = {}
-    agent_kind = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        agent_id, kind, frame, *_, label = row
-        if label not in name_to_idx:
-            problems.append(f"row {lineno}: label {label!r} not in label map")
-            continue
-        key = (agent_id, int(frame))
-        if key in seen_frames:
-            problems.append(
-                f"row {lineno}: duplicate (agent_id, frame) "
-                f"{key} first seen at row {seen_frames[key]}"
-            )
-            continue
-        seen_frames[key] = lineno
-        first = agent_kind.setdefault(agent_id, kind)
-        if first != kind:
-            problems.append(f"row {lineno}: agent {agent_id!r} changes kind {first!r} -> {kind!r}")
-    return problems
-
-
 def _columns(rows):
     """The rows as columns (agent ids, kinds, labels: tuples of strings;
     frames (n,) int64; x,y,z,d (n, 4) float64), or, if a row fails a check
@@ -284,6 +253,8 @@ def load_trajectories(path, class_names=None, degrees=False):
     ordered alphabetically. Malformed rows are reported together with their
     row numbers: first every row that fails a check on its own, else every
     row with an unknown label, a repeated (agent, frame) or a kind change.
+    A row with an unknown label takes part in no later check, and a repeat
+    neither sets its agent's kind nor is held to it.
     """
     with open_text(path, IngestError) as fh:
         reader = _csv_rows(path, fh)
@@ -315,19 +286,45 @@ def load_trajectories(path, class_names=None, degrees=False):
                        np.int64, len(agents))
     kind = np.fromiter(map(AGENT_KINDS.index, kinds), np.int64, len(kinds))
     label = np.fromiter(map(name_to_idx.get, labels, repeat(-1)), np.int64, len(labels))
-    order = np.lexsort((frames, code))
-    code, kind, label, frames = code[order], kind[order], label[order], frames[order]
-    same_agent = code[1:] == code[:-1]
-    if (label < 0).any() or (same_agent & ((frames[1:] == frames[:-1])
-                                           | (kind[1:] != kind[:-1]))).any():
-        problems = _agent_problems(rows, name_to_idx)
-        raise IngestError(f"{path}: {len(problems)} bad rows: " + "; ".join(problems[:20]))
+    # each cross-row rule is a mask over the rows in file order. A stable
+    # sort with the known labels first keeps file order within each run of
+    # one (agent, frame), so a run's first row is the one its others repeat.
+    unknown = label < 0
+    order = np.lexsort((frames, code, unknown))
+    at = np.arange(len(order))
+    run_code, run_frame = code[order], frames[order]
+    head = np.ones(len(order), bool)
+    head[1:] = (run_code[1:] != run_code[:-1]) | (run_frame[1:] != run_frame[:-1])
+    first = np.empty_like(order)
+    first[order] = order[np.maximum.accumulate(np.where(head, at, 0))]
+    repeated = ~unknown & (first < at)
+    # an agent's kind is that of its first row in the file that has a known
+    # label and repeats no other; only such rows are held to it
+    kept = np.flatnonzero(~(unknown | repeated))
+    agent_kind = np.zeros(len(ids), np.int64)
+    present, at_first = np.unique(code[kept], return_index=True)
+    agent_kind[present] = kind[kept[at_first]]
+    changed = ~(unknown | repeated) & (kind != agent_kind[code])
+    bad = np.flatnonzero(unknown | repeated | changed)
+    if bad.size:
+        lineno = [i for i, row in enumerate(rows, start=2) if row]
+        problems = []
+        for i in bad[:20].tolist():
+            if unknown[i]:
+                problem = f"label {labels[i]!r} not in label map"
+            elif repeated[i]:
+                problem = (f"duplicate (agent_id, frame) {(agents[i], int(frames[i]))} "
+                           f"first seen at row {lineno[first[i]]}")
+            else:
+                problem = (f"agent {agents[i]!r} changes kind "
+                           f"{AGENT_KINDS[agent_kind[code[i]]]!r} -> {kinds[i]!r}")
+            problems.append(f"row {lineno[i]}: {problem}")
+        raise IngestError(f"{path}: {bad.size} bad rows: " + "; ".join(problems))
 
-    states = states[order]
+    code, kind, label, frames, states = (a[order] for a in (code, kind, label, frames, states))
     if degrees:
         states[:, 3] = np.radians(states[:, 3])
-    wrap = np.flatnonzero((states[:, 3] < -math.pi) | (states[:, 3] >= math.pi))
-    states[wrap, 3] = [normalize_angle(d) for d in states[wrap, 3].tolist()]
+    states[:, 3] = wrap_angles(states[:, 3])
     bounds = np.searchsorted(code, np.arange(len(ids) + 1)).tolist()
     return [Trajectory(agent_id, AGENT_KINDS[kind[lo]], states[lo:hi], label[lo:hi], frames[lo:hi])
             for agent_id, lo, hi in zip(ids, bounds, bounds[1:])], list(class_names)

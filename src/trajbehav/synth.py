@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Trajectory, normalize_angle
+from .data import Trajectory, wrap_angles
 from .errors import ConfigError
 from .rng import SYNTH, seeded_rng
 
@@ -221,7 +221,7 @@ def _gen_trajectory(template, index, label, spec, rng):
         y = y + rng.normal(0.0, sy * spec.noise, spec.length)
         z = z + rng.normal(0.0, sz * spec.noise, spec.length)
         d = d + rng.normal(0.0, sd * spec.noise, spec.length)
-    d = np.array([normalize_angle(v) for v in d], dtype=np.float64)
+    d = wrap_angles(d)
     return Trajectory(
         agent_id=f"{template.name}-{index:04d}",
         agent_kind=template.agent_kind,

@@ -860,6 +860,31 @@ class TestAblate:
             assert names == ["Bi-LSTM", "Bi-LSTM+MSCNN", "ROS+Bi-LSTM",
                              "ROS+Bi-LSTM+MSCNN"]
 
+    @pytest.mark.parametrize("config", ["tiny.cfg", None])
+    def test_manifest_records_the_training_config(self, workspace, monkeypatch, config):
+        prep = gen_and_prep(workspace)
+        class_names = load_prepared(prep / "prepared.tbh").split.class_names
+        labels = np.arange(len(class_names))
+        bases = []
+
+        def no_training(dataset, seeds, base):
+            bases.append(base)
+            rep = report(labels, labels, class_names)
+            return {name: dict.fromkeys(seeds, rep) for name, _, _ in cli.ABLATION_CELLS}
+
+        monkeypatch.setattr(cli, "run_ablation", no_training)
+        out = workspace / "abl"
+        assert run(["ablate", "--data", prep, "--out", out, "--seeds", "4,5"]
+                   + (["--config", workspace / config] if config else [])) == 0
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        ran = (TrainConfig(epochs=3, batch_size=64, lr_switch_epoch=2, hmm_max_iters=10)
+               if config else TrainConfig())
+        assert [dataclasses.replace(b, seed=0) for b in bases] == [ran]
+        assert params == {"epochs": ran.epochs, "batch_size": ran.batch_size,
+                          "lr_switch_epoch": ran.lr_switch_epoch,
+                          "hmm_max_iters": ran.hmm_max_iters, "seeds": [4, 5],
+                          "majority_class": params["majority_class"]}
+
     def test_non_integer_seed_exit_2(self, workspace, capsys):
         prep = gen_and_prep(workspace)
         code = run(["ablate", "--data", prep, "--out", workspace / "abl",

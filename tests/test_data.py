@@ -28,7 +28,6 @@ from trajbehav.data import (
     load_label_map,
     load_prepared,
     load_trajectories,
-    normalize_angle,
     ros,
     rus,
     save_label_map,
@@ -37,6 +36,7 @@ from trajbehav.data import (
     split,
     standardize_stats,
     window_all,
+    wrap_angles,
 )
 from trajbehav.errors import ConfigError, DataError, IngestError
 from trajbehav.rng import ROS, RUS, SPLIT, seeded_rng
@@ -253,6 +253,16 @@ class TestTrajectoryCSVProperties:
 # same error text, same bytes.
 # ---------------------------------------------------------------------------
 
+def reference_wrap_angle(d):
+    """The angle `d` wrapped to [-pi, pi); exact no-op for in-range values."""
+    if -math.pi <= d < math.pi:
+        return d
+    out = (d + math.pi) % (2.0 * math.pi) - math.pi
+    if out >= math.pi:     # guard against rounding at the wrap boundary
+        out -= 2.0 * math.pi
+    return out
+
+
 def reference_load_trajectories(path, class_names=None, degrees=False):
     rows = []
     problems = []
@@ -320,7 +330,7 @@ def reference_load_trajectories(path, class_names=None, degrees=False):
                 f"{entry['kind']!r} -> {kind!r}"
             )
             continue
-        entry["rows"].append((frame, x, y, z, normalize_angle(d), name_to_idx[label]))
+        entry["rows"].append((frame, x, y, z, reference_wrap_angle(d), name_to_idx[label]))
     if problems:
         raise IngestError(f"{path}: {len(problems)} bad rows: " + "; ".join(problems[:20]))
 
@@ -404,17 +414,44 @@ def trajectory_files(draw):
     return header, rows
 
 
+def csv_row(agent, kind, frame, label):
+    return [agent, kind, str(frame), "0", "0", "0", "0", label]
+
+
 class TestTrajectoryCSVAgainstReference:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(file=trajectory_files(), class_names=st.sampled_from([None, CLASS_NAMES]),
            degrees=st.booleans())
+    # a row with an unknown label is no row that a later one repeats, and
+    # sets no kind
+    @example(file=(list(dmod.TRAJECTORY_COLUMNS),
+                   [csv_row("a", "rider", 0, "D"), csv_row("a", "vehicle", 0, "A"),
+                    csv_row("a", "rider", 1, "A")]), class_names=CLASS_NAMES, degrees=False)
+    # the kind is the first row's in file order, not in frame order; a row
+    # that changes kind is still the row its (agent, frame) repeats
+    @example(file=(list(dmod.TRAJECTORY_COLUMNS),
+                   [csv_row("a", "rider", 2, "A"), [], csv_row("a", "vehicle", 0, "A"),
+                    csv_row("a", "vehicle", 0, "B"), csv_row("a", "rider", 1, "A")]),
+             class_names=None, degrees=False)
     def test_load_matches_reference(self, tmp_path, file, class_names, degrees):
         path = tmp_path / "t.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([file[0], *file[1]])
         assert (load_outcome(load_trajectories, path, class_names, degrees)
                 == load_outcome(reference_load_trajectories, path, class_names, degrees))
+
+    def test_non_finite_coordinates_are_malformed_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("agent_id,kind,frame,x,y,z,d,label\n"
+                        "a,vehicle,0,inf,0,0,0,A\n"
+                        "a,vehicle,1,0,-inf,0,0,A\n"
+                        "a,vehicle,2,0,0,nan,0,A\n"
+                        "a,vehicle,3,0,0,0,1e400,A\n")
+        got = load_outcome(load_trajectories, path, None, False)
+        assert got == load_outcome(reference_load_trajectories, path, None, False)
+        assert got == ("error", f"{path}: 4 malformed rows: "
+                       + "; ".join(f"row {i}: non-finite coordinate" for i in range(2, 6)))
 
     def test_error_report_keeps_the_first_twenty_rows(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -1040,11 +1077,14 @@ class TestPipelineProperties:
         assert (np.diff(down.agent_idx) > 0).all(), "original order kept, no repeats"
 
     @settings(max_examples=300, deadline=None)
-    @given(d=st.one_of(st.floats(-math.pi, math.pi, exclude_max=True),
-                       st.floats(allow_nan=False, allow_infinity=False)))
-    @example(d=math.nextafter(-math.pi, -math.inf))   # (d + pi) % 2pi rounds to 2pi
-    def test_normalize_angle_lands_in_range(self, d):
-        out = normalize_angle(d)
-        assert -math.pi <= out < math.pi
-        if -math.pi <= d < math.pi:
-            assert out == d
+    @given(d=st.lists(st.one_of(st.floats(-math.pi, math.pi, exclude_max=True),
+                                st.floats(allow_nan=False, allow_infinity=False)), max_size=20))
+    @example(d=[math.nextafter(-math.pi, -math.inf)])   # (d + pi) % 2pi rounds to 2pi
+    @example(d=[5e-324, -0.0, math.nextafter(math.pi, 0.0)])   # in range, changed by a wrap
+    def test_wrap_angles_matches_the_scalar_reference(self, d):
+        d = np.array(d, dtype=np.float64)
+        out = wrap_angles(d)
+        assert ((-math.pi <= out) & (out < math.pi)).all()
+        inside = (-math.pi <= d) & (d < math.pi)
+        assert out[inside].tobytes() == d[inside].tobytes()
+        assert out.tobytes() == np.array([reference_wrap_angle(v) for v in d.tolist()]).tobytes()

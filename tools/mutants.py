@@ -55,6 +55,7 @@ CONCURRENT = "tests/test_autodiff.py::TestConcurrentDirections"
 LSTM = "tests/test_autodiff.py::TestLSTMCell"
 WORKSPACE = "tests/test_autodiff.py::TestWorkspace"
 CSV_REFERENCE = "tests/test_data.py::TestTrajectoryCSVAgainstReference"
+WRAP = "tests/test_data.py::TestPipelineProperties::test_wrap_angles_matches_the_scalar_reference"
 
 MUTANTS = [
     # the CLI output protocol
@@ -236,11 +237,12 @@ MUTANTS = [
            "    if not set(kinds).issubset(AGENT_KINDS):\n", "    if False:\n", (CSV_REFERENCE,),
            "an unknown agent kind is a malformed row"),
     Mutant("csv_duplicate_check_dropped", DATA,
-           "same_agent & ((frames[1:] == frames[:-1])", "same_agent & ((frames[1:] < frames[1:])",
+           "    repeated = ~unknown & (first < at)\n", "    repeated = np.zeros_like(unknown)\n",
            ("tests/test_data.py::TestLoadSave::test_duplicate_frame_rejected_with_row_numbers",),
            "a repeated (agent, frame) is a malformed row"),
     Mutant("csv_label_check_dropped", DATA,
-           "    if (label < 0).any() or (same_agent", "    if (same_agent",
+           "    bad = np.flatnonzero(unknown | repeated | changed)\n",
+           "    bad = np.flatnonzero(repeated | changed)\n",
            ("tests/test_data.py::TestLoadSave::test_unknown_label_against_map",),
            "a label outside the map must not become class -1"),
     Mutant("csv_negative_frame_accepted", DATA,
@@ -263,18 +265,30 @@ MUTANTS = [
            ("tests/test_data.py::TestLoadSave::test_roundtrip_frames_beyond_float64_precision",),
            "frames above 2**53 lose their low bits in float64"),
     Mutant("csv_frames_unsorted", DATA,
-           "    order = np.lexsort((frames, code))\n",
-           '    order = np.argsort(code, kind="stable")\n',
+           "    order = np.lexsort((frames, code, unknown))\n",
+           "    order = np.lexsort((code, unknown))\n",
            ("tests/test_data.py::TestLoadSave::test_rows_out_of_order_sorted",),
            "a trajectory's points are in frame order whatever the row order"),
     Mutant("csv_numpy_scalar_repr", DATA,
            "zip(t.frames.tolist(), t.states.tolist(),", "zip(t.frames.tolist(), t.states,",
            ("tests/test_data.py::TestLoadSave::test_roundtrip_thousand_agents",),
            "repr of a numpy scalar is not a CSV number"),
+    Mutant("csv_unknown_labels_repeated", DATA,
+           "    order = np.lexsort((frames, code, unknown))\n",
+           "    order = np.lexsort((frames, code))\n",
+           (f"{CSV_REFERENCE}::test_load_matches_reference",),
+           "a row with an unknown label is no row that a later row repeats"),
+    Mutant("csv_kind_from_frame_order", DATA,
+           "    kept = np.flatnonzero(~(unknown | repeated))\n",
+           "    kept = order[~(unknown | repeated)[order]]\n",
+           (f"{CSV_REFERENCE}::test_load_matches_reference",),
+           "an agent's kind is that of its first row in the file, not of its lowest frame"),
     Mutant("angle_guard_strict", DATA,
-           "    if out >= math.pi:     # guard", "    if out > math.pi:     # guard",
-           ("tests/test_data.py::TestPipelineProperties::test_normalize_angle_lands_in_range",),
-           "rounding can land exactly on pi, outside [-pi, pi)"),
+           "    out[out >= math.pi] -= 2.0 * math.pi", "    out[out > math.pi] -= 2.0 * math.pi",
+           (WRAP,), "rounding can land exactly on pi, outside [-pi, pi)"),
+    Mutant("angle_wrap_in_range", DATA,
+           "    return np.where((-math.pi <= d) & (d < math.pi), d, out)\n", "    return out\n",
+           (WRAP,), "an angle already in [-pi, pi) comes back bit for bit, not re-rounded"),
 
     # windows, classes, split and resampling
     Mutant("window_boundary_unmasked", DATA,
