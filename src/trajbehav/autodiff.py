@@ -41,16 +41,20 @@ A tensor's first gradient is one pass, `g + 0.0` written into an array laid
 out like the tensor's data: the bits of accumulating onto zeros (-0.0 becomes
 +0.0) without first filling the zeros.
 
-Threads. A two-direction `lstm_layer` runs its backward-time direction's
-backward on a worker thread while the calling thread runs the forward
-direction's, one new thread per backward call (`_alongside`), when
-the batch has at least CONCURRENT_MIN_BATCH rows, the process may run on
-more than one CPU and numpy's BLAS runs one thread (`_spare_cpu`). Each
-direction computes the same numpy operations as it would alone and adds
-into its own three parameters' gradients, and the calling thread adds the
-two directions' x gradients after both have finished, so the bits do not
-depend on the thread or on the scheduling. Everything else, forward
-passes included, runs on the calling thread.
+Threads. A two-direction `lstm_layer` uses a worker thread in both passes
+(`_alongside`, one new thread per pass) when the batch has at least
+CONCURRENT_MIN_BATCH rows, the process may run on more than one CPU, numpy's
+BLAS runs one thread (`_spare_cpu`) and no tensor is passed to both
+directions. In the forward, the worker computes the backward-time
+direction's input projection and every recurrent product, while the
+calling thread runs every `lstm_cell`; a tracer that wraps `lstm_cell`, as
+perfbench's does, so sees all of its calls on the calling thread. In the
+backward, the worker runs the backward-time direction's BPTT and weight
+gradients while the calling thread runs the forward direction's, then adds
+the two directions' x gradients. Each thread runs the numpy calls the
+calling thread would run alone, on the same inputs, so the bits do not
+depend on the thread or on the scheduling. Everything else runs on the
+calling thread.
 
 Memory. `pack` copies a model's freshly built parameters into one new value
 vector and one new gradient vector, each parameter's arrays becoming views
@@ -68,6 +72,7 @@ import functools
 import glob
 import math
 import os
+import queue
 import threading
 
 import numpy as np
@@ -75,13 +80,17 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError
 
 
-# The smallest batch whose two-direction `lstm_layer` backward runs its
-# directions on two threads. Below it the two threads' hand-offs of the
-# interpreter lock around numpy's short calls cost more than the overlap
-# saves: median fusion training steps, all on one thread → threaded, 2-vCPU
-# Xeon VM, one BLAS thread, read 5.2 → 8.5 ms at batch 32, 7.5 → 9.4 at 64,
+# The smallest batch whose two-direction `lstm_layer` uses a worker thread.
+# Below it the two threads' hand-offs of the interpreter lock around numpy's
+# short calls cost more than the overlap saves. On a 2-vCPU Xeon VM with one
+# BLAS thread, all on one thread → threaded, median fusion training steps
+# with a threaded backward read 5.2 → 8.5 ms at batch 32, 7.5 → 9.4 at 64,
 # 10.2 → 12.2 at 96, 12.2 → 11.9 at 128, 16.9 → 16.1 at 192 and 19.1 →
-# 15.8 at 224.
+# 15.8 at 224; median fusion forwards with a threaded forward read
+# 1.39 → 2.73 ms at 32, 3.00 → 3.36 at 64 and 3.08 → 3.37 at 96 (middle of
+# 3 runs), and over fresh-process pairs a median threaded/inline ratio of
+# 1.001 at 128 (threaded faster in 10 of 20 pairs), 0.903 at 160 (16 of 20)
+# and 0.894 at 192 (8 of 12).
 CONCURRENT_MIN_BATCH = 128
 
 
@@ -412,30 +421,30 @@ def max_over_time(x):
     return Tensor(out_data, requires_grad=True, parents=(x,), backward=backward)
 
 
-def lstm_cell(gates, h, c, wht, scratch, c_new, h_new):
-    """One LSTM time step, in place over preallocated feature-major arrays.
+def lstm_cell(gates, rec, c, scratch, c_new, h_new):
+    """One LSTM time step, elementwise and in place over preallocated
+    feature-major arrays.
 
     `gates` holds the step's input projection Wxᵀ·x + b on entry, (4H, B),
-    and the four gate activations on return; `h` and `c` are the previous
-    state, (H, B), with `h` None for the zero initial state, whose recurrent
-    product is all zeros and is skipped; `wht` is Whᵀ, (4H, H); `scratch` is
-    a (4H, B) array that takes the recurrent product before it is added onto
-    `gates`, then i⊙g, and on return holds tanh(c') in its first H rows.
+    and the four gate activations on return; `rec` is the step's recurrent
+    product Whᵀ·h of the previous hidden state, (4H, B), or None for the zero
+    initial state, whose product is all zeros; `c` is the previous cell
+    state, (H, B); `scratch` is a (4H, B) array, which may be `rec` itself,
+    that takes i⊙g and on return holds tanh(c') in its first H rows.
     Gate layout in the 4H pre-activation is [input, forget, candidate,
     output], each block a contiguous (H, B) slab; c' = f⊙c + i⊙g,
     h' = o⊙tanh(c'), written into `c_new` and `h_new`. The i, f and o rows of
-    the projection and of `wht` come pre-halved (see `lstm_layer`), so one
-    `np.tanh` over the whole block gives g and tanh(z/2) for the sigmoid
+    the projection and of the product come pre-halved (see `lstm_layer`), so
+    one `np.tanh` over the whole block gives g and tanh(z/2) for the sigmoid
     gates, and sigmoid(z) = (tanh(z/2) + 1) / 2 needs only +1 and ×0.5 on
     those blocks; the tanh form needs no masks and cannot overflow for any
     finite z.
     """
     hid = c.shape[0]
-    if h is None:
+    if rec is None:
         gates += 0.0   # xw + 0, the bits the zero state's product gives
     else:
-        np.matmul(wht, h, out=scratch)
-        gates += scratch
+        gates += rec
     np.tanh(gates, out=gates)
     for sig in (gates[:2 * hid], gates[3 * hid:]):
         sig += 1.0
@@ -471,13 +480,18 @@ def lstm_layer(x, fw, bw=None):
     `Wh·dpre` GEMM per step, with the weights as stored; the gradients of x,
     Wx and Wh are then one batched matmul each over the stacked steps
     (summed over T for the weights, and for Wh over steps 1…T−1, whose
-    previous state is not the zero one), and b's is one sum. In a
-    two-direction layer, `bw`'s backward runs on a worker thread while
-    `fw`'s runs on the calling thread, which then adds `bw`'s x gradient
-    onto `fw`'s. Both run on the calling thread, one after the other, for
-    a batch of fewer than CONCURRENT_MIN_BATCH rows, in a process allowed
-    one CPU or a BLAS of several threads, and when a tensor is passed to
-    both directions.
+    previous state is not the zero one), and b's is one sum.
+
+    In a two-direction layer a worker thread computes, in the forward,
+    `bw`'s input projection while the calling thread computes `fw`'s, then
+    each step's recurrent product one cell ahead of the calling thread,
+    which runs the cells of both directions step by step (see
+    `_lstm_forward_pair`); in the backward it runs `bw`'s BPTT while the
+    calling thread runs `fw`'s and then adds `bw`'s x gradient onto `fw`'s.
+    Everything runs on the calling thread, one direction after the other,
+    for a batch of fewer than CONCURRENT_MIN_BATCH rows, in a process
+    allowed one CPU or a BLAS of several threads, and when a tensor is
+    passed to both directions.
     """
     directions = (fw,) if bw is None else (fw, bw)
     if x.data.ndim != 3 or x.data.shape[0] < 1:
@@ -495,22 +509,26 @@ def lstm_layer(x, fw, bw=None):
                 f"for d_in={d_in}, hidden={hid}"
             )
 
-    out_data = _empty((t_len, len(directions) * hid, bsz), x.data.dtype)
-    # per direction: the order its recurrence visits the steps in, its output
-    # rows, and what its forward leaves for the backward
-    runs = []
-    for k, weights in enumerate(directions):
-        order, rows = slice(None, None, -1 if k else 1), slice(k * hid, (k + 1) * hid)
-        hs = out_data[order, rows]
-        runs.append((order, rows, weights, hs,
-                     *_lstm_forward(x.data[order], *(w.data for w in weights), hs)))
-
     parents = (x,) + tuple(w for weights in directions for w in weights)
     # the calling thread alone for one direction, where a worker costs more
-    # than it saves, and where a tensor passed to both directions takes both
-    # gradients
-    inline = (bw is None or bsz < CONCURRENT_MIN_BATCH
+    # than it saves or has no CPU of its own, and where a tensor passed to
+    # both directions takes both gradients
+    inline = (bw is None or bsz < CONCURRENT_MIN_BATCH or not _spare_cpu()
               or len(set(map(id, parents))) < len(parents))
+
+    out_data = _empty((t_len, len(directions) * hid, bsz), x.data.dtype)
+    # per direction: the order its recurrence visits the steps in, its output
+    # rows, and its hidden states in that order
+    views = []
+    for k in range(len(directions)):
+        order, rows = slice(None, None, -1 if k else 1), slice(k * hid, (k + 1) * hid)
+        views.append((order, rows, out_data[order, rows]))
+    args = [(x.data[order], *(w.data for w in weights), hs)
+            for (order, _, hs), weights in zip(views, directions)]
+    states = [_lstm_forward(*a) for a in args] if inline else _lstm_forward_pair(*args)
+    # and what each direction's forward leaves for its backward
+    runs = [(order, rows, weights, hs, gates, cs)
+            for (order, rows, hs), weights, (gates, cs) in zip(views, directions, states)]
 
     def backward(g):
         def direction(run):
@@ -524,10 +542,10 @@ def lstm_layer(x, fw, bw=None):
             _accum(b, dpre.sum(axis=(0, 2)))
             return np.matmul(wx.data, dpre)[order] if x.requires_grad else None
 
-        if inline or not _spare_cpu():
+        if inline:
             dx, *others = map(direction, runs)
         else:
-            dx, *others = _alongside(direction, *runs)
+            dx, *others = _alongside(*(functools.partial(direction, run) for run in runs))
         if dx is not None:
             for dxs in others:
                 dx += dxs
@@ -570,25 +588,25 @@ def _blas_threads_getter():
     return None
 
 
-def _alongside(fn, first, second):
-    """`(fn(first), fn(second))`, fn(first) on the calling thread and
-    fn(second) on a new thread, run in a copy of the caller's context so that
-    its `np.errstate` holds there too. numpy releases the interpreter lock in
-    its array loops and BLAS calls, so the calls overlap where a second core
-    is free. The worker has finished before this returns or raises; if both
-    calls raise, fn(first)'s error is raised."""
-    outcome = [None, None]   # fn(second)'s result, or its error
+def _alongside(first, second):
+    """`(first(), second())`, first() on the calling thread and second() on a
+    new thread, run in a copy of the caller's context so that its
+    `np.errstate` holds there too. numpy releases the interpreter lock in its
+    array loops and BLAS calls, so the calls overlap where a second core is
+    free. The worker has finished before this returns or raises; if both
+    calls raise, first()'s error is raised."""
+    outcome = [None, None]   # second()'s result, or its error
 
     def work():
         try:
-            outcome[0] = fn(second)
+            outcome[0] = second()
         except BaseException as exc:   # raised again on the calling thread
             outcome[1] = exc
 
     worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     worker.start()
     try:
-        result = fn(first)
+        result = first()
     finally:
         worker.join()
     if outcome[1] is not None:
@@ -600,23 +618,91 @@ def _lstm_forward(xs, wx, wh, b, hs):
     """Run one direction's recurrence over `xs` (T, d, B), writing the hidden
     states into `hs` (T, H, B) in the same step order. Returns the gate
     activations (T, 4H, B) and the cell states (T+1, H, B), the first of them
-    the zero initial state."""
+    the zero initial state. Each step after the first computes its recurrent
+    product Whᵀ·h into the scratch just before its cell."""
+    gates, scratch, wht, cs = _lstm_project(xs, wx, wh, b, *_lstm_arrays(xs, wx, wh))
+    for s in range(len(xs)):
+        if s:
+            np.matmul(wht, hs[s - 1], out=scratch)
+        lstm_cell(gates[s], scratch if s else None, cs[s], scratch, cs[s + 1], hs[s])
+    return gates, cs
+
+
+def _lstm_arrays(xs, wx, wh):
+    """Uninitialized arrays for one direction's forward over `xs`: Wx with
+    halved i, f and o columns, the gates (T, 4H, B), a (4H, B) scratch, Wh
+    halved likewise and the cell states (T+1, H, B)."""
     t_len, _, bsz = xs.shape
     hid = wh.shape[0]
     dt = xs.dtype
+    return (_empty(wx.shape, dt), _empty((t_len, 4 * hid, bsz), dt), _empty((4 * hid, bsz), dt),
+            _empty(wh.shape, dt), _empty((t_len + 1, hid, bsz), dt))
+
+
+def _lstm_project(xs, wx, wh, b, wx_half, gates, scratch, wh_half, cs):
+    """Fill one direction's `_lstm_arrays`: the halved weights, the input
+    projection plus bias, which become the gates in place, and the zero
+    initial cell state. Returns the gates, the scratch, Whᵀ halved and the
+    cell states."""
+    hid = wh.shape[0]
     half = np.full(4 * hid, 0.5, dtype=wx.dtype)   # 0.5 on the sigmoid gates' rows
     half[2 * hid:3 * hid] = 1.0
-    wxt = np.multiply(wx, half, out=_empty(wx.shape, dt)).T
-    gates = np.matmul(wxt, xs, out=_empty((t_len, 4 * hid, bsz), dt))
-    scratch = _empty((4 * hid, bsz), dt)
+    np.matmul(np.multiply(wx, half, out=wx_half).T, xs, out=gates)
     scratch[...] = (b * half)[:, None]
     gates += scratch
-    wht = np.multiply(wh, half, out=_empty(wh.shape, dt)).T
-    cs = _empty((t_len + 1, hid, bsz), dt)
+    np.multiply(wh, half, out=wh_half)
     cs[0] = 0
-    for s in range(t_len):
-        lstm_cell(gates[s], hs[s - 1] if s else None, cs[s], wht, scratch, cs[s + 1], hs[s])
-    return gates, cs
+    return gates, scratch, wh_half.T, cs
+
+
+def _lstm_forward_pair(first, second):
+    """`[_lstm_forward(*first), _lstm_forward(*second)]`, with a worker thread
+    computing the second direction's input projection while this thread
+    computes the first's, then every recurrent product, each as soon as the
+    cell before it has written its h. This thread runs every `lstm_cell`,
+    step by step, the directions interleaved. Both directions' arrays come
+    from the workspace before the worker starts, and the worker runs only
+    numpy calls, so the calls and their inputs, and hence the bits, are
+    those of `_lstm_forward`."""
+    t_len = len(first[0])
+    hs = (first[4], second[4])
+    arrays = [_lstm_arrays(*a[:3]) for a in (first, second)]
+    projected = [None, None]   # per direction, what `_lstm_project` returned
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def worker():
+        """The second direction's projection, then each product asked for on
+        `todo`, in order, each answered on `done`."""
+        try:
+            projected[1] = _lstm_project(*second[:4], *arrays[1])
+            done.put(True)
+            for k, s in iter(todo.get, None):
+                _, scratch, wht, _ = projected[k]
+                np.matmul(wht, hs[k][s - 1], out=scratch)
+                done.put(True)
+        except BaseException:
+            done.put(False)   # wakes the caller; `_alongside` raises the error
+            raise
+
+    def caller():
+        try:
+            projected[0] = _lstm_project(*first[:4], *arrays[0])
+            for s in range(t_len):
+                for k in range(2):
+                    # the answers come in the order the cells need them: the
+                    # second direction's projection, then each product
+                    if (s, k) != (0, 0) and not done.get():
+                        return
+                    gates, scratch, _, cs = projected[k]
+                    lstm_cell(gates[s], scratch if s else None, cs[s], scratch, cs[s + 1],
+                              hs[k][s])
+                    if s + 1 < t_len:
+                        todo.put((k, s + 1))
+        finally:
+            todo.put(None)   # the worker's stop, also when a cell raised
+
+    _alongside(caller, worker)
+    return [(gates, cs) for gates, _, _, cs in projected]
 
 
 def _lstm_backward(gs, gates, cs, wh):

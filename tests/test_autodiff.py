@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,9 +514,10 @@ class TestLSTMCell:
         assert np.allclose(both.data, 0.0)
 
     def test_forget_gate_saturation_preserves_cell(self, rng):
-        """The in-place contract: the projection becomes the gate activations,
-        the scratch ends holding tanh(c') in its first H rows, and a saturated
-        forget gate with a closed input gate carries c through."""
+        """The in-place contract: the cell adds the recurrent product it is
+        given, the projection becomes the gate activations, the scratch ends
+        holding tanh(c') in its first H rows, and a saturated forget gate with
+        a closed input gate carries c through."""
         hidden = 3
         wx, wh, b = _lstm_weights(4, hidden, zero=True)
         b.data[hidden:2 * hidden] = 100.0   # forget gate ~ 1
@@ -527,7 +529,8 @@ class TestLSTMCell:
         for k in (0, 1, 3):
             act[k * hidden:(k + 1) * hidden] = (act[k * hidden:(k + 1) * hidden] + 1.0) * 0.5
         scratch, c2, h2 = np.empty((4 * hidden, 2)), *np.empty((2, hidden, 2))
-        ad.lstm_cell(gates, np.zeros((hidden, 2)), c, wh.data.T, scratch, c2, h2)
+        rec = wh.data.T @ np.zeros((hidden, 2))   # Whᵀ·h of a zero previous state
+        ad.lstm_cell(gates, rec, c, scratch, c2, h2)
         assert np.abs(c2 - c).max() < 1e-6
         assert np.array_equal(gates, act)
         assert np.array_equal(scratch[:hidden], np.tanh(c2))
@@ -916,29 +919,34 @@ class TestWorkspace:
         assert sum(b.nbytes for b in model.workspace._buffers) < bound_mib * 2**20
 
 
-def _inline(fn, first, second):
-    """`ad._alongside` with both calls on the calling thread."""
-    return fn(first), fn(second)
-
-
-def _bidirectional_grads(bsz, dtype, tied=False):
-    """The output and the x, fw and bw gradients of one two-direction layer
-    under a fixed loss, as bytes; with `tied`, bw is fw's own tensors."""
+def _bidirectional_layer(bsz, dtype, tied=False):
+    """One two-direction layer over a fixed input: (x, fw, bw, output); with
+    `tied`, bw is fw's own tensors."""
     t_len, d_in, hidden = 5, 6, 8
     r = np.random.default_rng(bsz)
     x = Parameter(r.normal(size=(t_len, d_in, bsz)).astype(dtype), "x")
     fw, bw = ([Parameter(w.astype(dtype), "w") for w in ws]
               for ws in _directions(True, d_in, hidden, r))
-    mix = r.normal(size=(t_len, 2 * hidden, bsz))
-    y = ad.lstm_layer(x, fw, fw if tied else bw)
-    _weighted_sum(y, mix).backward()
+    bw = fw if tied else bw
+    return x, fw, bw, ad.lstm_layer(x, fw, bw)
+
+
+def _bidirectional_grads(bsz, dtype, tied=False):
+    """The output and the x, fw and bw gradients of one two-direction layer
+    under a fixed loss, as bytes."""
+    x, fw, bw, y = _bidirectional_layer(bsz, dtype, tied)
+    _weighted_sum(y, np.random.default_rng(0).normal(size=y.shape)).backward()
     return [y.data.tobytes()] + [p.grad.tobytes() for p in (x, *fw, *bw)]
 
 
 class TestConcurrentDirections:
-    """A two-direction layer's backward runs the second direction on a worker
-    thread; each test spies on `_lstm_backward` to see where each ran. The
-    batch and CPU gates are lifted unless a test says otherwise."""
+    """A two-direction layer runs its second direction's backward on a worker
+    thread, and in its forward the worker computes the second direction's
+    input projection and every recurrent product while the calling thread
+    runs the cells. The tests spy on `_lstm_backward`, on `lstm_cell` and on
+    `np.matmul`, which computes every projection and product, to see where
+    each ran. The batch and CPU gates are lifted unless a test says
+    otherwise."""
 
     @pytest.fixture(autouse=True)
     def _any_batch_any_cpus(self, monkeypatch):
@@ -960,32 +968,116 @@ class TestConcurrentDirections:
         monkeypatch.setattr(ad, "_lstm_backward", spy)
         return calls
 
+    @staticmethod
+    def _matmul_spy(monkeypatch, before=None):
+        """Patch `np.matmul` to record (thread id, np.geterr()) per call,
+        running `before()` first if given. Returns the record list."""
+        calls, real = [], np.matmul
+
+        def spy(*args, **kwargs):
+            calls.append((threading.get_ident(), np.geterr()))
+            if before is not None:
+                before()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return calls
+
+    @staticmethod
+    def _cell_spy(monkeypatch, before=None):
+        """Patch `lstm_cell` to record the thread id of each call, running
+        `before()` first if given. Returns the record list."""
+        calls, real = [], ad.lstm_cell
+
+        def spy(*args):
+            calls.append(threading.get_ident())
+            if before is not None:
+                before()
+            return real(*args)
+
+        monkeypatch.setattr(ad, "lstm_cell", spy)
+        return calls
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bsz", [1, 33, 256])
     def test_bits_equal_both_directions_on_the_calling_thread(self, monkeypatch, bsz, dtype):
         calls = self._spy(monkeypatch)
+        products = self._matmul_spy(monkeypatch)
         concurrent = _bidirectional_grads(bsz, dtype)
         assert len({ident for ident, _, _ in calls}) == 2
-        monkeypatch.setattr(ad, "_alongside", _inline)
+        assert len({ident for ident, _ in products}) == 2
+        monkeypatch.setattr(ad, "_spare_cpu", lambda: False)
+        products.clear()
         assert _bidirectional_grads(bsz, dtype) == concurrent
+        assert {ident for ident, _ in products} == {threading.get_ident()}
+
+    def test_forward_cells_on_the_calling_thread_products_on_the_worker(self, monkeypatch):
+        cells = self._cell_spy(monkeypatch)
+        products = self._matmul_spy(monkeypatch)
+        _bidirectional_layer(33, np.float64)
+        me = threading.get_ident()
+        assert cells == [me] * 10
+        # fw's projection here; bw's and the 2 × 4 recurrent products there
+        assert len(products) == 10
+        assert [ident == me for ident, _ in products].count(True) == 1
+
+    def test_the_caller_waits_for_a_slow_worker(self, monkeypatch):
+        """Every projection and product of the worker's takes 5 ms longer;
+        each cell must still add its own step's product."""
+        me = threading.get_ident()
+        self._matmul_spy(monkeypatch, lambda: threading.get_ident() != me and time.sleep(0.005))
+        slow = _bidirectional_layer(33, np.float64)[-1].data.tobytes()
+        monkeypatch.setattr(ad, "_spare_cpu", lambda: False)
+        assert _bidirectional_layer(33, np.float64)[-1].data.tobytes() == slow
+
+    def test_bits_hold_with_more_threads_than_cpus(self, monkeypatch):
+        """Three layers' forwards and backwards at once, each with its own
+        worker, the interpreter switching threads every microsecond: every
+        run gives the bits of both directions on the calling thread."""
+        monkeypatch.setattr(ad, "_spare_cpu", lambda: False)
+        want = _bidirectional_grads(33, np.float64)
+        monkeypatch.setattr(ad, "_spare_cpu", lambda: True)
+        got = []
+
+        def run():
+            for _ in range(10):
+                got.append(_bidirectional_grads(33, np.float64))
+
+        threads = [threading.Thread(target=run) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 30
 
     def test_tied_directions_stay_on_the_calling_thread(self, monkeypatch):
         """A tensor in both directions takes two gradients, which one thread
         adds in order, so the bits are those of both directions inline."""
         calls = self._spy(monkeypatch)
+        products = self._matmul_spy(monkeypatch)
         tied = _bidirectional_grads(33, np.float64, tied=True)
         assert [ident for ident, _, _ in calls] == [threading.get_ident()] * 2
-        monkeypatch.setattr(ad, "_alongside", _inline)
+        assert {ident for ident, _ in products} == {threading.get_ident()}
+        monkeypatch.setattr(ad, "_spare_cpu", lambda: False)
         assert _bidirectional_grads(33, np.float64, tied=True) == tied
 
     def test_small_batches_and_no_spare_cpu_stay_on_the_calling_thread(self, monkeypatch):
         calls = self._spy(monkeypatch)
+        products = self._matmul_spy(monkeypatch)
         monkeypatch.setattr(ad, "CONCURRENT_MIN_BATCH", 128)
         for bsz, spare, threads in [(127, True, 1), (128, False, 1), (128, True, 2)]:
             monkeypatch.setattr(ad, "_spare_cpu", lambda: spare)
             calls.clear()
+            products.clear()
             _bidirectional_grads(bsz, np.float32)
             assert len({ident for ident, _, _ in calls}) == threads, (bsz, spare)
+            assert len({ident for ident, _ in products}) == threads, (bsz, spare)
 
     def test_one_direction_stays_out_of_the_helper(self, monkeypatch):
         """The LSTM baseline's layers have one direction: nothing to overlap."""
@@ -1022,6 +1114,15 @@ class TestConcurrentDirections:
         assert len({ident for ident, _, _ in calls}) == 2
         assert [err for _, err, _ in calls] == [want, want]
 
+    def test_the_forward_worker_sees_the_callers_errstate(self, monkeypatch):
+        products = self._matmul_spy(monkeypatch)
+        with np.errstate(over="raise", under="warn", divide="ignore", invalid="print"):
+            want = np.geterr()
+            _bidirectional_layer(33, np.float32)
+        assert want != np.geterr()
+        assert len({ident for ident, _ in products}) == 2
+        assert all(err == want for _, err in products)
+
     @pytest.mark.parametrize("failing", [0, 1])
     def test_an_error_reaches_the_caller_after_the_other_direction(self, monkeypatch,
                                                                   failing):
@@ -1045,13 +1146,104 @@ class TestConcurrentDirections:
         assert finished.is_set()
         assert len({ident for ident, _, _ in calls}) == 2
 
-    def test_no_thread_outlives_a_backward(self, monkeypatch):
+    @pytest.mark.parametrize("spy, side, nth", [
+        ("matmul", "caller", 1), ("cell", "caller", 4), ("matmul", "worker", 1),
+        ("matmul", "worker", 4)],
+        ids=["caller-projection", "caller-4th-cell", "worker-projection", "worker-3rd-product"])
+    def test_a_forward_error_reaches_the_caller_after_the_join(self, monkeypatch, spy, side,
+                                                              nth):
+        """An error on the caller's side must stop the worker, and one on the
+        worker's side must wake the caller. The layer runs on a helper thread,
+        so that a forward that hangs fails the test rather than the suite."""
+        outcome, seen = {}, []
+
+        def run():
+            outcome["caller"] = threading.get_ident()
+            try:
+                _bidirectional_layer(33, np.float64)
+            except FloatingPointError as exc:
+                outcome["error"] = exc
+                outcome["threads"] = threading.active_count()
+
+        def plant():
+            if (threading.get_ident() == outcome["caller"]) == (side == "caller"):
+                seen.append(None)
+                if len(seen) == nth:
+                    raise FloatingPointError("planted")
+
+        (self._matmul_spy if spy == "matmul" else self._cell_spy)(monkeypatch, plant)
         start = threading.active_count()
-        during = []
-        self._spy(monkeypatch, lambda wh: during.append(threading.active_count()))
+        helper = threading.Thread(target=run, daemon=True)
+        helper.start()
+        helper.join(timeout=20)
+        assert not helper.is_alive(), "the forward hangs"
+        assert str(outcome.get("error")) == "planted"
+        assert outcome["threads"] == start + 1   # the helper's own: the worker was joined
+
+    def test_no_thread_outlives_a_backward(self, monkeypatch):
+        """Each direction counts the live threads, then waits at a barrier
+        for the other, so the two run at once. The worker cannot pass the
+        barrier before the caller has counted, so it is alive at both counts.
+        The timeout fails a broken overlap rather than hanging."""
+        start = threading.active_count()
+        during, barrier = [], threading.Barrier(2, timeout=10)
+
+        def meet(wh):
+            during.append(threading.active_count())
+            barrier.wait()
+
+        self._spy(monkeypatch, meet)
         _bidirectional_grads(33, np.float32)
         assert during == [start + 1] * 2
         assert threading.active_count() == start
+
+    def test_no_thread_outlives_a_forward(self, monkeypatch):
+        """The same for the forward's two input projections, the first
+        `np.matmul` of each thread."""
+        start = threading.active_count()
+        during, barrier, met = [], threading.Barrier(2, timeout=10), set()
+
+        def meet():
+            if threading.get_ident() not in met:
+                met.add(threading.get_ident())
+                during.append(threading.active_count())
+                barrier.wait()
+
+        self._matmul_spy(monkeypatch, meet)
+        _bidirectional_layer(33, np.float32)
+        assert during == [start + 1] * 2
+        assert threading.active_count() == start
+
+
+def test_a_traced_training_step_keeps_every_cell_on_the_calling_thread(monkeypatch):
+    """perfbench's span tracer keeps one span stack for all threads, so it
+    records a step correctly only while every traced call runs on the
+    calling thread. A batch-256 fusion training step with a worker in both
+    passes leaves no span open and runs its 20 cells here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.spans import Tracer
+    from trajbehav.optim import Adam
+
+    monkeypatch.setattr(ad, "CONCURRENT_MIN_BATCH", 1)
+    monkeypatch.setattr(ad, "_spare_cpu", lambda: True)
+    cells = TestConcurrentDirections._cell_spy(monkeypatch)
+    products = TestConcurrentDirections._matmul_spy(monkeypatch)
+    model = build_model("fusion", 13, seed=0)
+    opt = Adam(model.param_list(), 0.005)
+    r = np.random.default_rng(0)
+    batch = r.normal(size=(256, 5, 4)).astype(np.float32)
+    with Tracer() as tracer:
+        model.zero_grad()
+        with model.workspace:
+            loss = ad.softmax_cross_entropy(model.forward(batch), r.integers(0, 13, 256))
+        loss.backward()
+        opt.step()
+    spans = tracer.finished()
+    lstm = [s for s in spans if s[0] == "autodiff.lstm_cell"]
+    assert len(lstm) == 20
+    assert all(spans[s[3]][0] == "models.bilstm_features" for s in lstm)
+    assert cells == [threading.get_ident()] * 20
+    assert {ident for ident, _ in products} - {threading.get_ident()}   # and a worker's
 
 
 _THREE_FUSION_STEPS = """

@@ -102,14 +102,15 @@ MUTANTS = [
            ("tests/test_cli.py::TestGen::test_noise_past_float32_range_exit_2",),
            "a huge noise wrote coordinates the float32 models cannot train on"),
 
-    # the two-direction LSTM backward on a worker thread
+    # `_alongside`, the worker thread of both passes of a two-direction LSTM
     Mutant("alongside_no_join", AD,
            "        worker.join()\n", "        pass\n", (CONCURRENT,),
            "the caller must not see a result or error while the worker still runs"),
     Mutant("alongside_no_copy_context", AD,
            "target=contextvars.copy_context().run, args=(work,)", "target=work",
            (CONCURRENT,),
-           "the worker must run under the caller's np.errstate"),
+           "the worker must run under the caller's np.errstate, in the backward and in the "
+           "forward (test_the_forward_worker_sees_the_callers_errstate)"),
     Mutant("alongside_worker_error_dropped", AD,
            "    if outcome[1] is not None:\n        raise outcome[1]\n", "",
            (CONCURRENT,),
@@ -123,6 +124,27 @@ MUTANTS = [
            "inline = (bw is None or bsz", "inline = (bsz",
            (f"{CONCURRENT}::test_one_direction_stays_out_of_the_helper",),
            "a one-direction layer has nothing to run alongside"),
+
+    # the two-direction LSTM forward's worker
+    Mutant("forward_caller_skips_wait", AD,
+           "                    if (s, k) != (0, 0) and not done.get():\n"
+           "                        return\n", "",
+           (f"{CONCURRENT}::test_the_caller_waits_for_a_slow_worker",),
+           "a cell must not read its projection or product before the worker wrote it"),
+    Mutant("forward_worker_error_dropped", AD,
+           "            done.put(False)   # wakes the caller; `_alongside` raises the error\n"
+           "            raise\n",
+           "            done.put(False)\n",
+           (f"{CONCURRENT}::test_a_forward_error_reaches_the_caller_after_the_join",),
+           "an error in the worker's projection or product must reach the caller"),
+    Mutant("forward_stop_only_on_success", AD,
+           "        finally:\n"
+           "            todo.put(None)   # the worker's stop, also when a cell raised\n",
+           "        except BaseException:\n"
+           "            raise\n"
+           "        todo.put(None)\n",
+           (f"{CONCURRENT}::test_a_forward_error_reaches_the_caller_after_the_join",),
+           "a caller that raises must still stop the worker, or the join waits forever"),
 
     # the LSTM layer
     Mutant("lstm_dx_not_reversed", AD,
