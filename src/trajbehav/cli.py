@@ -133,12 +133,14 @@ def load_synth_spec(path):
 # ---------------------------------------------------------------------------
 
 @contextmanager
-def output_dir(out, command, argv, params, inputs, unhashed=()):
+def output_dir(out, command, argv, params, inputs, unhashed=(), digests=None):
     """Yield a temp dir beside `out` to write a command's outputs into. When
     the body succeeds, write the command's manifest there and rename the dir
-    onto `out`; when anything fails, remove the dir. The temp name keeps at
-    most 60 characters of `out`'s name, at most 240 bytes, so that it fits
-    wherever `out` does."""
+    onto `out`; when anything fails, remove the dir. The body may fill
+    `digests` with the sha256 of a file it wrote, which the manifest then
+    records without reading the file again. The temp name keeps at most 60
+    characters of `out`'s name, at most 240 bytes, so that it fits wherever
+    `out` does."""
     out = Path(out)
 
     def unusable(exc):
@@ -158,7 +160,7 @@ def output_dir(out, command, argv, params, inputs, unhashed=()):
         raise unusable(exc) from exc
     try:
         yield tmp
-        write_manifest(tmp, command, argv, params, inputs, unhashed)
+        write_manifest(tmp, command, argv, params, inputs, unhashed, digests)
         try:
             os.replace(tmp, out)
         except OSError as exc:
@@ -176,9 +178,12 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(tmpdir, command, argv, params, inputs, unhashed=()):
+def write_manifest(tmpdir, command, argv, params, inputs, unhashed=(), digests=None):
     """The manifest of `tmpdir`: hashes of the deterministic outputs, and
-    the names of the `unhashed` (timing-bearing) files that exist."""
+    the names of the `unhashed` (timing-bearing) files that exist. An output
+    named in `digests` (relative name -> sha256 hex digest its writer took
+    of the bytes it wrote) is recorded with that digest, not read again."""
+    digests = digests or {}
     outputs = {}
     timing = []
     for path in sorted(Path(tmpdir).rglob("*")):
@@ -190,7 +195,7 @@ def write_manifest(tmpdir, command, argv, params, inputs, unhashed=()):
         if rel in unhashed:
             timing.append(rel)
         else:
-            outputs[rel] = _sha256(path)
+            outputs[rel] = digests.get(rel) or _sha256(path)
     manifest = {
         "tool": "trajbehav",
         "version": __version__,
@@ -314,8 +319,10 @@ def cmd_prep(args, argv):
         normalization=normalization,
     )
     inputs = [args.data] + ([args.labels] if args.labels else [])
-    with output_dir(args.out, "prep", argv, params=config, inputs=inputs) as tmp:
-        dmod.save_prepared(dataset, tmp / "prepared.tbh")
+    digests = {}
+    with output_dir(args.out, "prep", argv, params=config, inputs=inputs,
+                    digests=digests) as tmp:
+        digests["prepared.tbh"] = dmod.save_prepared(dataset, tmp / "prepared.tbh")
         (tmp / "counts.txt").write_text(_tab_table(stages), encoding="utf-8")
     return 0
 

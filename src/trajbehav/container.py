@@ -6,7 +6,8 @@ Writes are atomic (temp file + rename) and byte-reproducible: the header
 JSON is canonical (sorted keys, no whitespace) and arrays are stored in the
 listed order, C-contiguous, little-endian, in their native width. The
 header and each array buffer are hashed and written as they are, without
-joining them into one payload; a read hashes a memoryview of the file and
+joining them into one payload, and the write returns the whole file's
+sha256 from the same hasher; a read hashes a memoryview of the file and
 copies each array out of it once. Loaders check what they read with the
 `require_*` functions; `require_arrays` is the one rule for stored arrays.
 """
@@ -121,7 +122,8 @@ def _check_header(path, header):
 
 
 def write_container(path, kind, meta, arrays):
-    """Write `arrays` (ordered name -> ndarray) plus a JSON-able `meta`."""
+    """Write `arrays` (ordered name -> ndarray) plus a JSON-able `meta`, and
+    return the sha256 hex digest of the file written."""
     entries = []
     buffers = []
     for name, arr in arrays.items():
@@ -137,6 +139,7 @@ def write_container(path, kind, meta, arrays):
     digest = hashlib.sha256()
     for part in parts:
         digest.update(part)
+    parts.append(digest.digest())
 
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
@@ -144,12 +147,13 @@ def write_container(path, kind, meta, arrays):
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
                 fh.write(part)
-            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    digest.update(parts[-1])   # the body's hasher, extended by the trailer
+    return digest.hexdigest()
 
 
 def read_container(path):

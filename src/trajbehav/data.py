@@ -181,14 +181,15 @@ def open_text(path, error):
 
 
 def _csv_rows(path, fh):
-    """The rows csv.reader reads from `fh`; a row it rejects (such as a field
-    past its size limit) raises IngestError naming the row."""
-    lineno = 0
+    """The list of rows csv.reader reads from `fh`; a row it rejects (such as
+    a field past its size limit) raises IngestError naming the row. Rows are
+    counted as the reader returns them, so a quoted newline starts none."""
+    rows = []
     try:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            yield row
+        rows.extend(csv.reader(fh))
     except csv.Error as exc:
-        raise IngestError(f"{path}: row {lineno + 1}: {exc}") from exc
+        raise IngestError(f"{path}: row {len(rows) + 1}: {exc}") from exc
+    return rows
 
 
 def load_label_map(path):
@@ -257,13 +258,12 @@ def load_trajectories(path, class_names=None, degrees=False):
     neither sets its agent's kind nor is held to it.
     """
     with open_text(path, IngestError) as fh:
-        reader = _csv_rows(path, fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRAJECTORY_COLUMNS:
-            raise IngestError(
-                f"{path}: expected header {','.join(TRAJECTORY_COLUMNS)}, got {header}"
-            )
-        rows = list(reader)
+        rows = _csv_rows(path, fh)
+    header = rows.pop(0) if rows else None
+    if header is None or tuple(h.strip() for h in header) != TRAJECTORY_COLUMNS:
+        raise IngestError(
+            f"{path}: expected header {','.join(TRAJECTORY_COLUMNS)}, got {header}"
+        )
     columns = _columns(rows if all(rows) else [row for row in rows if row])
     if isinstance(columns, str):
         # a block passes `_columns` exactly when each of its rows does, so
@@ -498,41 +498,36 @@ def class_weights(windows, num_classes):
 def _require_finite(values, what):
     """Raise DataError naming each state feature with a non-finite value in
     `values` (features on the last axis)."""
+    if np.isfinite(values).all():
+        return
     bad = ~np.isfinite(values.reshape(-1, STATE_FEATURES)).all(axis=0)
-    if bad.any():
-        names = ", ".join(TRAJECTORY_COLUMNS[3 + i] for i in np.flatnonzero(bad))
-        raise DataError(
-            f"{what} of feature {names} are not finite: coordinates too large to standardize"
-        )
+    names = ", ".join(TRAJECTORY_COLUMNS[3 + i] for i in np.flatnonzero(bad))
+    raise DataError(
+        f"{what} of feature {names} are not finite: coordinates too large to standardize"
+    )
 
 
 def _column_mean_std(rows):
     """Per-column mean and std of `rows` (N, F), with the bits of
     `rows.mean(axis=0)` and `rows.std(axis=0)`.
 
-    Both sums run _STATS_BLOCK_ROWS rows at a time through one buffer, so no
-    temporary is the size of `rows`. Each block is reduced together with the
-    running total in the buffer's first row, row after row from a zero
-    start: the order numpy's axis-0 reduction of the whole array uses. No
-    rows give NaN statistics."""
+    The mean is that one axis-0 reduction, which adds the rows in sequence.
+    The squared deviations run _STATS_BLOCK_ROWS rows at a time through one
+    buffer, so no temporary is the size of `rows`. Each block is reduced
+    together with the running total in the buffer's first row, row after
+    row from a zero start: the order of the axis-0 reduction of the whole
+    array. No rows give NaN statistics."""
     n = rows.shape[0]
+    mean = np.add.reduce(rows, axis=0) / n
     buf = np.empty((min(n, _STATS_BLOCK_ROWS) + 1, rows.shape[1]))
-
-    def column_sum(center=None):   # Σ rows, or Σ (rows - center)²
-        buf[0] = 0.0
-        for lo in range(0, n, _STATS_BLOCK_ROWS):
-            part = rows[lo:lo + _STATS_BLOCK_ROWS]
-            block = buf[1:1 + len(part)]
-            if center is None:
-                block[...] = part
-            else:
-                np.subtract(part, center, out=block)
-                block *= block
-            buf[0] = np.add.reduce(buf[:1 + len(part)], axis=0)
-        return buf[0].copy()
-
-    mean = column_sum() / n
-    return mean, np.sqrt(column_sum(mean) / n)
+    buf[0] = 0.0
+    for lo in range(0, n, _STATS_BLOCK_ROWS):
+        part = rows[lo:lo + _STATS_BLOCK_ROWS]
+        block = buf[1:1 + len(part)]
+        np.subtract(part, mean, out=block)
+        block *= block
+        buf[0] = np.add.reduce(buf[:1 + len(part)], axis=0)
+    return mean, np.sqrt(buf[0] / n)
 
 
 def standardize_stats(windows):
@@ -578,6 +573,7 @@ def _number_agents(train, test):
 
 
 def save_prepared(dataset, path):
+    """Write `dataset` to the container file `path`; returns the file's sha256."""
     train, test = dataset.split.train, dataset.split.test
     agents, train_agents, test_agents = _number_agents(train, test)
     meta = {
@@ -594,7 +590,7 @@ def save_prepared(dataset, path):
                        f"{part}_agents": agent_idx, f"{part}_frames": w.end_frame})
     if dataset.loss_weights is not None:
         arrays["loss_weights"] = np.asarray(dataset.loss_weights, dtype=np.float64)
-    write_container(path, "dataset", meta, arrays)
+    return write_container(path, "dataset", meta, arrays)
 
 
 def _split_windows(path, arrays, part, agents, num_classes):

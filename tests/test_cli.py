@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import inspect
 import json
 import os
@@ -1037,6 +1038,27 @@ class TestOutputDir:
         monkeypatch.setattr(cli, "write_manifest", planted)
         assert run(argv) == 2
         assert not out.exists() and not _temp_entries(workspace)
+
+    def test_every_manifest_digest_is_the_sha256_of_the_file(self, workspace):
+        """Whether the manifest hashed a file itself or took the digest its
+        writer returned (prep's prepared.tbh), each `outputs` and `inputs`
+        entry is the sha256 of the file's bytes."""
+        ws = workspace
+        prep = gen_and_prep(ws)
+        tiny = ["--config", ws / "tiny.cfg"]
+        assert run(["train", "--data", prep, "--model", "conv1d", *tiny,
+                    "--out", ws / "train"]) == 0
+        assert run(["eval", "--checkpoint", ws / "train" / "model.ckpt", "--data", prep,
+                    "--out", ws / "eval"]) == 0
+        assert run(["ablate", "--data", prep, "--seeds", "0", *tiny, "--out", ws / "ablate"]) == 0
+        for command in ("gen", "prep", "train", "eval", "ablate"):
+            manifest = json.loads((ws / command / "manifest.json").read_text())
+            assert manifest["command"] == command and manifest["inputs"]
+            files = {ws / command / rel: digest for rel, digest in manifest["outputs"].items()}
+            files.update((Path(p), digest) for p, digest in manifest["inputs"].items())
+            for path, digest in files.items():
+                assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), path
+        assert "prepared.tbh" in json.loads((prep / "manifest.json").read_text())["outputs"]
 
     def test_a_name_as_long_as_the_file_system_allows(self, workspace):
         """The temp directory beside `out` needs a name longer than `out`'s."""

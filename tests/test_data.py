@@ -187,6 +187,19 @@ class TestLoadSave:
         with pytest.raises(IngestError, match=r"t\.csv: row 3: field larger than field limit"):
             load_trajectories(path)
 
+    def test_csv_error_names_the_logical_row_not_the_physical_line(self, tmp_path):
+        """A quoted newline continues its row: the field past the limit is on
+        physical line 5 but in row 4."""
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "agent_id,kind,frame,x,y,z,d,label\n"
+            '"a\n1",vehicle,0,1,0,0,0,USD\n'
+            "a1,vehicle,1,1,0,0,0,USD\n"
+            "a1,vehicle,2,1,0,0,0," + "U" * (csv.field_size_limit() + 1) + "\n"
+        )
+        with pytest.raises(IngestError, match=r"t\.csv: row 4: field larger than field limit"):
+            load_trajectories(path)
+
     def test_label_map_field_past_the_csv_size_limit_names_the_row(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("0,USD\n1," + "S" * (csv.field_size_limit() + 1) + "\n")

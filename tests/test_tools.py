@@ -1,6 +1,6 @@
 """The repository tools: the line counter every change reports its size with,
 `tools/src_lines.py`, the mutant sweep, `tools/mutants.py`, and the paired
-benchmark runner's statistics, `tools/pairs.py`."""
+benchmark runner's statistics and output comparison, `tools/pairs.py`."""
 
 import importlib.util
 from pathlib import Path
@@ -93,3 +93,52 @@ def test_pairs_schedule_alternates_the_first_side_and_cycles_the_seeds(pairs):
     assert pairs.schedule(4, [5, 6, 7]) == [
         (0, 5, ("base", "head")), (1, 6, ("head", "base")),
         (2, 7, ("base", "head")), (3, 5, ("head", "base"))]
+
+
+TRAIN_LOG = "epoch\tloss\tlr\tseconds\n1\t2.50000000\t0.005\t{:.3f}\n"
+GRADCHECK = "fusion\tmax_relative_error\t{}\noverall\tmax_relative_error\t{}\t({:.1f}s)\n"
+
+
+def _tree(root, files):
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+    return root
+
+
+def test_identity_compare_leaves_out_only_train_seconds_and_gradcheck_wall_time(
+        pairs, tmp_path):
+    same = {"prep/prepared.tbh": "dump", "eval/report_fusion.json": "{}"}
+    base = _tree(tmp_path / "base", {
+        **same, "train_fusion/train_log.txt": TRAIN_LOG.format(1.234),
+        "train_lstm/train_log.txt": TRAIN_LOG.format(0.5),
+        "gradcheck.txt": GRADCHECK.format("5.032e-08", "5.032e-08", 12.3)})
+    head = _tree(tmp_path / "head", {
+        **same, "train_fusion/train_log.txt": TRAIN_LOG.format(0.987),
+        "train_lstm/train_log.txt": TRAIN_LOG.format(0.5),
+        "gradcheck.txt": GRADCHECK.format("5.032e-08", "5.032e-08", 9.8)})
+    assert pairs.compare(base, head) == (["gradcheck.txt", "train_fusion/train_log.txt"], [])
+
+
+def test_identity_compare_reports_every_other_difference(pairs, tmp_path):
+    base = _tree(tmp_path / "base", {
+        "train_fusion/train_log.txt": TRAIN_LOG.format(1.0),
+        "gradcheck.txt": GRADCHECK.format("5.032e-08", "5.032e-08", 12.3),
+        "eval/manifest.json": '{"a": 1}', "only_base.txt": "x",
+        # a seconds column matters only in a train log
+        "prep/counts.txt": "a\t1.000\n"})
+    head = _tree(tmp_path / "head", {
+        "train_fusion/train_log.txt": TRAIN_LOG.format(1.0).replace("2.5", "2.6"),
+        "gradcheck.txt": GRADCHECK.format("5.033e-08", "5.033e-08", 12.3),
+        "eval/manifest.json": '{"a": 2}', "only_head.txt": "x",
+        "prep/counts.txt": "a\t2.000\n"})
+    assert pairs.compare(base, head) == ([], [
+        "eval/manifest.json", "gradcheck.txt", "only_base.txt", "only_head.txt",
+        "prep/counts.txt", "train_fusion/train_log.txt"])
+
+
+def test_identity_takes_no_timing_arguments(pairs):
+    with pytest.raises(SystemExit):
+        pairs.main(["--base", "HEAD", "--head", "HEAD", "--identity", "--pairs", "2"])
+    with pytest.raises(SystemExit):
+        pairs.main(["--base", "HEAD", "--head", "HEAD", "--pairs", "2"])

@@ -60,7 +60,7 @@ WRAP = "tests/test_data.py::TestPipelineProperties::test_wrap_angles_matches_the
 MUTANTS = [
     # the CLI output protocol
     Mutant("manifest_after_rename", CLI,
-           "        write_manifest(tmp, command, argv, params, inputs, unhashed)\n"
+           "        write_manifest(tmp, command, argv, params, inputs, unhashed, digests)\n"
            "        try:\n"
            "            os.replace(tmp, out)\n"
            "        except OSError as exc:\n"
@@ -69,7 +69,7 @@ MUTANTS = [
            "            os.replace(tmp, out)\n"
            "        except OSError as exc:\n"
            "            raise unusable(exc) from exc\n"
-           "        write_manifest(out, command, argv, params, inputs, unhashed)\n",
+           "        write_manifest(out, command, argv, params, inputs, unhashed, digests)\n",
            (OUTPUT_DIR,),
            "a manifest that fails after the rename leaves a partial `--out`"),
     Mutant("em_log_hashed", CLI,
@@ -84,6 +84,10 @@ MUTANTS = [
            "        os.replace(tmp, out)\n",
            (f"{OUTPUT_DIR}::test_temp_dir_or_rename_failure_exit_2",),
            "a failed rename must exit 2 with a message, not raise a traceback"),
+    Mutant("manifest_body_digest", CONTAINER,
+           "    digest.update(parts[-1])   # the body's hasher, extended by the trailer\n", "",
+           (f"{OUTPUT_DIR}::test_every_manifest_digest_is_the_sha256_of_the_file",),
+           "the prep manifest records prepared.tbh by the digest its writer returns"),
     Mutant("temp_name_untruncated", CLI,
            'f".{out.name[:60]}.tmp-{os.getpid()}"', 'f".{out.name}.tmp-{os.getpid()}"',
            (f"{OUTPUT_DIR}::test_a_name_as_long_as_the_file_system_allows",),
@@ -97,6 +101,12 @@ MUTANTS = [
            "                idx = int(row[0])\n            except TypeError as exc:",
            ("tests/test_text_input_mutations.py::test_every_label_map_mutation_fails_with_a_message",),
            "a non-integer label index must exit 3, not raise a traceback"),
+    Mutant("csv_error_row_off_by_one", DATA,
+           'f"{path}: row {len(rows) + 1}: {exc}"', 'f"{path}: row {len(rows)}: {exc}"',
+           ("tests/test_data.py::TestLoadSave::test_field_past_the_csv_size_limit_names_the_row",
+            "tests/test_data.py::TestLoadSave::"
+            "test_label_map_field_past_the_csv_size_limit_names_the_row"),
+           "a row the csv reader rejects is the one after the rows it returned"),
     Mutant("gen_float32_check_dropped", SYNTH,
            "        if not finite.all():\n", "        if False:\n",
            ("tests/test_cli.py::TestGen::test_noise_past_float32_range_exit_2",),
@@ -327,6 +337,12 @@ MUTANTS = [
            "n_train = int(math.floor(ratio * n))",
            ("tests/test_data.py::TestPipelineProperties::test_split_is_a_stratified_partition",),
            "each class keeps at least one window on each side"),
+    Mutant("finite_check_short_circuit", DATA,
+           "    if np.isfinite(values).all():\n        return\n",
+           "    np.isfinite(values).all()\n    return\n",
+           ("tests/test_data.py::TestStandardization::"
+            "test_overflowing_standardized_states_rejected",),
+           "standardized states past float64's range must not reach the dump"),
     Mutant("ros_picks_sorted", DATA,
            "picks.append(members[rng.integers(0, counts[c], size=deficit)])",
            "picks.append(members[np.sort(rng.integers(0, counts[c], size=deficit))])",

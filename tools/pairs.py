@@ -1,7 +1,9 @@
-"""Paired benchmark runs of two revisions, written to one evidence file.
+"""Paired benchmark runs of two revisions, written to one evidence file, or
+the output identity of the two revisions.
 
     python tools/pairs.py --base REV --head REV --workload W --pairs N \\
         --seeds A-B --out BENCH_<label>.json
+    python tools/pairs.py --base REV --head REV --identity
 
 Each revision is extracted with `git archive` into its own directory under
 `.perfbench/`, and `perfbench/run.py` runs there, so each side times its
@@ -16,8 +18,17 @@ direction, the number of ties, and whether the medians differ by more
 than the base's interquartile range. It also holds every run's result
 line, both revisions with their `src/` tree hashes, the first run's
 machine record and the OpenBLAS kernel family the runs load. An existing
-`--out` file gains one more entry in its `studies` list. Standard library
-only.
+`--out` file gains one more entry in its `studies` list.
+
+`--identity` runs one fixed CLI pipeline (`PIPELINE`: two gens, five preps,
+five trainings, a 4-checkpoint eval, a 2-seed ablate and gradcheck, one
+BLAS thread) from each revision's extract in turn, into the same directory
+`.perfbench/identity/run`, which is then renamed to `base` or `head`. It
+compares the two trees file by file and prints each file that differs. A
+train log that differs only in its seconds column, and gradcheck's output
+that differs only in its wall time, are printed as `timing only`; any
+other difference, a file on one side only included, is printed as
+`differs` and makes the exit status 1. Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -55,6 +67,39 @@ for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
             raise SystemExit
 print("unknown")
 """
+
+
+# The identity pipeline's input files, written into the run directory.
+IDENTITY_INPUTS = {
+    "vehicle.txt": "length = 14\nnoise = 0.3\nseed = 7\ncount.USD = 60\ncount.SA = 20\n"
+                   "count.S = 20\ncount.OFL = 20\ncount.OFR = 20\ncount.SD = 20\n",
+    # at noise 60, some generated headings leave [-pi, pi) before the wrap
+    "pedestrian.txt": "length = 14\nnoise = 60\nseed = 11\ncount.PED_CROSS_L = 20\n"
+                      "count.PED_WANDER = 20\n",
+    "train.cfg": "epochs = 2\nlr_switch_epoch = 1\nhmm_max_iters = 10\n",
+}
+_PREP = ("prep", "--data", "gen/trajectories.csv", "--labels", "gen/labels.csv", "--seed", "3")
+_TRAIN = ("train", "--config", "train.cfg")
+# `trajbehav` argv lists, run in order in the run directory; gradcheck's
+# standard output is kept as gradcheck.txt
+PIPELINE = (
+    ("gen", "--spec", "vehicle.txt", "--out", "gen"),
+    ("gen", "--spec", "pedestrian.txt", "--out", "gen_ped"),
+    (*_PREP, "--out", "prep_none"),
+    (*_PREP, "--resample", "ros", "--out", "prep_ros"),
+    (*_PREP, "--resample", "wl", "--normalize", "--out", "prep_wl"),
+    (*_PREP, "--degrees", "--out", "prep_deg"),
+    ("prep", "--data", "gen_ped/trajectories.csv", "--degrees", "--out", "prep_ped"),
+    *((*_TRAIN, "--data", "prep_ros", "--model", kind, "--out", f"train_{kind}")
+      for kind in ("fusion", "lstm", "conv1d", "hmm")),
+    (*_TRAIN, "--data", "prep_wl", "--model", "fusion", "--out", "train_fusion_wl"),
+    ("eval", "--data", "prep_none", "--out", "eval",
+     *(arg for kind in ("fusion", "lstm", "conv1d", "hmm")
+       for arg in ("--checkpoint", f"train_{kind}/model.ckpt"))),
+    ("ablate", "--data", "prep_none", "--seeds", "0,1", "--config", "train.cfg",
+     "--out", "ablate"),
+    ("gradcheck",),
+)
 
 
 def parse_seeds(text):
@@ -169,16 +214,93 @@ def study(args, seconds, declared):
     }
 
 
+def run_pipeline(tree, where):
+    """Run PIPELINE with the `src/` of `tree` in the new directory `where`."""
+    where.mkdir(parents=True)
+    for name, text in IDENTITY_INPUTS.items():
+        (where / name).write_text(text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    for argv in PIPELINE:
+        proc = subprocess.run([sys.executable, "-m", "trajbehav.cli", *argv], cwd=where,
+                              env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"trajbehav {' '.join(argv)} with {tree}/src exited "
+                               f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
+        if argv[0] == "gradcheck":
+            (where / "gradcheck.txt").write_text(proc.stdout, encoding="utf-8")
+
+
+def without_timing(rel, data):
+    """The bytes of the file `rel` (a path relative to its tree) without the
+    parts that hold wall times: a train log's last (seconds) column and the
+    `(N.Ns)` that ends a gradcheck line."""
+    if Path(rel).name == "train_log.txt":
+        return b"\n".join(line.rpartition(b"\t")[0] for line in data.split(b"\n"))
+    if rel == "gradcheck.txt":
+        return re.sub(rb"\t\(\d+\.\ds\)$", b"", data, flags=re.MULTILINE)
+    return data
+
+
+def compare(base, head):
+    """(files that differ in their timing parts only, files that differ
+    otherwise or exist on one side only), as sorted paths relative to the
+    directories `base` and `head`."""
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    timing, differing = [], []
+    for rel in sorted(files(base) | files(head)):
+        a, b = base / rel, head / rel
+        if not (a.is_file() and b.is_file()):
+            differing.append(rel)
+            continue
+        da, db = a.read_bytes(), b.read_bytes()
+        if da != db:
+            same = without_timing(rel, da) == without_timing(rel, db)
+            (timing if same else differing).append(rel)
+    return timing, differing
+
+
+def identity(args):
+    root = ROOT / ".perfbench" / "identity"
+    shutil.rmtree(root, ignore_errors=True)
+    for name, rev in (("base", args.base), ("head", args.head)):
+        side = revision(rev)
+        print(f"{name}: {side['rev']} {side['commit']} src {side['src_tree']}", flush=True)
+        tree = checkout(side["commit"])
+        try:
+            run_pipeline(tree, root / "run")
+        finally:
+            shutil.rmtree(tree, ignore_errors=True)
+        (root / "run").rename(root / name)
+    timing, differing = compare(root / "base", root / "head")
+    for rel in timing:
+        print(f"timing only: {rel}")
+    for rel in differing:
+        print(f"differs: {rel}")
+    print(f"{len(differing)} files differ beyond their timing ({root})")
+    return 1 if differing else 0
+
+
 def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="the parent revision")
     p.add_argument("--head", required=True, help="the changed revision")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seeds", required=True, help="A-B: pair i runs seed A + i mod (B - A + 1)")
-    p.add_argument("--out", type=Path, required=True, help="BENCH_<label>.json")
+    p.add_argument("--identity", action="store_true",
+                   help="compare the outputs of one fixed CLI pipeline instead of timing")
+    p.add_argument("--workload")
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--seeds", help="A-B: pair i runs seed A + i mod (B - A + 1)")
+    p.add_argument("--out", type=Path, help="BENCH_<label>.json")
     args = p.parse_args(argv)
+    timed = (args.workload, args.pairs, args.seeds, args.out)
+    if args.identity:
+        if timed != (None,) * 4:
+            p.error("--identity takes no --workload, --pairs, --seeds or --out")
+        return identity(args)
+    if None in timed:
+        p.error("--workload, --pairs, --seeds and --out are required without --identity")
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     try:
