@@ -137,11 +137,12 @@ def train(model_kind, config, split, loss_weights=None, use_mscnn=True):
             model.zero_grad()
             # The previous step's whole tape stays alive until this line
             # rebinds `loss`. Freeing it first (`del loss` after `opt.step()`)
-            # made each batch-256 fusion step fault in 868-951 fresh pages
-            # instead of none (per-run medians, 16 fresh processes each on a
-            # 2-core Xeon VM): glibc returned the pages of the arrays outside
-            # the workspace to the OS and faulted them back in on every step.
-            # The median step, 18.6 ms either way, did not resolve the cost.
+            # made each batch-256 fusion step fault in 778 fresh pages instead
+            # of 10 and take a median 12.7 ms instead of 11.6 ms (16
+            # alternating fresh processes each, one BLAS thread, on a 2-core
+            # Xeon VM; keeping it was faster in 12 of 16): glibc returned the
+            # pages of the arrays outside the workspace to the OS and faulted
+            # them back in on every step.
             with model.workspace:
                 loss = ad.softmax_cross_entropy(
                     model.forward(states32[idx]), labels[idx], weights

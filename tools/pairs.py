@@ -1,5 +1,4 @@
-"""Paired benchmark runs of two revisions, written to one evidence file, or
-the output identity of the two revisions.
+"""Paired benchmark runs of two revisions, or a check of their output identity.
 
     python tools/pairs.py --base REV --head REV --workload W --pairs N \\
         --seeds A-B --out BENCH_<label>.json
