@@ -35,7 +35,7 @@ from .data import PreparedDataset
 from .errors import ConfigError, DataError, NumericalError, TrajbehavError
 from .gradcheck import grad_check
 from .hmm import HMMClassifier
-from .metrics import format_report, recall_per_class
+from .metrics import format_report
 from .models import MODEL_KINDS, build_model
 from .svgfig import confusion_heatmap_svg, per_class_bar_svg
 from .synth import DT, SynthSpec, gen_dataset
@@ -81,7 +81,7 @@ def _coerce(key, text, default):
         raise ConfigError(f"bad value for {key}: {text!r}") from exc
 
 
-def load_train_config(path=None, **overrides):
+def load_train_config(path=None, seed=None):
     config = TrainConfig()
     fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     values = dict(fields)
@@ -90,9 +90,8 @@ def load_train_config(path=None, **overrides):
             if key not in fields:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
             values[key] = _coerce(key, text, fields[key])
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
+    if seed is not None:
+        values["seed"] = seed
     config = TrainConfig(**values)
     config.validate()
     return config
@@ -404,8 +403,8 @@ def cmd_eval(args, argv):
             (tmp / f"confusion_{tag}.svg").write_text(confusion_heatmap_svg(
                 rep.confusion, title=f"Confusion matrix ({tag})"), encoding="utf-8")
             (tmp / f"per_class_{tag}.svg").write_text(per_class_bar_svg(
-                recall_per_class(rep.confusion), class_names, title=f"Per-class recall ({tag})"
-            ), encoding="utf-8")
+                [c["recall"] for c in rep.per_class], class_names,
+                title=f"Per-class recall ({tag})"), encoding="utf-8")
         if len(artifacts) > 1:
             (tmp / "comparison.txt").write_text(_tab_table(
                 [METRIC_COLUMNS] + [(tag, *_metric_row(rep)) for tag, (rep, _) in artifacts.items()]
@@ -447,8 +446,7 @@ def run_ablation(dataset, seeds, base_config):
 
 
 def _minority_recall(rep, majority_idx):
-    recalls = recall_per_class(rep.confusion)
-    rest = [recalls[i] for i in range(len(recalls)) if i != majority_idx]
+    rest = [c["recall"] for i, c in enumerate(rep.per_class) if i != majority_idx]
     return float(np.mean(rest)) if rest else float("nan")
 
 

@@ -9,7 +9,8 @@ header and each array buffer are hashed and written as they are, without
 joining them into one payload, and the write returns the whole file's
 sha256 from the same hasher; a read hashes a memoryview of the file and
 copies each array out of it once. Loaders check what they read with the
-`require_*` functions; `require_arrays` is the one rule for stored arrays.
+`require_*` functions; `require_arrays` is the one rule for stored arrays,
+and `require_regular_file` the one rule for every input path.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import struct
 import tempfile
 
@@ -156,8 +158,24 @@ def write_container(path, kind, meta, arrays):
     return digest.hexdigest()
 
 
+def require_regular_file(path, error):
+    """Raise `error` naming `path` unless it is a regular file, following
+    symlinks. Inputs are checked before they are opened: opening a FIFO
+    waits for a writer and a second open (the manifest hashes every input)
+    waits for ever, and a device such as /dev/zero never ends."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    if not stat.S_ISREG(mode):
+        raise error(f"{path}: not a regular file")
+
+
 def read_container(path):
-    """Read back (kind, meta, arrays). Verifies magic, version, checksum."""
+    """Read back (kind, meta, arrays). Verifies magic, version, checksum.
+    `path` must be a regular file (`require_regular_file`), else
+    CheckpointError."""
+    require_regular_file(path, CheckpointError)
     try:
         with open(path, "rb") as fh:
             raw = fh.read()

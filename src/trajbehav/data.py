@@ -45,7 +45,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .container import (read_container, require_arrays, require_int, require_keys,
-                         require_str_list, write_container)
+                         require_regular_file, require_str_list, write_container)
 from .errors import CheckpointError, ConfigError, DataError, IngestError
 from .rng import ROS, RUS, SPLIT, seeded_rng
 
@@ -161,9 +161,11 @@ def wrap_angles(d):
 
 @contextmanager
 def open_text(path, error):
-    """`path` opened as UTF-8 text for reading. A file that cannot be opened
-    (missing, a directory, no permission) or is not UTF-8 raises `error`
-    naming the path and the file offset of the first byte that is not."""
+    """`path` opened as UTF-8 text for reading. A path that is not a regular
+    file (missing, a directory, a FIFO, a device: `require_regular_file`),
+    that cannot be opened (no permission) or that is not UTF-8 raises `error`
+    naming the path, and the file offset of the first byte that is not."""
+    require_regular_file(path, error)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh

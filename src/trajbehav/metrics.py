@@ -1,14 +1,18 @@
 """Imbalance-aware evaluation metrics.
 
-Balanced accuracy is the macro average of per-class recall (the standard
-multi-class generalization; the binary TPR/TNR average reduces to it).
-Precision of a never-predicted class is defined as 0, with a warning flag
-carried in the report. Both macro and micro recall are reported; micro
-recall in single-label classification equals plain accuracy. Macro recall,
-the mean of per-class recall, is balanced accuracy by definition, so the
-`recall` column of `comparison.txt` and of the ablation tables always repeats
+`report` is the one computation of every evaluation number. It counts the
+confusion matrix, requires every class to appear in the labels, and then
+computes per-class recall, precision and F1 once each. Balanced accuracy is
+the mean of that recall (the standard multi-class generalization; the binary
+TPR/TNR average reduces to it), and so is macro recall: the `recall` column
+of `comparison.txt` and of the ablation tables always repeats
 `balanced_accuracy`. Which recall the paper reports stays open until its text
-is in the repository (ROADMAP item 7).
+is in the repository (ROADMAP item 8). Micro recall, in single-label
+classification, equals plain accuracy.
+
+A ratio whose denominator is 0 is defined as 0: the precision of a
+never-predicted class (flagged in the report), the F1 of a class with neither
+recall nor precision, and a row of the normalized matrix with no samples.
 """
 
 from __future__ import annotations
@@ -25,14 +29,8 @@ class ConfusionMatrix:
     counts: np.ndarray           # (C, C), rows = true class, cols = predicted
     class_names: list
 
-    def total(self):
-        return int(self.counts.sum())
-
     def row_normalized(self):
-        sums = self.counts.sum(axis=1, keepdims=True).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            norm = np.where(sums > 0, self.counts / sums, 0.0)
-        return norm
+        return _ratio(self.counts, self.counts.sum(axis=1, keepdims=True))
 
 
 @dataclass
@@ -58,6 +56,12 @@ class EvalReport:
         }
 
 
+def _ratio(num, den):
+    """num / den elementwise, 0 where den is 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, num / den, 0.0)
+
+
 def confusion(preds, labels, class_names):
     """Count matrix with counts[i][j] = #{labels==i and preds==j}."""
     preds = np.asarray(preds)
@@ -80,65 +84,37 @@ def confusion(preds, labels, class_names):
     return ConfusionMatrix(counts=counts, class_names=list(class_names))
 
 
-def recall_per_class(cm):
-    support = cm.counts.sum(axis=1).astype(float)
-    diag = np.diag(cm.counts).astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(support > 0, diag / support, 0.0)
-
-
-def precision_per_class(cm):
-    predicted = cm.counts.sum(axis=0).astype(float)
-    diag = np.diag(cm.counts).astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(predicted > 0, diag / predicted, 0.0)
-
-
-def balanced_accuracy(cm):
-    """Mean per-class recall; every class must appear in the labels."""
+def report(preds, labels, class_names):
+    """Full evaluation report from raw predictions; every class must appear
+    in the labels."""
+    cm = confusion(preds, labels, class_names)
     support = cm.counts.sum(axis=1)
     empty = np.nonzero(support == 0)[0]
     if empty.size:
         name = cm.class_names[int(empty[0])]
         raise DataError(f"class {name!r} has zero support in the evaluated labels")
-    return float(recall_per_class(cm).mean())
-
-
-def f1_per_class(cm):
-    r = recall_per_class(cm)
-    p = precision_per_class(cm)
-    num = 2.0 * r * p
-    den = r + p
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, num / den, 0.0)
-
-
-def report(preds, labels, class_names):
-    """Full evaluation report from raw predictions."""
-    cm = confusion(preds, labels, class_names)
-    ba = balanced_accuracy(cm)
-    recalls = recall_per_class(cm)
-    precisions = precision_per_class(cm)
-    f1s = f1_per_class(cm)
-    support = cm.counts.sum(axis=1)
     predicted = cm.counts.sum(axis=0)
-    never = [class_names[i] for i in range(len(class_names)) if predicted[i] == 0]
+    diag = np.diag(cm.counts)
+    recalls = diag / support
+    precisions = _ratio(diag, predicted)
+    f1s = _ratio(2.0 * recalls * precisions, recalls + precisions)
+    never = [name for name, p in zip(cm.class_names, predicted) if p == 0]
     per_class = [
         {
-            "name": class_names[i],
+            "name": name,
             "support": int(support[i]),
             "recall": float(recalls[i]),
             "precision": float(precisions[i]),
             "f1": float(f1s[i]),
         }
-        for i in range(len(class_names))
+        for i, name in enumerate(cm.class_names)
     ]
-    micro = float(np.diag(cm.counts).sum() / max(cm.total(), 1))
+    macro_recall = float(recalls.mean())
     return EvalReport(
-        balanced_accuracy=ba,
+        balanced_accuracy=macro_recall,
         macro_f1=float(f1s.mean()),
-        macro_recall=float(recalls.mean()),
-        micro_recall=micro,
+        macro_recall=macro_recall,
+        micro_recall=float(diag.sum() / support.sum()),
         per_class=per_class,
         confusion=cm,
         never_predicted=never,

@@ -28,18 +28,30 @@ def _heat_color(v):
     return f"rgb({r},{g},{b})"
 
 
+def _frame(width, height, title, body):
+    """A `width` x `height` SVG document: the title, then the `body` elements."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<text x="{_MARGIN_LEFT}" y="24" font-size="15" font-family="sans-serif">'
+        f"{escape(title)}</text>",
+        *body,
+        "</svg>",
+    ]) + "\n"
+
+
+def _axis_label(x, y, name, font_size):
+    """An x-axis label whose end sits at (x, y), rotated 60 degrees up."""
+    return (f'<text x="{x:.1f}" y="{y}" font-size="{font_size}" '
+            f'font-family="sans-serif" text-anchor="end" '
+            f'transform="rotate(-60 {x:.1f} {y})">{escape(name)}</text>')
+
+
 def confusion_heatmap_svg(cm, title="Confusion matrix"):
     """Row-normalized heatmap; the diagonal shows each class's recall."""
     names = cm.class_names
     norm = cm.row_normalized()
     n = len(names)
-    width = _MARGIN_LEFT + n * _CELL + 20
-    height = _MARGIN_TOP + n * _CELL + _MARGIN_BOTTOM
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{_MARGIN_LEFT}" y="24" font-size="15" font-family="sans-serif">'
-        f"{escape(title)}</text>",
-    ]
+    parts = []
     for i in range(n):
         for j in range(n):
             x = _MARGIN_LEFT + j * _CELL
@@ -62,15 +74,10 @@ def confusion_heatmap_svg(cm, title="Confusion matrix"):
             f'<text x="{_MARGIN_LEFT - 8}" y="{y:.1f}" font-size="11" '
             f'font-family="sans-serif" text-anchor="end">{escape(name)}</text>'
         )
-        x = _MARGIN_LEFT + i * _CELL + _CELL / 2
-        ytick = _MARGIN_TOP + n * _CELL + 12
-        parts.append(
-            f'<text x="{x:.1f}" y="{ytick}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="end" '
-            f'transform="rotate(-60 {x:.1f} {ytick})">{escape(name)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_axis_label(_MARGIN_LEFT + i * _CELL + _CELL / 2,
+                                 _MARGIN_TOP + n * _CELL + 12, name, 11))
+    return _frame(_MARGIN_LEFT + n * _CELL + 20, _MARGIN_TOP + n * _CELL + _MARGIN_BOTTOM,
+                  title, parts)
 
 
 def per_class_bar_svg(values, class_names, title="Per-class recall"):
@@ -79,12 +86,8 @@ def per_class_bar_svg(values, class_names, title="Per-class recall"):
     n = len(class_names)
     plot_h = 220
     width = _MARGIN_LEFT + n * (_BAR_W + _BAR_GAP) + 20
-    height = _MARGIN_TOP + plot_h + _MARGIN_BOTTOM
     base_y = _MARGIN_TOP + plot_h
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{_MARGIN_LEFT}" y="24" font-size="15" font-family="sans-serif">'
-        f"{escape(title)}</text>",
         f'<line x1="{_MARGIN_LEFT - 6}" y1="{base_y}" '
         f'x2="{width - 10}" y2="{base_y}" stroke="#333"/>',
         f'<line x1="{_MARGIN_LEFT - 6}" y1="{base_y}" '
@@ -105,12 +108,5 @@ def per_class_bar_svg(values, class_names, title="Per-class recall"):
             f'x="{x}" y="{base_y - h:.1f}" width="{_BAR_W}" height="{h:.1f}" '
             f'fill="rgb(66,113,181)"/>'
         )
-        tx = x + _BAR_W / 2
-        ty = base_y + 12
-        parts.append(
-            f'<text x="{tx:.1f}" y="{ty}" font-size="10" font-family="sans-serif" '
-            f'text-anchor="end" transform="rotate(-60 {tx:.1f} {ty})">'
-            f"{escape(name)}</text>"
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_axis_label(x + _BAR_W / 2, base_y + 12, name, 10))
+    return _frame(width, _MARGIN_TOP + plot_h + _MARGIN_BOTTOM, title, parts)

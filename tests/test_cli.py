@@ -7,6 +7,8 @@ import inspect
 import json
 import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from trajbehav.errors import ConfigError
 from trajbehav.data import load_prepared
 from trajbehav.gradcheck import grad_check
 from trajbehav.hmm import GaussianHMM, HMMClassifier, baum_welch_fit, fit_classifier
-from trajbehav.metrics import recall_per_class, report
+from trajbehav.metrics import report
 from trajbehav.models import build_model
 from trajbehav.optim import Adam
 from trajbehav.synth import SynthSpec
@@ -57,6 +59,17 @@ def workspace(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_in_child(argv, timeout, stdin=subprocess.DEVNULL):
+    """(exit code, stderr) of `main(argv)` run in a child process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys\nfrom trajbehav.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          stdin=stdin, capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stderr
 
 
 def with_line(text, line):
@@ -969,8 +982,7 @@ class TestAblate:
         majority = class_names.index(manifest["params"]["majority_class"])
 
         def columns(rep):
-            recalls = recall_per_class(rep.confusion)
-            minority = [recalls[i] for i in range(len(recalls)) if i != majority]
+            minority = [c["recall"] for i, c in enumerate(rep.per_class) if i != majority]
             return (rep.balanced_accuracy, rep.macro_f1, rep.macro_recall,
                     float(np.mean(minority)))
 
@@ -1093,16 +1105,23 @@ class TestOutputDir:
 
 
 class TestUnreadableInputs:
-    """An input path that is missing, a directory, or not UTF-8 text exits
-    with its error class's code and a message naming the path."""
+    """An input path that is missing, a directory, not UTF-8 text, or not a
+    regular file (a device, a FIFO) exits with its error class's code and a
+    message naming the path."""
 
     @pytest.mark.parametrize("option, problem, code", [
         (option, problem, code)
         for option, code in [("gen --spec", 2), ("train --config", 2),
                              ("ablate --config", 2), ("prep --data", 3),
-                             ("prep --labels", 3), ("eval --checkpoint", 3)]
-        for problem in ("missing", "directory", "not-utf8")
-        if (option, problem) != ("eval --checkpoint", "not-utf8")
+                             ("prep --labels", 3), ("eval --checkpoint", 3),
+                             ("train --data", 3)]
+        for problem in ("missing", "directory", "not-utf8", "device", "fifo")
+        # a container is binary; `--data` names a directory holding
+        # prepared.tbh or the file, and a missing one has its own message
+        if (option, problem) not in {("eval --checkpoint", "not-utf8"),
+                                     ("train --data", "missing"),
+                                     ("train --data", "directory"),
+                                     ("train --data", "not-utf8")}
     ])
     def test_exit_code_names_path(self, workspace, capsys, option, problem, code):
         bad = workspace / "bad_input"
@@ -1110,6 +1129,10 @@ class TestUnreadableInputs:
             bad.mkdir()
         elif problem == "not-utf8":
             bad.write_bytes(b"agent_id,kind,frame\xff\xfe\n")
+        elif problem == "device":
+            bad = Path(os.devnull)
+        elif problem == "fifo":
+            os.mkfifo(bad)
         if option == "gen --spec":
             argv = ["gen", "--spec", bad]
         else:
@@ -1122,13 +1145,33 @@ class TestUnreadableInputs:
                 "prep --data": ["prep", "--data", bad, "--kind", "vehicle"],
                 "prep --labels": ["prep", "--data", trajectories, "--labels", bad],
                 "eval --checkpoint": ["eval", "--checkpoint", bad, "--data", prep],
+                "train --data": ["train", "--data", bad, "--model", "lstm"],
             }[option]
         out = workspace / "out"
-        capsys.readouterr()
-        assert run(argv + ["--out", out]) == code
-        err = capsys.readouterr().err
+        if problem == "fifo":
+            # opening a FIFO with no writer blocks: a child process, so that
+            # a regression fails on the timeout instead of hanging the run
+            returncode, err = run_in_child(argv + ["--out", out], timeout=60)
+            assert returncode == code
+        else:
+            capsys.readouterr()
+            assert run(argv + ["--out", out]) == code
+            err = capsys.readouterr().err
         assert f"error: {bad}: " in err and "Traceback" not in err
+        if problem in ("device", "fifo"):
+            assert f"error: {bad}: not a regular file" in err
         assert not out.exists()
+
+    def test_stdin_redirected_from_a_regular_file_is_read(self, workspace):
+        ref = gen_and_prep(workspace)
+        out = workspace / "prep_stdin"
+        argv = ["prep", "--data", "/dev/stdin", "--labels", workspace / "gen" / "labels.csv",
+                "--kind", "vehicle", "--out", out, "--seed", 3, "--min-class-count", 20]
+        with open(workspace / "gen" / "trajectories.csv", "rb") as stdin:
+            returncode, err = run_in_child(argv, timeout=120, stdin=stdin)
+        assert returncode == 0, err
+        assert ((out / "prepared.tbh").read_bytes()
+                == (ref / "prepared.tbh").read_bytes())
 
 
 class TestSeedAndSampleBounds:

@@ -4,18 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajbehav.errors import DataError
-from trajbehav.metrics import (
-    ConfusionMatrix,
-    balanced_accuracy,
-    confusion,
-    f1_per_class,
-    format_report,
-    precision_per_class,
-    recall_per_class,
-    report,
-)
+from trajbehav.metrics import ConfusionMatrix, confusion, format_report, report
 
 
 def tally_oracle(preds, labels, c):
@@ -30,6 +23,19 @@ def tally_oracle(preds, labels, c):
             fp[p] += 1
             fn[l] += 1
     return tp, fp, fn
+
+
+def report_of(counts, names):
+    """`report` of predictions whose confusion matrix is `counts`."""
+    counts = np.asarray(counts)
+    c = len(counts)
+    labels = np.repeat(np.repeat(np.arange(c), c), counts.ravel())
+    preds = np.repeat(np.tile(np.arange(c), c), counts.ravel())
+    return report(preds, labels, names)
+
+
+def column(rep, key):
+    return np.array([c[key] for c in rep.per_class])
 
 
 class TestConfusion:
@@ -65,85 +71,82 @@ class TestConfusion:
         with pytest.raises(DataError):
             confusion(np.array([0, 2]), np.array([0, 0]), ["A", "B"])
 
-    def test_total_count(self, rng):
-        preds = rng.integers(0, 3, size=50)
-        labels = rng.integers(0, 3, size=50)
-        assert confusion(preds, labels, list("ABC")).total() == 50
+    def test_row_normalized_empty_row_is_zero(self):
+        cm = ConfusionMatrix(np.array([[1, 3], [0, 0]]), ["A", "B"])
+        assert cm.row_normalized().tolist() == [[0.25, 0.75], [0.0, 0.0]]
 
 
-class TestBalancedAccuracy:
-    def test_perfect(self):
-        labels = np.array([0, 1, 1, 0])
-        cm = confusion(labels, labels, ["A", "B"])
-        assert balanced_accuracy(cm) == 1.0
+class TestReportAgainstTally:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda c: st.tuples(
+        st.just(c), st.booleans(),
+        st.lists(st.tuples(st.integers(0, c - 1), st.integers(0, c - 1)), max_size=40))))
+    def test_every_number_matches_the_tally(self, case):
+        c, every_class, pairs = case
+        names = [f"class{i}" for i in range(c)]
+        preds = np.array([p for p, _ in pairs], dtype=np.int64)
+        labels = np.array([y for _, y in pairs], dtype=np.int64)
+        if every_class:
+            preds = np.concatenate([preds, np.roll(np.arange(c), 1)])
+            labels = np.concatenate([labels, np.arange(c)])
+        tp, fp, fn = tally_oracle(preds, labels, c)
+        support = tp + fn
+        if (support == 0).any():
+            first = names[int(np.nonzero(support == 0)[0][0])]
+            with pytest.raises(DataError, match=f"^class '{first}' has zero support"):
+                report(preds, labels, names)
+            return
+        rep = report(preds, labels, names)
+        recall = tp / support
+        precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
+        f1 = 2 * tp / (2 * tp + fp + fn)
+        assert [x["name"] for x in rep.per_class] == names
+        assert np.array_equal(column(rep, "support"), support)
+        assert np.abs(column(rep, "recall") - recall).max() < 1e-12
+        assert np.abs(column(rep, "precision") - precision).max() < 1e-12
+        assert np.abs(column(rep, "f1") - f1).max() < 1e-12
+        assert rep.balanced_accuracy == rep.macro_recall
+        assert abs(rep.macro_recall - recall.mean()) < 1e-12
+        assert abs(rep.macro_f1 - f1.mean()) < 1e-12
+        assert abs(rep.micro_recall - tp.sum() / labels.size) < 1e-12
+        assert rep.never_predicted == [names[i] for i in range(c) if tp[i] + fp[i] == 0]
 
     def test_constant_predictor_balanced_binary(self):
         labels = np.array([0, 0, 1, 1])
-        cm = confusion(np.zeros(4, dtype=int), labels, ["A", "B"])
-        assert balanced_accuracy(cm) == 0.5
-
-    def test_equals_mean_per_class_recall(self):
-        for trial in range(1000):
-            r = np.random.default_rng(trial + 5000)
-            c = int(r.integers(2, 6))
-            labels = np.concatenate([np.arange(c), r.integers(0, c, size=40)])
-            preds = r.integers(0, c, size=labels.size)
-            cm = confusion(preds, labels, [str(i) for i in range(c)])
-            tp, fp, fn = tally_oracle(preds, labels, c)
-            recalls = tp / (tp + fn)
-            assert abs(balanced_accuracy(cm) - recalls.mean()) < 1e-12
+        assert report(np.zeros(4, dtype=int), labels, ["A", "B"]).balanced_accuracy == 0.5
 
     def test_zero_support_class_raises_with_name(self):
-        cm = ConfusionMatrix(np.array([[3, 0], [0, 0]]), ["A", "B"])
         with pytest.raises(DataError, match="'B'"):
-            balanced_accuracy(cm)
+            report(np.zeros(3, dtype=int), np.zeros(3, dtype=int), ["A", "B"])
 
     def test_scale_invariance(self, rng):
         counts = rng.integers(0, 9, size=(3, 3))
         counts += np.eye(3, dtype=counts.dtype)  # nonzero support
-        a = balanced_accuracy(ConfusionMatrix(counts, list("ABC")))
-        b = balanced_accuracy(ConfusionMatrix(counts * 7, list("ABC")))
-        assert abs(a - b) < 1e-12
+        a = report_of(counts, list("ABC"))
+        b = report_of(counts * 7, list("ABC"))
+        assert abs(a.balanced_accuracy - b.balanced_accuracy) < 1e-12
+        assert abs(a.macro_f1 - b.macro_f1) < 1e-12
 
-
-class TestRecallPrecision:
     def test_diagonal_all_ones(self):
-        cm = ConfusionMatrix(np.diag([4, 2, 9]), list("ABC"))
-        assert np.allclose(recall_per_class(cm), 1.0)
-        assert np.allclose(precision_per_class(cm), 1.0)
+        rep = report_of(np.diag([4, 2, 9]), list("ABC"))
+        assert np.allclose(column(rep, "recall"), 1.0)
+        assert np.allclose(column(rep, "precision"), 1.0)
 
     def test_never_predicted_convention(self):
-        cm = ConfusionMatrix(np.array([[2, 0], [1, 0]]), ["A", "B"])
-        assert precision_per_class(cm)[1] == 0.0
-        assert recall_per_class(cm)[1] == 0.0
+        rep = report_of([[2, 0], [1, 0]], ["A", "B"])
+        assert rep.per_class[1]["precision"] == 0.0
+        assert rep.per_class[1]["recall"] == 0.0
+        assert rep.per_class[1]["f1"] == 0.0
+        assert rep.never_predicted == ["B"]
 
-    def test_matches_tally(self):
-        for trial in range(1000):
-            r = np.random.default_rng(trial + 999)
-            c = int(r.integers(2, 6))
-            labels = np.concatenate([np.arange(c), r.integers(0, c, size=30)])
-            preds = r.integers(0, c, size=labels.size)
-            cm = confusion(preds, labels, [str(i) for i in range(c)])
-            tp, fp, fn = tally_oracle(preds, labels, c)
-            r_expect = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
-            p_expect = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
-            assert np.abs(recall_per_class(cm) - r_expect).max() < 1e-12
-            assert np.abs(precision_per_class(cm) - p_expect).max() < 1e-12
-
-
-class TestF1:
-    def test_perfect(self):
-        labels = np.array([0, 1, 0, 1])
-        assert f1_per_class(confusion(labels, labels, ["A", "B"])).mean() == 1.0
-
-    def test_beta1_identity_when_p_equals_r(self):
+    def test_f1_equals_recall_when_precision_does(self):
         # symmetric confusion: per-class precision == recall
-        cm = ConfusionMatrix(np.array([[8, 2], [2, 8]]), ["A", "B"])
-        assert abs(f1_per_class(cm).mean() - balanced_accuracy(cm)) < 1e-12
+        rep = report_of([[8, 2], [2, 8]], ["A", "B"])
+        assert abs(rep.macro_f1 - rep.balanced_accuracy) < 1e-12
 
-    def test_zero_when_no_tp(self):
-        cm = ConfusionMatrix(np.array([[0, 3], [4, 0]]), ["A", "B"])
-        assert np.allclose(f1_per_class(cm), 0.0)
+    def test_f1_zero_when_no_tp(self):
+        rep = report_of([[0, 3], [4, 0]], ["A", "B"])
+        assert np.allclose(column(rep, "f1"), 0.0)
 
 
 class TestReport:

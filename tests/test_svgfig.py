@@ -5,7 +5,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from trajbehav.metrics import ConfusionMatrix, recall_per_class
+from trajbehav.metrics import ConfusionMatrix
 from trajbehav.svgfig import confusion_heatmap_svg, per_class_bar_svg
 
 NAMES = ['a"b', "c'd", "e&f", "<g>", "h\"'&<>i", "plain"]
@@ -23,7 +23,7 @@ def test_both_writers_give_parseable_xml_for_markup_in_class_names(names):
     assert _texts(heat)[0] == '"t" & <u>'
     assert all(_texts(heat).count(name) == 2 for name in names)
 
-    bars = xml.dom.minidom.parseString(per_class_bar_svg(recall_per_class(cm), names))
+    bars = xml.dom.minidom.parseString(per_class_bar_svg(np.diag(cm.row_normalized()), names))
     rects = [r for r in bars.getElementsByTagName("rect") if r.getAttribute("class") == "bar"]
     assert [r.getAttribute("data-class") for r in rects] == list(names)
     assert all(name in _texts(bars) for name in names)

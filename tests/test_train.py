@@ -8,7 +8,6 @@ from trajbehav.autodiff import Tensor
 from trajbehav.data import DatasetSplit, class_weights
 from trajbehav.errors import ConfigError, DataError
 from trajbehav.hmm import HMMClassifier
-from trajbehav.metrics import recall_per_class
 from trajbehav.models import build_model, logits, predict
 from trajbehav.train import TrainConfig, evaluate, lr_at, predict_batch, train
 

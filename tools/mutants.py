@@ -49,6 +49,7 @@ class Mutant(NamedTuple):
 CLI, AD, DATA, HMM = (f"src/trajbehav/{m}.py" for m in ("cli", "autodiff", "data", "hmm"))
 CONTAINER, MODELS, OPTIM = (f"src/trajbehav/{m}.py" for m in ("container", "models", "optim"))
 CHECKPOINT, SYNTH = "src/trajbehav/checkpoint.py", "src/trajbehav/synth.py"
+METRICS = "src/trajbehav/metrics.py"
 
 OUTPUT_DIR = "tests/test_cli.py::TestOutputDir"
 CONCURRENT = "tests/test_autodiff.py::TestConcurrentDirections"
@@ -56,6 +57,7 @@ LSTM = "tests/test_autodiff.py::TestLSTMCell"
 WORKSPACE = "tests/test_autodiff.py::TestWorkspace"
 CSV_REFERENCE = "tests/test_data.py::TestTrajectoryCSVAgainstReference"
 WRAP = "tests/test_data.py::TestPipelineProperties::test_wrap_angles_matches_the_scalar_reference"
+UNREADABLE = "tests/test_cli.py::TestUnreadableInputs"
 
 MUTANTS = [
     # the CLI output protocol
@@ -111,6 +113,30 @@ MUTANTS = [
            "        if not finite.all():\n", "        if False:\n",
            ("tests/test_cli.py::TestGen::test_noise_past_float32_range_exit_2",),
            "a huge noise wrote coordinates the float32 models cannot train on"),
+    Mutant("regular_file_check_dropped", CONTAINER,
+           "    if not stat.S_ISREG(mode):\n", "    if False:\n",
+           (UNREADABLE,),
+           "a FIFO input blocks its open, and a second open to hash it blocks for ever"),
+
+    # evaluation numbers
+    Mutant("zero_support_check_dropped", METRICS,
+           "    if empty.size:\n", "    if False:\n",
+           ("tests/test_metrics.py",),
+           "balanced accuracy is undefined when a class is absent from the labels"),
+    Mutant("f1_from_recall_alone", METRICS,
+           "_ratio(2.0 * recalls * precisions, recalls + precisions)",
+           "_ratio(2.0 * recalls * recalls, recalls + recalls)",
+           ("tests/test_metrics.py",),
+           "F1 is the harmonic mean of recall and precision"),
+    Mutant("zero_denominator_nan", METRICS,
+           "np.where(den > 0, num / den, 0.0)", "num / den",
+           ("tests/test_metrics.py",),
+           "a never-predicted class has precision 0, not NaN"),
+    Mutant("minority_recall_with_majority", CLI,
+           'rest = [c["recall"] for i, c in enumerate(rep.per_class) if i != majority_idx]',
+           'rest = [c["recall"] for c in rep.per_class]',
+           ("tests/test_cli.py::TestAblate::test_tables_byte_identical_to_per_column_means",),
+           "the ablation's minority recall leaves the training majority class out"),
 
     # `_alongside`, the worker thread of both passes of a two-direction LSTM
     Mutant("alongside_no_join", AD,
