@@ -216,8 +216,6 @@ def _load_prepared(path):
     p = Path(path)
     if p.is_dir():
         p = p / "prepared.tbh"
-    if not p.exists():
-        raise DataError(f"prepared dataset not found at {p}")
     return p, dmod.load_prepared(p)
 
 

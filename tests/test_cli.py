@@ -1116,10 +1116,9 @@ class TestUnreadableInputs:
                              ("prep --labels", 3), ("eval --checkpoint", 3),
                              ("train --data", 3)]
         for problem in ("missing", "directory", "not-utf8", "device", "fifo")
-        # a container is binary; `--data` names a directory holding
-        # prepared.tbh or the file, and a missing one has its own message
+        # a container is binary, and a `--data` directory is read as the
+        # one holding prepared.tbh
         if (option, problem) not in {("eval --checkpoint", "not-utf8"),
-                                     ("train --data", "missing"),
                                      ("train --data", "directory"),
                                      ("train --data", "not-utf8")}
     ])
